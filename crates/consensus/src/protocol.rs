@@ -425,7 +425,7 @@ mod tests {
         let effects = c.take_effects();
         assert!(effects.iter().any(|e| matches!(
             e,
-            gqs_simnet::Effect::Send { msg: ConsensusMsg::TwoA { view: 1, val: 42 }, .. }
+            gqs_simnet::Effect::Broadcast { msg: ConsensusMsg::TwoA { view: 1, val: 42 } }
         )));
     }
 
@@ -441,7 +441,7 @@ mod tests {
         assert!(
             !c.take_effects().iter().any(|e| matches!(
                 e,
-                gqs_simnet::Effect::Send { msg: ConsensusMsg::TwoA { .. }, .. }
+                gqs_simnet::Effect::Broadcast { msg: ConsensusMsg::TwoA { .. } }
             )),
             "line 11: a leader with no value skips its turn"
         );
@@ -464,7 +464,7 @@ mod tests {
         let effects = c.take_effects();
         assert!(effects.iter().any(|e| matches!(
             e,
-            gqs_simnet::Effect::Send { msg: ConsensusMsg::TwoA { view: 1, val: 9 }, .. }
+            gqs_simnet::Effect::Broadcast { msg: ConsensusMsg::TwoA { view: 1, val: 9 } }
         )));
     }
 
@@ -478,7 +478,7 @@ mod tests {
         let effects = c.take_effects();
         assert!(effects.iter().any(|e| matches!(
             e,
-            gqs_simnet::Effect::Send { msg: ConsensusMsg::TwoB { view: 1, val: 5 }, .. }
+            gqs_simnet::Effect::Broadcast { msg: ConsensusMsg::TwoB { view: 1, val: 5 } }
         )));
         n.on_message(ProcessId(0), ConsensusMsg::TwoB { view: 1, val: 5 }, &mut c);
         assert!(n.decision().is_none());
@@ -513,17 +513,19 @@ mod tests {
         let _ = c.take_effects();
         // The next synchronizer timeout repeats the decision to all.
         n.on_timer(crate::synchronizer::VIEW_TIMER, &mut c);
-        let decided_sends = c
+        let decided_broadcasts = c
             .take_effects()
             .iter()
             .filter(|e| {
                 matches!(
                     e,
-                    gqs_simnet::Effect::Send { msg: ConsensusMsg::Decided { val: 5, view: 1 }, .. }
+                    gqs_simnet::Effect::Broadcast {
+                        msg: ConsensusMsg::Decided { val: 5, view: 1 }
+                    }
                 )
             })
             .count();
-        assert_eq!(decided_sends, 3, "the decision is repeated to every process");
+        assert_eq!(decided_broadcasts, 1, "the decision is repeated to every process");
     }
 
     #[test]
@@ -577,7 +579,7 @@ mod tests {
         let effects = c.take_effects();
         assert!(effects.iter().any(|e| matches!(
             e,
-            gqs_simnet::Effect::Send { msg: ConsensusMsg::TwoA { view: 2, val: 8 }, .. }
+            gqs_simnet::Effect::Broadcast { msg: ConsensusMsg::TwoA { view: 2, val: 8 } }
         )));
     }
 }

@@ -131,6 +131,7 @@ impl<L: JoinSemilattice> LatticeNode<L> {
         for eff in effects {
             match eff {
                 Effect::Send { to, msg } => ctx.send(to, msg),
+                Effect::Broadcast { msg } => ctx.broadcast(msg),
                 Effect::SetTimer { id, after } => ctx.set_timer(id, after),
                 Effect::Complete { op, resp } => {
                     let machine = self.routes.remove(&op.0).expect("unknown internal snapshot op");

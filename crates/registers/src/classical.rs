@@ -277,7 +277,7 @@ mod tests {
         let mut e = majority_engine();
         let mut c = ctx(0);
         e.start_get(7, &mut c);
-        assert_eq!(c.effect_count(), 3); // broadcast to all incl. self
+        assert_eq!(c.effect_count(), 1); // one broadcast (to all incl. self)
         assert_eq!(e.pending(), 1);
         let s = RegMap::new(0);
         let ev =
@@ -362,12 +362,12 @@ mod tests {
         let mut e = majority_engine().with_retry(50);
         let mut c = ctx(0);
         e.start_get(7, &mut c);
-        // Broadcast (3 sends) + armed retry timer.
-        assert_eq!(c.effect_count(), 4);
+        // Broadcast + armed retry timer.
+        assert_eq!(c.effect_count(), 2);
         let mut c = ctx(0);
         e.on_timer(RETRY_TIMER, &mut c);
-        // Rebroadcast (3) + NoteRetransmit + re-armed timer.
-        assert_eq!(c.effect_count(), 5);
+        // Rebroadcast + NoteRetransmit + re-armed timer.
+        assert_eq!(c.effect_count(), 3);
         // Satisfy the read quorum; the next firing must go quiet.
         let s = RegMap::new(0);
         let ev =
@@ -385,7 +385,7 @@ mod tests {
         let mut e = majority_engine();
         let mut c = ctx(0);
         e.start_get(7, &mut c);
-        assert_eq!(c.effect_count(), 3, "no timer armed");
+        assert_eq!(c.effect_count(), 1, "no timer armed");
         let mut c = ctx(0);
         e.on_timer(RETRY_TIMER, &mut c);
         assert_eq!(c.effect_count(), 0);
@@ -398,8 +398,8 @@ mod tests {
         e.start_set(3, VersionedWrite { reg: 0, value: 1, version: (1, 0) }, &mut c);
         let mut c = ctx(0);
         e.on_recover(&mut c);
-        // Rebroadcast (3) + NoteRetransmit + re-armed timer.
-        assert_eq!(c.effect_count(), 5);
+        // Rebroadcast + NoteRetransmit + re-armed timer.
+        assert_eq!(c.effect_count(), 3);
     }
 
     #[test]

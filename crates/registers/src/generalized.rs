@@ -459,8 +459,8 @@ mod tests {
         let mut e = engine();
         let mut c = ctx(0);
         e.on_start(&mut c);
-        // 3 pushes (broadcast) + 1 timer.
-        assert_eq!(c.effect_count(), 4);
+        // 1 push (broadcast) + 1 timer.
+        assert_eq!(c.effect_count(), 2);
         assert_eq!(e.clock(), 1);
     }
 
@@ -470,7 +470,7 @@ mod tests {
         let mut c = ctx(0);
         e.on_timer(TICK_TIMER, &mut c);
         assert_eq!(e.clock(), 1);
-        assert_eq!(c.effect_count(), 4);
+        assert_eq!(c.effect_count(), 2);
         e.on_timer(TimerId(99), &mut c); // foreign timer ignored
         assert_eq!(e.clock(), 1);
     }
@@ -600,12 +600,12 @@ mod tests {
         let mut e = engine().with_retry(50);
         let mut c = ctx(0);
         e.start_get(42, &mut c);
-        // Broadcast (3) + armed retry timer.
-        assert_eq!(c.effect_count(), 4);
+        // Broadcast + armed retry timer.
+        assert_eq!(c.effect_count(), 2);
         let mut c = ctx(0);
         e.on_timer(RETRY_TIMER, &mut c);
-        // Rebroadcast CLOCK_REQ (3) + NoteRetransmit + re-arm.
-        assert_eq!(c.effect_count(), 5);
+        // Rebroadcast CLOCK_REQ + NoteRetransmit + re-arm.
+        assert_eq!(c.effect_count(), 3);
         // Reach stage 2: the cut-off is known, the wait is now on pushes.
         let _ = e.on_message(ProcessId(0), Msg::ClockResp { seq: 1, clock: 3 }, &mut c);
         let _ = e.on_message(ProcessId(1), Msg::ClockResp { seq: 1, clock: 5 }, &mut c);
@@ -621,9 +621,9 @@ mod tests {
         e.start_set(7, VersionedWrite { reg: 0, value: 1, version: (1, 0) }, &mut c);
         let mut c = ctx(0);
         e.on_recover(&mut c);
-        // push_state broadcast (3) + tick re-arm + SET_REQ rebroadcast (3)
+        // push_state broadcast + tick re-arm + SET_REQ rebroadcast
         // + NoteRetransmit + retry re-arm.
-        assert_eq!(c.effect_count(), 9);
+        assert_eq!(c.effect_count(), 5);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// A version tag `(counter, process)` ordered lexicographically — the
 /// register protocol's `Version = N × N` (Figure 4).
@@ -31,17 +32,21 @@ pub trait Update<S>: Clone + Debug {
 /// A single-register deployment uses one key; the snapshot construction
 /// (one SWMR register per segment) uses one key per process. Keys that
 /// were never written read as `(initial, (0, 0))`.
+///
+/// Copy-on-write: the whole state travels in every `GET_RESP` push and
+/// ABD reply, and flooding clones each message once per relay, so a clone
+/// shares the map and only [`RegMap::put`] on a shared map copies it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegMap<K: Ord, V> {
     initial: V,
-    entries: BTreeMap<K, (V, Version)>,
+    entries: Arc<BTreeMap<K, (V, Version)>>,
 }
 
 impl<K: Ord + Clone, V: Clone> RegMap<K, V> {
     /// A namespace where every register starts at `initial` with version
     /// `(0, 0)`.
     pub fn new(initial: V) -> Self {
-        RegMap { initial, entries: BTreeMap::new() }
+        RegMap { initial, entries: Arc::new(BTreeMap::new()) }
     }
 
     /// The value and version of register `reg`.
@@ -60,7 +65,7 @@ impl<K: Ord + Clone, V: Clone> RegMap<K, V> {
     /// Stores `(value, version)` into `reg` unconditionally (used by
     /// updates after their version check).
     pub fn put(&mut self, reg: K, value: V, version: Version) {
-        self.entries.insert(reg, (value, version));
+        Arc::make_mut(&mut self.entries).insert(reg, (value, version));
     }
 
     /// Number of registers that have been written at least once.

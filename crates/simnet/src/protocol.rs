@@ -50,6 +50,17 @@ pub enum Effect<M, R> {
         /// The message.
         msg: M,
     },
+    /// Send `msg` to every process, the sender included, in ascending pid
+    /// order — the paper's `send ... to all` as one effect. The simulator
+    /// expands it into the `n` per-destination sends an [`Effect::Send`]
+    /// loop over `0..n` would make (same checks, draws, counters and trace
+    /// events, in the same order). Middleware either forwards it whole
+    /// ([`crate::Flood`] floods one envelope for it) or expands it itself
+    /// ([`crate::Reliable`] sequences per destination).
+    Broadcast {
+        /// The message.
+        msg: M,
+    },
     /// Arm a one-shot timer that fires `after` time units from now.
     SetTimer {
         /// Protocol-chosen identifier, passed back to `on_timer`.
@@ -157,14 +168,10 @@ impl<M, R> Context<M, R> {
 
     /// Sends `msg` to every process, **including the sender** — the
     /// paper's `send ... to all`. (A process is always connected to
-    /// itself; the self-copy is delivered reliably.)
-    pub fn broadcast(&mut self, msg: M)
-    where
-        M: Clone,
-    {
-        for p in 0..self.n {
-            self.send(ProcessId(p), msg.clone());
-        }
+    /// itself; the self-copy is delivered reliably.) One
+    /// [`Effect::Broadcast`], whatever `n` is.
+    pub fn broadcast(&mut self, msg: M) {
+        self.effects.push(Effect::Broadcast { msg });
     }
 
     /// Arms a one-shot timer.
@@ -317,17 +324,13 @@ mod tests {
 
     #[test]
     fn broadcast_includes_self() {
+        // The fan-out to every process (self included) happens where the
+        // effect is applied; `sim::tests::broadcast_equals_a_send_loop`
+        // pins it to the per-destination sends.
         let mut ctx: Context<u8, ()> = Context::new(ProcessId(1), 3, SimTime::ZERO);
         ctx.broadcast(9);
         let effects = ctx.take_effects();
-        let targets: Vec<usize> = effects
-            .iter()
-            .map(|e| match e {
-                Effect::Send { to, .. } => to.index(),
-                _ => panic!("only sends expected"),
-            })
-            .collect();
-        assert_eq!(targets, vec![0, 1, 2]);
+        assert!(matches!(effects[..], [Effect::Broadcast { msg: 9 }]));
     }
 
     #[test]

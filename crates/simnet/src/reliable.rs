@@ -195,7 +195,9 @@ impl<P: Protocol> Reliable<P> {
     }
 
     /// Translates the inner protocol's effects: each logical send becomes
-    /// a tracked envelope; timers and completions pass through.
+    /// a tracked envelope — a broadcast one per destination, because
+    /// sequence numbers, acks and retransmission are per destination —
+    /// and timers and completions pass through.
     fn translate(
         &mut self,
         inner_ctx: &mut Context<P::Msg, P::Resp>,
@@ -204,6 +206,11 @@ impl<P: Protocol> Reliable<P> {
         for eff in inner_ctx.take_effects() {
             match eff {
                 Effect::Send { to, msg } => self.reliable_send(to, msg, ctx),
+                Effect::Broadcast { msg } => {
+                    for to in 0..ctx.n() {
+                        self.reliable_send(ProcessId(to), msg.clone(), ctx);
+                    }
+                }
                 Effect::SetTimer { id, after } => {
                     debug_assert!(id != RETX_TIMER, "TimerId(u64::MAX) is reserved by Reliable");
                     ctx.set_timer(id, after);
@@ -429,6 +436,63 @@ mod tests {
             .filter(|e| matches!(e, Effect::Send { msg: ReliableMsg::Ack { seq: 0 }, .. }))
             .count();
         assert_eq!(acks, 2, "every copy is acked, or a lost ack would retransmit forever");
+    }
+
+    /// Announces each invoked value to all.
+    #[derive(Clone, Default, Debug)]
+    struct Announce;
+
+    impl Protocol for Announce {
+        type Msg = u64;
+        type Op = u64;
+        type Resp = ();
+
+        fn on_start(&mut self, _ctx: &mut Context<u64, ()>) {}
+        fn on_message(&mut self, _from: ProcessId, _msg: u64, _ctx: &mut Context<u64, ()>) {}
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<u64, ()>) {}
+
+        fn on_invoke(&mut self, op: OpId, x: u64, ctx: &mut Context<u64, ()>) {
+            ctx.broadcast(x);
+            ctx.complete(op, ());
+        }
+    }
+
+    /// `(destination, seq)` of every data envelope among `ctx`'s effects.
+    fn data_sends(ctx: &mut Context<ReliableMsg<u64>, ()>) -> Vec<(usize, u64)> {
+        ctx.take_effects()
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send { to, msg: ReliableMsg::Data { seq, .. } } => Some((to.index(), *seq)),
+                Effect::Broadcast { .. } => {
+                    panic!("one envelope cannot carry per-destination seqs")
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_broadcast_is_sequenced_acked_and_retransmitted_per_destination() {
+        let mut r = Reliable::with_tuning(Announce, 20, 320, 1);
+        let mut ctx = Context::new(ProcessId(0), 3, SimTime(5));
+        r.on_invoke(OpId(0), 7, &mut ctx);
+        assert_eq!(data_sends(&mut ctx), vec![(0, 0), (1, 0), (2, 0)]);
+        // A point-to-point send in between advances only its own channel.
+        r.reliable_send(ProcessId(1), 8, &mut ctx);
+        r.on_invoke(OpId(1), 9, &mut ctx);
+        assert_eq!(data_sends(&mut ctx), vec![(1, 1), (0, 1), (1, 2), (2, 1)]);
+        assert_eq!(r.unacked(), 7);
+        // Destinations 0 and 1 ack everything; 2 stays silent.
+        for (from, seqs) in [(0, 0..2), (1, 0..3)] {
+            for seq in seqs {
+                r.on_message(ProcessId(from), ReliableMsg::Ack { seq }, &mut ctx);
+            }
+        }
+        assert_eq!(r.unacked(), 2);
+        let mut late = Context::new(ProcessId(0), 3, SimTime(1000));
+        r.on_timer(RETX_TIMER, &mut late);
+        assert_eq!(data_sends(&mut late), vec![(2, 0), (2, 1)], "only the unacked destination");
+        assert_eq!(r.retransmits(), 2);
     }
 
     #[test]

@@ -989,42 +989,13 @@ impl<P: Protocol> Simulation<P> {
     fn apply_effects(&mut self, me: ProcessId, mut ctx: Context<P::Msg, P::Resp>) {
         for eff in ctx.take_effects() {
             match eff {
-                Effect::Send { to, msg } => {
-                    self.stats.sent += 1;
-                    trace_ev!(self, TraceEvent::Send { at: self.now, from: me, to });
-                    // A channel outside the topology is a channel
-                    // disconnected at time zero; a scheduled disconnection
-                    // drops sends until (if ever) the channel heals.
-                    // Self-sends skip both, and are never lossy.
-                    let dropped = to != me
-                        && (!self.config.topology.connects(me, to)
-                            || (self.down_active > 0
-                                && self.is_disconnected(Channel::new(me, to))));
-                    if dropped {
-                        self.stats.dropped_disconnected += 1;
-                        trace_ev!(
-                            self,
-                            TraceEvent::DropDisconnected { at: self.now, from: me, to }
-                        );
-                    } else if self.config.loss > 0.0
-                        && to != me
-                        && self.rng.chance(self.config.loss)
-                    {
-                        // The loss draw happens only on channels that are
-                        // up (losses compose with down intervals) and only
-                        // when the model is enabled, so loss = 0 consumes
-                        // no randomness and leaves traces untouched.
-                        self.stats.dropped_lossy += 1;
-                        trace_ev!(self, TraceEvent::DropLossy { at: self.now, from: me, to });
-                    } else {
-                        let delay = match &self.config.net {
-                            Some(net) => {
-                                let class = self.config.topology.channel_class(me, to);
-                                net.delay(me, to, class, self.now, &mut self.rng)
-                            }
-                            None => self.config.delay.draw(self.now, &mut self.rng),
-                        };
-                        self.push(self.now + delay, EventKind::Deliver { from: me, to, msg });
+                Effect::Send { to, msg } => self.send(me, to, msg),
+                Effect::Broadcast { msg } => {
+                    // The same sends a `0..n` loop of `Effect::Send`s
+                    // would make, in the same order: every check, draw
+                    // and counter is per destination.
+                    for to in 0..self.nodes.len() {
+                        self.send(me, ProcessId(to), msg.clone());
                     }
                 }
                 Effect::SetTimer { id, after } => {
@@ -1061,6 +1032,40 @@ impl<P: Protocol> Simulation<P> {
                     );
                 }
             }
+        }
+    }
+
+    /// One physical send on the channel `(me, to)`: topology and
+    /// down-interval check, loss draw, delay draw, delivery event.
+    fn send(&mut self, me: ProcessId, to: ProcessId, msg: P::Msg) {
+        self.stats.sent += 1;
+        trace_ev!(self, TraceEvent::Send { at: self.now, from: me, to });
+        // A channel outside the topology is a channel disconnected at
+        // time zero; a scheduled disconnection drops sends until (if
+        // ever) the channel heals. Self-sends skip both, and are never
+        // lossy.
+        let dropped = to != me
+            && (!self.config.topology.connects(me, to)
+                || (self.down_active > 0 && self.is_disconnected(Channel::new(me, to))));
+        if dropped {
+            self.stats.dropped_disconnected += 1;
+            trace_ev!(self, TraceEvent::DropDisconnected { at: self.now, from: me, to });
+        } else if self.config.loss > 0.0 && to != me && self.rng.chance(self.config.loss) {
+            // The loss draw happens only on channels that are up (losses
+            // compose with down intervals) and only when the model is
+            // enabled, so loss = 0 consumes no randomness and leaves
+            // traces untouched.
+            self.stats.dropped_lossy += 1;
+            trace_ev!(self, TraceEvent::DropLossy { at: self.now, from: me, to });
+        } else {
+            let delay = match &self.config.net {
+                Some(net) => {
+                    let class = self.config.topology.channel_class(me, to);
+                    net.delay(me, to, class, self.now, &mut self.rng)
+                }
+                None => self.config.delay.draw(self.now, &mut self.rng),
+            };
+            self.push(self.now + delay, EventKind::Deliver { from: me, to, msg });
         }
     }
 
@@ -1921,6 +1926,75 @@ mod tests {
         sim.set_trace(Box::new(sink.clone()));
         sim.run();
         (sink.with(|s| s.as_str().to_string()), fingerprint(&sim))
+    }
+
+    /// Echoes every message to all for a few hops, either with
+    /// `broadcast` or with the `send` loop it stands for.
+    #[derive(Clone, Debug)]
+    struct Echo {
+        looped: bool,
+    }
+
+    impl Echo {
+        fn to_all(&self, hops: u8, ctx: &mut Context<u8, ()>) {
+            if self.looped {
+                for p in 0..ctx.n() {
+                    ctx.send(ProcessId(p), hops);
+                }
+            } else {
+                ctx.broadcast(hops);
+            }
+        }
+    }
+
+    impl Protocol for Echo {
+        type Msg = u8;
+        type Op = ();
+        type Resp = ();
+
+        fn on_start(&mut self, _ctx: &mut Context<u8, ()>) {}
+
+        fn on_message(&mut self, _from: ProcessId, hops: u8, ctx: &mut Context<u8, ()>) {
+            if hops > 0 {
+                self.to_all(hops - 1, ctx);
+            }
+        }
+
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<u8, ()>) {}
+
+        fn on_invoke(&mut self, op: OpId, _body: (), ctx: &mut Context<u8, ()>) {
+            self.to_all(2, ctx);
+            ctx.complete(op, ());
+        }
+    }
+
+    /// What unflooded stacks rely on: `Effect::Broadcast` is applied as
+    /// the `0..n` loop of `Effect::Send`s — same trace, same `NetStats`,
+    /// same RNG position — with loss draws and a down interval in play.
+    #[test]
+    fn broadcast_equals_a_send_loop() {
+        let run = |looped: bool, loss: f64| {
+            let cfg = SimConfig { seed: 23, loss, ..SimConfig::default() };
+            let mut sim = Simulation::new(cfg, vec![Echo { looped }; 4]);
+            let ch = Channel::new(ProcessId(0), ProcessId(2));
+            let mut sched = FailureSchedule::none();
+            sched.disconnect(ch, SimTime(5)).heal(ch, SimTime(25));
+            sim.apply_failures(&sched);
+            let sink = SharedSink::new(JsonlSink::new());
+            sim.set_trace(Box::new(sink.clone()));
+            sim.invoke_at(SimTime(1), ProcessId(0), ());
+            sim.invoke_at(SimTime(12), ProcessId(3), ());
+            sim.run();
+            let trace = sink.with(|s| s.as_str().to_string());
+            (trace, sim.stats(), format!("{:?}", sim.rng()), sim.now())
+        };
+        for loss in [0.0, 0.2] {
+            let (broadcast, looped) = (run(false, loss), run(true, loss));
+            assert_eq!(broadcast, looped, "loss {loss}");
+            let stats = broadcast.1;
+            assert!(stats.dropped_disconnected > 0, "the down interval must bite");
+            assert_eq!(stats.dropped_lossy > 0, loss > 0.0);
+        }
     }
 
     #[test]

@@ -239,6 +239,7 @@ where
         for eff in effects {
             match eff {
                 Effect::Send { to, msg } => ctx.send(to, msg),
+                Effect::Broadcast { msg } => ctx.broadcast(msg),
                 Effect::SetTimer { id, after } => ctx.set_timer(id, after),
                 Effect::Complete { op, resp } => {
                     let machine = self

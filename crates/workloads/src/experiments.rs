@@ -300,8 +300,9 @@ pub fn e4_classical_qaf() -> ExperimentReport {
     }
     // The sparse families (failure-free here): the same protocol rides on
     // Flood, so quorum access pays the graph's hop structure in latency
-    // and the O(n²) relay cost in msgs/op. The star is included: without
-    // failures the hub relays everything.
+    // and the relay cost in msgs/op: one envelope per broadcast round and
+    // one per reply, each at most n² deliveries. The star is included:
+    // without failures the hub relays everything.
     for (label, g) in [
         ("ring(5)", ring(5)),
         ("grid(6)", grid_graph_n(6, 3)),
@@ -318,7 +319,7 @@ pub fn e4_classical_qaf() -> ExperimentReport {
         table: t,
         notes: vec![
             "Latency is two message delays per phase; msgs/op ≈ 4n (two broadcast rounds with replies) on the complete graph.".into(),
-            "Sparse rows run failure-free over Flood: latency picks up the multi-hop paths, msgs/op the O(n²) relaying.".into(),
+            "Sparse rows run failure-free over Flood: latency picks up the multi-hop paths, msgs/op the relaying: every broadcast round and every reply is one envelope, n² deliveries on a complete graph and fewer where channels are absent.".into(),
         ],
     }
 }
@@ -378,8 +379,9 @@ pub fn e5_generalized_qaf() -> ExperimentReport {
         ]);
     }
     // Flooding ablation: on a healthy complete graph the generalized
-    // engine can run over direct channels; the difference quantifies the
-    // O(n^2) transitivity overhead.
+    // engine can run over direct channels, where a broadcast costs n
+    // deliveries and a reply 1; flooded, each is one envelope of n²
+    // deliveries on a complete graph — the transitivity overhead.
     {
         let fig2 = figure1();
         let nodes: Vec<gqs_registers::GqsRegister<u8, u64>> = (0..4)
@@ -427,7 +429,7 @@ pub fn e5_generalized_qaf() -> ExperimentReport {
         table: t,
         notes: vec![
             "msgs/op counts every physical message (flooding included), divided by the 4 client ops.".into(),
-            "The 'healthy, no flooding' row runs the same engine over direct channels: the gap to the f-pattern rows is the price of the paper's transitivity assumption.".into(),
+            "The 'healthy, no flooding' row runs the same engine over direct channels on the failure-free graph: a broadcast costs n deliveries and a reply 1, where a flooded envelope costs n² on a complete graph — the price of the paper's transitivity assumption. The f-pattern rows flood over what the pattern leaves (one process crashed, half the channels among the rest down), so they deliver far fewer than n² per envelope.".into(),
         ],
     }
 }

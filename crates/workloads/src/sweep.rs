@@ -1178,7 +1178,9 @@ pub const LATENCY_HORIZON: u64 = 100_000;
 /// process under the dynamic families). On scenarios
 /// whose residual graph keeps the invoker connected to a majority,
 /// everything completes and the latency reflects the graph's hop
-/// structure (plus the `O(n²)` flooding cost in `msgs_per_op`); where the
+/// structure (plus the flooding cost in `msgs_per_op`: `n²` deliveries
+/// per envelope on a healthy complete graph, one envelope per broadcast
+/// round and one per reply); where the
 /// faults sever too much for too long, `completed` drops below 1 — the
 /// availability/latency trade-off of the classical quorum-system
 /// literature, now measured per cell *and per fault timeline*.
