@@ -195,9 +195,9 @@ impl<P: Protocol> Reliable<P> {
     }
 
     /// Translates the inner protocol's effects: each logical send becomes
-    /// a tracked envelope — a broadcast one per destination, because
-    /// sequence numbers, acks and retransmission are per destination —
-    /// and timers and completions pass through.
+    /// a tracked envelope; timers and completions pass through. A
+    /// broadcast becomes one tracked envelope per destination, because
+    /// sequence numbers, acks and retransmission are per destination.
     fn translate(
         &mut self,
         inner_ctx: &mut Context<P::Msg, P::Resp>,

@@ -991,9 +991,6 @@ impl<P: Protocol> Simulation<P> {
             match eff {
                 Effect::Send { to, msg } => self.send(me, to, msg),
                 Effect::Broadcast { msg } => {
-                    // The same sends a `0..n` loop of `Effect::Send`s
-                    // would make, in the same order: every check, draw
-                    // and counter is per destination.
                     for to in 0..self.nodes.len() {
                         self.send(me, ProcessId(to), msg.clone());
                     }
@@ -1986,7 +1983,7 @@ mod tests {
             sim.invoke_at(SimTime(12), ProcessId(3), ());
             sim.run();
             let trace = sink.with(|s| s.as_str().to_string());
-            (trace, sim.stats(), format!("{:?}", sim.rng()), sim.now())
+            (trace, sim.stats(), sim.rng().clone(), sim.now())
         };
         for loss in [0.0, 0.2] {
             let (broadcast, looped) = (run(false, loss), run(true, loss));
