@@ -282,6 +282,53 @@ fn tiny_lognormal_grid_matches_golden_aggregate() {
     assert_eq!(eight, golden, "--threads 8 lognormal output differs from golden");
 }
 
+/// The exact invocation `golden/tiny_scale.json` was produced with: the
+/// scale mode (gossip, then sampled-arc ABD) on implicit rings. At
+/// n = 30 000 one ABD arc queues ≈ 1500 deliveries in a single tick, so
+/// the timing wheel's slots hold several chunks each.
+fn scale_golden_args() -> Vec<&'static str> {
+    vec![
+        "--mode",
+        "scale",
+        "--family",
+        "ring",
+        "--n",
+        "3000,30000",
+        "--trials",
+        "2",
+        "--seed",
+        "29",
+        "--format",
+        "json",
+    ]
+}
+
+#[test]
+fn tiny_scale_grid_matches_golden_aggregate() {
+    let golden = include_str!("../golden/tiny_scale.json");
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
+            .args(scale_golden_args())
+            .args(extra)
+            .output()
+            .expect("gqs_sweep runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("output is UTF-8")
+    };
+    let got = run(&[]);
+    assert_eq!(
+        got, golden,
+        "scale-mode output drifted from golden/tiny_scale.json; if the \
+         change is intentional (e.g. a gossip or sampled-ABD change \
+         shifting spread or message counts), regenerate the golden file"
+    );
+    assert!(got.contains("\"n\": 30000"));
+    let single = run(&["--threads", "1"]);
+    assert_eq!(single, golden, "--threads 1 scale output differs from golden");
+    let eight = run(&["--threads", "8"]);
+    assert_eq!(eight, golden, "--threads 8 scale output differs from golden");
+}
+
 /// `--net uniform` is the degenerate case: it routes delays through the
 /// NetModel path but must reproduce the plain-DelayModel golden byte for
 /// byte (same draws, same omitted JSON field).
