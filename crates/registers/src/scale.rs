@@ -9,7 +9,11 @@
 //! `q = ⌊n/2⌋ + 1` and a seeded per-operation `start`. Any two such arcs
 //! intersect — `2q > n` — so the usual ABD argument gives atomicity, while
 //! per-process state stays O(1): a replica holds one `(value, version)`
-//! pair, and a client in flight holds one counter and one best-so-far.
+//! pair, its arc-sampling RNG and a pointer (48 bytes for a `u64`
+//! register), and a client in flight holds one counter and one
+//! best-so-far. The client half — phase and backlog — is allocated the
+//! first time a process is invoked, so the million replicas of a scale run
+//! that never invoke anything do not carry it.
 //! Message complexity is `4q ≈ 2n` per operation, linear in `n` rather
 //! than the quadratic a naive broadcast protocol costs.
 //!
@@ -99,6 +103,14 @@ enum Phase<V> {
     Set { op: OpId, resp: RegResp<V>, acks: usize },
 }
 
+/// The client role of a process: absent until its first invocation.
+#[derive(Clone, Debug)]
+struct Client<V> {
+    phase: Phase<V>,
+    /// Invocations arriving while one is in flight, started FIFO.
+    backlog: VecDeque<(OpId, ScaleOp<V>)>,
+}
+
 /// One process of the sampled-arc majority ABD register. See the
 /// [module docs](self).
 #[derive(Clone, Debug)]
@@ -107,9 +119,10 @@ pub struct SampledAbd<V> {
     version: Version,
     token: u64,
     rng: SplitMix64,
-    phase: Phase<V>,
-    /// Invocations arriving while one is in flight, started FIFO.
-    backlog: VecDeque<(OpId, ScaleOp<V>)>,
+    /// `None` at a process that has never been invoked (all but a handful
+    /// in a scale run): such a process ignores client-role messages, which
+    /// nobody sends it.
+    client: Option<Box<Client<V>>>,
 }
 
 impl<V: Clone + PartialEq + Debug> SampledAbd<V> {
@@ -122,9 +135,13 @@ impl<V: Clone + PartialEq + Debug> SampledAbd<V> {
             version: VERSION_ZERO,
             token: 0,
             rng: SplitMix64::new(seed),
-            phase: Phase::Idle,
-            backlog: VecDeque::new(),
+            client: None,
         }
+    }
+
+    /// The client role of a process that has been invoked.
+    fn client(&mut self) -> &mut Client<V> {
+        self.client.as_deref_mut().expect("an operation in flight was invoked here")
     }
 
     /// Majority size `⌊n/2⌋ + 1`.
@@ -148,14 +165,16 @@ impl<V: Clone + PartialEq + Debug> SampledAbd<V> {
             ScaleOp::Write(value) => Pending::Write(value),
             ScaleOp::Read => Pending::Read,
         };
-        self.phase = Phase::Get { op, pending, acks: 0, best: (self.value.clone(), VERSION_ZERO) };
+        let best = (self.value.clone(), VERSION_ZERO);
+        self.client().phase = Phase::Get { op, pending, acks: 0, best };
         self.send_arc(ctx, ScaleMsg::GetReq { token: self.token });
     }
 
     /// Phase transition: a full arc answered the get; install the outcome
     /// at a (fresh) write arc.
     fn enter_set(&mut self, ctx: &mut Context<ScaleMsg<V>, RegResp<V>>) {
-        let Phase::Get { op, pending, best, .. } = std::mem::replace(&mut self.phase, Phase::Idle)
+        let Phase::Get { op, pending, best, .. } =
+            std::mem::replace(&mut self.client().phase, Phase::Idle)
         else {
             unreachable!("enter_set outside get phase");
         };
@@ -170,17 +189,18 @@ impl<V: Clone + PartialEq + Debug> SampledAbd<V> {
                 (best_value, best_version, resp)
             }
         };
-        self.phase = Phase::Set { op, resp, acks: 0 };
+        self.client().phase = Phase::Set { op, resp, acks: 0 };
         self.send_arc(ctx, ScaleMsg::SetReq { token: self.token, value, version });
     }
 
     /// Operation done: respond, then start the next backlogged invocation.
     fn finish(&mut self, ctx: &mut Context<ScaleMsg<V>, RegResp<V>>) {
-        let Phase::Set { op, resp, .. } = std::mem::replace(&mut self.phase, Phase::Idle) else {
+        let Phase::Set { op, resp, .. } = std::mem::replace(&mut self.client().phase, Phase::Idle)
+        else {
             unreachable!("finish outside set phase");
         };
         ctx.complete(op, resp);
-        if let Some((op, body)) = self.backlog.pop_front() {
+        if let Some((op, body)) = self.client().backlog.pop_front() {
             self.start(op, body, ctx);
         }
     }
@@ -223,7 +243,9 @@ impl<V: Clone + PartialEq + Debug> Protocol for SampledAbd<V> {
                 if token != self.token {
                     return;
                 }
-                if let Phase::Get { acks, best, .. } = &mut self.phase {
+                if let Some(Client { phase: Phase::Get { acks, best, .. }, .. }) =
+                    self.client.as_deref_mut()
+                {
                     *acks += 1;
                     if version >= best.1 {
                         *best = (value, version);
@@ -237,7 +259,9 @@ impl<V: Clone + PartialEq + Debug> Protocol for SampledAbd<V> {
                 if token != self.token {
                     return;
                 }
-                if let Phase::Set { acks, .. } = &mut self.phase {
+                if let Some(Client { phase: Phase::Set { acks, .. }, .. }) =
+                    self.client.as_deref_mut()
+                {
                     *acks += 1;
                     if *acks == Self::quorum(ctx.n()) {
                         self.finish(ctx);
@@ -250,10 +274,13 @@ impl<V: Clone + PartialEq + Debug> Protocol for SampledAbd<V> {
     fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<Self::Msg, Self::Resp>) {}
 
     fn on_invoke(&mut self, op: OpId, body: Self::Op, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        if matches!(self.phase, Phase::Idle) {
+        let client = self.client.get_or_insert_with(|| {
+            Box::new(Client { phase: Phase::Idle, backlog: VecDeque::new() })
+        });
+        if matches!(client.phase, Phase::Idle) {
             self.start(op, body, ctx);
         } else {
-            self.backlog.push_back((op, body));
+            client.backlog.push_back((op, body));
         }
     }
 }

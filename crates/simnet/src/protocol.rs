@@ -106,6 +106,10 @@ pub enum Effect<M, R> {
 ///
 /// Middleware that wraps a protocol (e.g. flooding) creates inner contexts
 /// with [`Context::new`] and drains them with [`Context::take_effects`].
+/// The simulator itself owns a single context for the whole run and lends
+/// it to every handler call, re-targeted at the process and instant of the
+/// event; its effect buffer keeps the capacity of the largest burst any
+/// handler has emitted, so handling an event allocates nothing.
 #[derive(Debug)]
 pub struct Context<M, R> {
     me: ProcessId,
@@ -126,7 +130,7 @@ impl<M, R> Context<M, R> {
     /// Middleware building *inner* contexts (e.g. [`crate::Flood`]) wants
     /// exactly this: flooding restores logical completeness, so the
     /// wrapped protocol legitimately sees everyone as a peer. The
-    /// simulator itself builds topology-accurate contexts with
+    /// simulator itself builds its topology-accurate context with
     /// [`Context::with_peers`].
     pub fn new(me: ProcessId, n: usize, now: SimTime) -> Self {
         Context { me, n, now, peers: Peers::all(n), effects: Vec::new(), tracing: false }
@@ -136,6 +140,23 @@ impl<M, R> Context<M, R> {
     /// explicit topology (what [`crate::Simulation`] hands to handlers).
     pub fn with_peers(me: ProcessId, n: usize, now: SimTime, peers: Peers) -> Self {
         Context { me, n, now, peers, effects: Vec::new(), tracing: false }
+    }
+
+    /// Points the context at the next handler call (simulator internal):
+    /// `n`, the peers view and the effect buffer carry over.
+    pub(crate) fn retarget(&mut self, me: ProcessId, now: SimTime, tracing: bool) {
+        debug_assert!(self.effects.is_empty(), "the previous handler's effects were applied");
+        self.me = me;
+        self.now = now;
+        self.tracing = tracing;
+    }
+
+    /// Takes back the buffer [`Context::take_effects`] handed out, once
+    /// drained, so the next handler pushes into its kept capacity
+    /// (simulator internal).
+    pub(crate) fn reuse_buffer(&mut self, buffer: Vec<Effect<M, R>>) {
+        debug_assert!(buffer.is_empty() && self.effects.is_empty());
+        self.effects = buffer;
     }
 
     /// The process executing the handler.

@@ -366,9 +366,6 @@ impl FailureSchedule {
 
 #[derive(Clone, Debug)]
 enum EventKind<M, O> {
-    Start {
-        process: ProcessId,
-    },
     Deliver {
         from: ProcessId,
         to: ProcessId,
@@ -420,10 +417,11 @@ pub enum StopReason {
 }
 
 /// A bit-exact snapshot of everything mutable in a [`Simulation`]:
-/// protocol nodes, the RNG stream position, the event queue (bucket order,
-/// occupancy bitmaps and the push sequence counter, so pop order is
-/// identical), the clock, liveness epochs, channel down-interval state,
-/// the operation history, [`NetStats`] and pending-op bookkeeping.
+/// protocol nodes, the RNG stream position, the start-up cursor, the event
+/// queue (bucket order, occupancy bitmaps and the push sequence counter, so
+/// pop order is identical), the clock, liveness epochs, channel
+/// down-interval state, the operation history, [`NetStats`] and pending-op
+/// bookkeeping.
 ///
 /// Created by [`Simulation::checkpoint`]; a later
 /// [`Simulation::restore`] rewinds the run to this instant, after which
@@ -436,6 +434,7 @@ pub enum StopReason {
 pub struct Checkpoint<P: Protocol> {
     nodes: Vec<P>,
     rng: SplitMix64,
+    started: usize,
     queue: TimingWheel<EventKind<P::Msg, P::Op>>,
     seq: u64,
     now: SimTime,
@@ -462,6 +461,7 @@ impl<P: Protocol> Clone for Checkpoint<P> {
         Checkpoint {
             nodes: self.nodes.clone(),
             rng: self.rng.clone(),
+            started: self.started,
             queue: self.queue.clone(),
             seq: self.seq,
             now: self.now,
@@ -489,6 +489,11 @@ pub struct Simulation<P: Protocol> {
     nodes: Vec<P>,
     config: SimConfig,
     rng: SplitMix64,
+    /// Start-up cursor: processes `0..started` have had their `on_start`.
+    /// While it is below `n`, the next event is the start of process
+    /// `started` at time zero, ahead of everything queued — start-up is
+    /// `n` events like any others, but none of them is ever stored.
+    started: usize,
     queue: TimingWheel<EventKind<P::Msg, P::Op>>,
     seq: u64,
     now: SimTime,
@@ -518,8 +523,10 @@ pub struct Simulation<P: Protocol> {
     /// common steady state — lets the send path skip the channel lookup
     /// entirely.
     down_active: usize,
-    /// Topology view handed to every handler context (Arc-cheap clone).
-    peers: Peers,
+    /// The one handler context of the run, lent to every handler call
+    /// (see [`Simulation::handle`]); it carries the topology view and the
+    /// effect buffer.
+    ctx: Context<P::Msg, P::Resp>,
     history: History<P::Op, P::Resp>,
     stats: NetStats,
     next_op: u64,
@@ -533,9 +540,9 @@ pub struct Simulation<P: Protocol> {
 }
 
 impl<P: Protocol> Simulation<P> {
-    /// Creates a simulation with one protocol instance per process.
-    /// Startup events (`on_start`) are scheduled at time zero in process
-    /// order.
+    /// Creates a simulation with one protocol instance per process. Its
+    /// first `n` events are the startups (`on_start`) at time zero in
+    /// process order, ahead of anything scheduled later for time zero.
     ///
     /// # Panics
     ///
@@ -565,10 +572,11 @@ impl<P: Protocol> Simulation<P> {
         }
         let seed = config.seed;
         let peers = Peers::from_topology(&config.topology, n);
-        let mut sim = Simulation {
+        Simulation {
             nodes,
             config,
             rng: SplitMix64::new(seed),
+            started: 0,
             queue: TimingWheel::new(),
             seq: 0,
             now: SimTime::ZERO,
@@ -576,18 +584,14 @@ impl<P: Protocol> Simulation<P> {
             down_slots: HashMap::new(),
             down_counts: Vec::new(),
             down_active: 0,
-            peers,
+            ctx: Context::with_peers(ProcessId(0), n, SimTime::ZERO, peers),
             history: History::new(),
             stats: NetStats::default(),
             next_op: 0,
             scheduled_ops: 0,
             finished_ops: 0,
             trace: None,
-        };
-        for p in 0..n {
-            sim.push(SimTime::ZERO, EventKind::Start { process: ProcessId(p) });
         }
-        sim
     }
 
     /// Number of processes.
@@ -681,6 +685,7 @@ impl<P: Protocol> Simulation<P> {
         Checkpoint {
             nodes: self.nodes.clone(),
             rng: self.rng.clone(),
+            started: self.started,
             queue: self.queue.clone(),
             seq: self.seq,
             now: self.now,
@@ -711,6 +716,7 @@ impl<P: Protocol> Simulation<P> {
     pub fn restore(&mut self, cp: &Checkpoint<P>) {
         self.nodes.clone_from(&cp.nodes);
         self.rng = cp.rng.clone();
+        self.started = cp.started;
         self.queue = cp.queue.clone();
         self.seq = cp.seq;
         self.now = cp.now;
@@ -857,8 +863,17 @@ impl<P: Protocol> Simulation<P> {
         self.history.pending().take(cap).map(|r| (r.id, r.process, r.invoked_at)).collect()
     }
 
-    /// Processes a single event. Returns `false` if the queue was empty.
+    /// Processes a single event. Returns `false` if there was none left.
     pub fn step(&mut self) -> bool {
+        if self.started < self.nodes.len() {
+            // Nothing queued can run before the last start, so no process
+            // has crashed yet.
+            let process = ProcessId(self.started);
+            self.started += 1;
+            self.stats.events += 1;
+            self.handle(process, |node, ctx| node.on_start(ctx));
+            return true;
+        }
         let Some((at, _seq, kind)) = self.queue.pop() else {
             return false;
         };
@@ -867,13 +882,6 @@ impl<P: Protocol> Simulation<P> {
         self.now = at;
         self.stats.events += 1;
         match kind {
-            EventKind::Start { process } => {
-                if !self.is_crashed(process) {
-                    let mut ctx = self.ctx(process);
-                    self.nodes[process.index()].on_start(&mut ctx);
-                    self.apply_effects(process, ctx);
-                }
-            }
             EventKind::Deliver { from, to, msg } => {
                 if self.is_crashed(to) {
                     self.stats.dropped_crashed += 1;
@@ -890,9 +898,7 @@ impl<P: Protocol> Simulation<P> {
                 } else {
                     self.stats.delivered += 1;
                     trace_ev!(self, TraceEvent::Deliver { at, from, to });
-                    let mut ctx = self.ctx(to);
-                    self.nodes[to.index()].on_message(from, msg, &mut ctx);
-                    self.apply_effects(to, ctx);
+                    self.handle(to, |node, ctx| node.on_message(from, msg, ctx));
                 }
             }
             EventKind::Timer { process, id, epoch } => {
@@ -902,9 +908,7 @@ impl<P: Protocol> Simulation<P> {
                 if epoch == self.epoch[process.index()] {
                     self.stats.timers_fired += 1;
                     trace_ev!(self, TraceEvent::TimerFire { at, process, id });
-                    let mut ctx = self.ctx(process);
-                    self.nodes[process.index()].on_timer(id, &mut ctx);
-                    self.apply_effects(process, ctx);
+                    self.handle(process, |node, ctx| node.on_timer(id, ctx));
                 } else {
                     trace_ev!(self, TraceEvent::TimerCancelled { at, process, id });
                 }
@@ -917,9 +921,7 @@ impl<P: Protocol> Simulation<P> {
                 } else {
                     self.history.record_invocation(op, process, body.clone(), self.now);
                     trace_ev!(self, TraceEvent::OpStart { at, process, op });
-                    let mut ctx = self.ctx(process);
-                    self.nodes[process.index()].on_invoke(op, body, &mut ctx);
-                    self.apply_effects(process, ctx);
+                    self.handle(process, |node, ctx| node.on_invoke(op, body, ctx));
                 }
             }
             EventKind::Crash { process } => {
@@ -936,9 +938,7 @@ impl<P: Protocol> Simulation<P> {
                 if self.epoch[i] & 1 == 1 {
                     self.epoch[i] += 1;
                     trace_ev!(self, TraceEvent::Recover { at, process });
-                    let mut ctx = self.ctx(process);
-                    self.nodes[i].on_recover(&mut ctx);
-                    self.apply_effects(process, ctx);
+                    self.handle(process, |node, ctx| node.on_recover(ctx));
                 }
             }
             EventKind::Disconnect { channel } => {
@@ -977,17 +977,31 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
+        if self.started < self.nodes.len() {
+            return Some(SimTime::ZERO);
+        }
         self.queue.next_time().map(SimTime)
     }
 
-    fn ctx(&self, p: ProcessId) -> Context<P::Msg, P::Resp> {
-        let mut ctx = Context::with_peers(p, self.nodes.len(), self.now, self.peers.clone());
-        ctx.set_tracing(self.trace.is_some());
-        ctx
+    /// Runs one handler of the node at `me` against the lent context,
+    /// re-targeted at this event, and applies the effects it emitted.
+    #[inline]
+    fn handle(
+        &mut self,
+        me: ProcessId,
+        handler: impl FnOnce(&mut P, &mut Context<P::Msg, P::Resp>),
+    ) {
+        self.ctx.retarget(me, self.now, self.trace.is_some());
+        handler(&mut self.nodes[me.index()], &mut self.ctx);
+        self.apply_effects(me);
     }
 
-    fn apply_effects(&mut self, me: ProcessId, mut ctx: Context<P::Msg, P::Resp>) {
-        for eff in ctx.take_effects() {
+    /// Applies what the last handler emitted, in order. The buffer is
+    /// taken out for the loop (applying an effect needs `&mut self`) and
+    /// handed back empty, capacity kept.
+    fn apply_effects(&mut self, me: ProcessId) {
+        let mut effects = self.ctx.take_effects();
+        for eff in effects.drain(..) {
             match eff {
                 Effect::Send { to, msg } => self.send(me, to, msg),
                 Effect::Broadcast { msg } => {
@@ -1030,6 +1044,7 @@ impl<P: Protocol> Simulation<P> {
                 }
             }
         }
+        self.ctx.reuse_buffer(effects);
     }
 
     /// One physical send on the channel `(me, to)`: topology and

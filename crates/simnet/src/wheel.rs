@@ -9,9 +9,8 @@
 //! at or after the time of the last pop — which a general-purpose heap
 //! cannot assume:
 //!
-//! * **push** is O(1): two shifts, a bitmap OR and a `Vec` push into a slot
-//!   whose capacity is reused across the run, so steady-state scheduling
-//!   allocates nothing per event;
+//! * **push** is O(1): two shifts, a bitmap OR and a push into the slot's
+//!   partly filled chunk;
 //! * **pop** is amortized O(levels): each event cascades through at most
 //!   five redistributions, and finding the next occupied slot is a
 //!   `trailing_zeros` on a 64-bit occupancy bitmap rather than a
@@ -21,6 +20,21 @@
 //!   order, which *is* `seq` order, so no comparison or sort is ever
 //!   needed — the tiebreak the byte-identical golden traces rely on falls
 //!   out of the layout.
+//!
+//! ## Memory
+//!
+//! No slot owns a growing buffer. A slot is a list of fixed-capacity
+//! **chunks** ([`CHUNK`] entries each, allocated once at full capacity and
+//! never grown) drawn from a LIFO pool the wheel owns; a chunk whose
+//! entries were popped or cascaded away goes back to the pool, so the next
+//! push reuses the memory most recently touched. The footprint is
+//! therefore the *live* entries at their peak, rounded up to whole chunks,
+//! plus one partly filled chunk per occupied slot — however the busy ticks
+//! move over the run, no tick keeps a high-water mark of its own — and
+//! steady-state scheduling allocates nothing per event. A slot that never
+//! outgrows one chunk (the usual case outside bursts) comes due by
+//! swapping that chunk with the empty drain buffer, exactly as a flat
+//! `Vec` slot would; a larger slot drains chunk by chunk.
 //!
 //! The wheel requires `push(at, ..)` with `at` no earlier than the last
 //! *popped* time. [`Simulation`](crate::Simulation) guarantees this:
@@ -44,17 +58,133 @@ const SLOTS: usize = 1 << SLOT_BITS; // 64
 const LEVELS: usize = 6; // covers deltas < 64^6 = 2^36 ticks
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 
+/// Entries per chunk. Chosen by measurement on the benchmark's `scale`
+/// workload (64 and 256 were tried; 256 read a little faster): large
+/// enough that a 50 000-entry tick is a couple of hundred chunk moves,
+/// small enough that reversing one for the drain stays in cache.
+const CHUNK: usize = 256;
+
+/// A run of entries in push order: either unallocated (capacity zero, what
+/// an idle slot holds) or allocated once with room for exactly [`CHUNK`]
+/// entries. It is never pushed to when full, so it never reallocates and
+/// every allocated chunk is interchangeable with every other.
+#[derive(Debug)]
+struct Chunk<T>(Vec<Entry<T>>);
+
+impl<T> Chunk<T> {
+    const fn unallocated() -> Self {
+        Chunk(Vec::new())
+    }
+
+    /// Whether the next push needs a fresh chunk: true for a filled chunk
+    /// and for an unallocated one.
+    #[inline]
+    fn is_full(&self) -> bool {
+        self.0.len() == self.0.capacity()
+    }
+}
+
+impl<T> Default for Chunk<T> {
+    fn default() -> Self {
+        Chunk::unallocated()
+    }
+}
+
+/// Copies the entries into a chunk of full capacity (or none, if there are
+/// no entries), so a clone's chunks are as poolable as the original's.
+impl<T: Clone> Clone for Chunk<T> {
+    fn clone(&self) -> Self {
+        if self.0.is_empty() {
+            return Chunk::unallocated();
+        }
+        let mut entries = Vec::with_capacity(CHUNK);
+        entries.extend_from_slice(&self.0);
+        Chunk(entries)
+    }
+}
+
+/// The wheel's free list of spent chunks, LIFO so the hottest memory is
+/// reused first. Cloning a pool yields an empty one: a snapshot copies
+/// entries, not spare capacity.
+#[derive(Debug)]
+struct Pool<T> {
+    free: Vec<Chunk<T>>,
+    /// Chunks allocated so far (the tests' view of memory growth).
+    #[cfg(test)]
+    allocated: usize,
+}
+
+impl<T> Pool<T> {
+    fn new() -> Self {
+        Pool {
+            free: Vec::new(),
+            #[cfg(test)]
+            allocated: 0,
+        }
+    }
+
+    /// An empty allocated chunk: a pooled one if there is one.
+    fn get(&mut self) -> Chunk<T> {
+        self.free.pop().unwrap_or_else(|| {
+            #[cfg(test)]
+            {
+                self.allocated += 1;
+            }
+            Chunk(Vec::with_capacity(CHUNK))
+        })
+    }
+
+    /// Takes back a chunk whose entries are gone.
+    fn put(&mut self, chunk: Chunk<T>) {
+        debug_assert!(chunk.0.is_empty());
+        if chunk.0.capacity() != 0 {
+            self.free.push(chunk);
+        }
+    }
+}
+
+impl<T> Clone for Pool<T> {
+    fn clone(&self) -> Self {
+        Pool::new()
+    }
+}
+
+/// One wheel slot: its entries in push order, `full[0]`, `full[1]`, …,
+/// then `tail`. Every chunk in `full` is filled; `tail` is the one being
+/// filled, and is non-empty whenever `full` is.
+#[derive(Clone, Debug)]
+struct Slot<T> {
+    full: Vec<Chunk<T>>,
+    tail: Chunk<T>,
+}
+
+impl<T> Slot<T> {
+    const fn new() -> Self {
+        Slot { full: Vec::new(), tail: Chunk::unallocated() }
+    }
+
+    /// Makes room in `tail`, which is full: a filled tail joins `full`
+    /// (an unallocated one is simply replaced).
+    #[cold]
+    fn grow(&mut self, pool: &mut Pool<T>) {
+        let filled = std::mem::replace(&mut self.tail, pool.get());
+        if !filled.0.is_empty() {
+            self.full.push(filled);
+        }
+    }
+}
+
 /// One wheel level: 64 slots plus an occupancy bitmap (bit `s` set iff
 /// `slots[s]` is non-empty).
 #[derive(Clone, Debug)]
 struct Level<T> {
     occupied: u64,
-    slots: [Vec<Entry<T>>; SLOTS],
+    slots: [Slot<T>; SLOTS],
 }
 
 impl<T> Level<T> {
     fn new() -> Self {
-        Level { occupied: 0, slots: std::array::from_fn(|_| Vec::new()) }
+        Level { occupied: 0, slots: std::array::from_fn(|_| Slot::new()) }
     }
 }
 
@@ -77,11 +207,12 @@ impl<T> Level<T> {
 /// ```
 ///
 /// Cloning a wheel is its snapshot path (the basis of
-/// [`Simulation::checkpoint`](crate::Simulation::checkpoint)): the derive
-/// copies the clock, the per-level slot Vecs in bucket order, the occupancy
-/// bitmaps, the overflow bucket and the (reversed) drain buffer verbatim,
-/// so a clone pops the exact same `(time, seq, item)` sequence as the
-/// original — a property the snapshot-vs-oracle test pins.
+/// [`Simulation::checkpoint`](crate::Simulation::checkpoint)): the clone
+/// copies the clock, every slot's entries chunk by chunk in bucket order,
+/// the occupancy bitmaps, the overflow bucket and the (reversed) drain
+/// buffer with the chunks still queued behind it — but not the pool of
+/// spare chunks — so a clone pops the exact same `(time, seq, item)`
+/// sequence as the original, a property the snapshot-vs-oracle test pins.
 #[derive(Clone, Debug)]
 pub struct TimingWheel<T> {
     /// Lower bound on every stored due time; advanced by pops.
@@ -91,9 +222,14 @@ pub struct TimingWheel<T> {
     /// Events due `>= now + 64^LEVELS` ticks out (rare; rescanned only
     /// when the levels drain).
     overflow: Vec<Entry<T>>,
-    /// Drain buffer: the slot currently being popped, in *reverse* seq
+    /// Drain buffer: the chunk currently being popped, in *reverse* seq
     /// order so `pop` is a `Vec::pop` from the back.
-    cur: Vec<Entry<T>>,
+    cur: Chunk<T>,
+    /// The chunks of the due slot still queued behind `cur`, last first
+    /// (so the next one is a `Vec::pop` away). All their entries are due
+    /// at `now`. Empty unless the due slot held more than one chunk.
+    rest: Vec<Chunk<T>>,
+    pool: Pool<T>,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -110,7 +246,9 @@ impl<T> TimingWheel<T> {
             len: 0,
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             overflow: Vec::new(),
-            cur: Vec::new(),
+            cur: Chunk::unallocated(),
+            rest: Vec::new(),
+            pool: Pool::new(),
         }
     }
 
@@ -147,16 +285,35 @@ impl<T> TimingWheel<T> {
             self.rewind(at);
         }
         self.len += 1;
-        let entry = Entry { at, seq, item };
-        let level = Self::level_of(self.now, at);
+        self.place(Entry { at, seq, item });
+    }
+
+    /// Files `entry` under the current clock: into the slot its level and
+    /// due time select, or the overflow bucket.
+    #[inline]
+    fn place(&mut self, entry: Entry<T>) {
+        let level = Self::level_of(self.now, entry.at);
         if level >= LEVELS {
             self.overflow.push(entry);
             return;
         }
-        let slot = ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        let slot = ((entry.at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
         let lv = &mut self.levels[level];
         lv.occupied |= 1 << slot;
-        lv.slots[slot].push(entry);
+        let slot = &mut lv.slots[slot];
+        if slot.tail.is_full() {
+            slot.grow(&mut self.pool);
+        }
+        slot.tail.0.push(entry);
+    }
+
+    /// Re-files every entry of `chunk` under the current clock and returns
+    /// the chunk to the pool.
+    fn replace_all(&mut self, mut chunk: Chunk<T>) {
+        for entry in chunk.0.drain(..) {
+            self.place(entry);
+        }
+        self.pool.put(chunk);
     }
 
     /// The earliest queued `(time, seq)` time, or `None` if empty.
@@ -165,33 +322,57 @@ impl<T> TimingWheel<T> {
     /// higher-level slots down — a structural rotation that processes no
     /// events and changes no pop order.
     pub fn next_time(&mut self) -> Option<u64> {
-        if let Some(e) = self.cur.last() {
+        if let Some(e) = self.cur.0.last() {
             return Some(e.at);
+        }
+        if !self.rest.is_empty() {
+            return Some(self.now);
         }
         self.settle()
     }
 
     /// Pops the entry with the least `(time, seq)` key.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        if let Some(e) = self.cur.pop() {
-            self.len -= 1;
-            return Some((e.at, e.seq, e.item));
+        if self.cur.0.is_empty() && !self.load() {
+            return None;
         }
-        let t = self.settle()?;
-        self.now = t;
-        let slot = (t & SLOT_MASK) as usize;
-        let lv = &mut self.levels[0];
-        lv.occupied &= !(1 << slot);
-        // Swap the due slot into the drain buffer; the buffer's previous
-        // (empty) Vec takes its place, so slot capacities circulate and
-        // reach a steady state with no per-event allocation.
-        std::mem::swap(&mut self.cur, &mut lv.slots[slot]);
-        // Entries were appended in push order = seq order; reverse once so
-        // popping from the back yields ascending seq.
-        self.cur.reverse();
-        let e = self.cur.pop().expect("settled slot is non-empty");
+        let e = self.cur.0.pop().expect("a loaded chunk is non-empty");
         self.len -= 1;
         Some((e.at, e.seq, e.item))
+    }
+
+    /// Loads the next chunk in pop order into the (empty) drain buffer.
+    /// Returns `false` if the wheel is empty.
+    fn load(&mut self) -> bool {
+        if let Some(next) = self.rest.pop() {
+            let spent = std::mem::replace(&mut self.cur, next);
+            self.pool.put(spent);
+        } else {
+            let Some(t) = self.settle() else {
+                return false;
+            };
+            self.now = t;
+            let slot = (t & SLOT_MASK) as usize;
+            let lv = &mut self.levels[0];
+            lv.occupied &= !(1 << slot);
+            let slot = &mut lv.slots[slot];
+            // Swap the slot's last (usually only) chunk into the drain
+            // buffer; the buffer's spent chunk takes its place, so chunks
+            // circulate between a tick and the drain with no pool traffic.
+            std::mem::swap(&mut self.cur, &mut slot.tail);
+            if !slot.full.is_empty() {
+                // A burst: queue what was the tail behind the filled
+                // chunks and start from the first of them.
+                slot.full.push(std::mem::take(&mut self.cur));
+                slot.full.reverse();
+                std::mem::swap(&mut self.rest, &mut slot.full);
+                self.cur = self.rest.pop().expect("the slot had filled chunks");
+            }
+        }
+        // Entries were appended in push order = seq order; reverse once so
+        // popping from the back yields ascending seq.
+        self.cur.0.reverse();
+        true
     }
 
     /// Rewinds the clock to `at` (below its current value) and re-buckets
@@ -202,12 +383,18 @@ impl<T> TimingWheel<T> {
     /// user-level scheduling between runs triggers it.
     #[cold]
     fn rewind(&mut self, at: u64) {
-        debug_assert!(self.cur.is_empty(), "a pop at the buffered tick bounds later pushes");
+        debug_assert!(
+            self.cur.0.is_empty() && self.rest.is_empty(),
+            "a pop at the buffered tick bounds later pushes"
+        );
         let mut scratch: Vec<Entry<T>> = Vec::with_capacity(self.len);
         for lv in &mut self.levels {
             lv.occupied = 0;
             for slot in &mut lv.slots {
-                scratch.append(slot);
+                for mut chunk in slot.full.drain(..).chain([std::mem::take(&mut slot.tail)]) {
+                    scratch.append(&mut chunk.0);
+                    self.pool.put(chunk);
+                }
             }
         }
         scratch.append(&mut self.overflow);
@@ -216,23 +403,16 @@ impl<T> TimingWheel<T> {
         scratch.sort_unstable_by_key(|e| (e.at, e.seq));
         self.now = at;
         for entry in scratch {
-            let level = Self::level_of(at, entry.at);
-            if level >= LEVELS {
-                self.overflow.push(entry);
-            } else {
-                let slot = ((entry.at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-                let lv = &mut self.levels[level];
-                lv.occupied |= 1 << slot;
-                lv.slots[slot].push(entry);
-            }
+            self.place(entry);
         }
     }
 
     /// Cascades until the global minimum sits in a level-0 slot and
     /// returns its time. Empties nothing observable: every redistributed
-    /// entry keeps its `(time, seq)` key.
+    /// entry keeps its `(time, seq)` key. Called only while the drain
+    /// buffer and the chunks behind it are empty.
     fn settle(&mut self) -> Option<u64> {
-        if self.len == self.cur.len() {
+        if self.len == 0 {
             return None;
         }
         loop {
@@ -243,15 +423,7 @@ impl<T> TimingWheel<T> {
                 let min = self.overflow.iter().map(|e| e.at).min()?;
                 self.now = min;
                 for entry in std::mem::take(&mut self.overflow) {
-                    let level = Self::level_of(min, entry.at);
-                    if level >= LEVELS {
-                        self.overflow.push(entry);
-                    } else {
-                        let slot = ((entry.at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-                        let lv = &mut self.levels[level];
-                        lv.occupied |= 1 << slot;
-                        lv.slots[slot].push(entry);
-                    }
+                    self.place(entry);
                 }
                 continue;
             };
@@ -270,18 +442,30 @@ impl<T> TimingWheel<T> {
             // terminates.
             let lv = &mut self.levels[level];
             lv.occupied &= !(1 << slot);
-            let entries = std::mem::take(&mut lv.slots[slot]);
-            let min = entries.iter().map(|e| e.at).min().expect("occupancy bit set on empty slot");
+            let mut full = std::mem::take(&mut lv.slots[slot].full);
+            let tail = std::mem::take(&mut lv.slots[slot].tail);
+            let min = full
+                .iter()
+                .chain([&tail])
+                .flat_map(|chunk| &chunk.0)
+                .map(|e| e.at)
+                .min()
+                .expect("occupancy bit set on empty slot");
             debug_assert!(min >= self.now);
+            debug_assert!(
+                full.iter()
+                    .chain([&tail])
+                    .flat_map(|chunk| &chunk.0)
+                    .all(|e| Self::level_of(min, e.at) < level),
+                "cascade must descend"
+            );
             self.now = min;
-            for entry in entries {
-                let level_new = Self::level_of(min, entry.at);
-                debug_assert!(level_new < level, "cascade must descend");
-                let slot_new = ((entry.at >> (SLOT_BITS * level_new as u32)) & SLOT_MASK) as usize;
-                let lv = &mut self.levels[level_new];
-                lv.occupied |= 1 << slot_new;
-                lv.slots[slot_new].push(entry);
+            for chunk in full.drain(..) {
+                self.replace_all(chunk);
             }
+            self.replace_all(tail);
+            // Hand the (empty) chunk list back for its capacity.
+            self.levels[level].slots[slot].full = full;
         }
     }
 }

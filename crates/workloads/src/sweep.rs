@@ -1690,10 +1690,15 @@ pub fn scale_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
     let mut sim = Simulation::new(cfg, vec![Gossip::default(); n]);
     sim.invoke_at(SimTime(1), ProcessId(source), ());
     sim.run();
-    let heard: Vec<SimTime> = (0..n).filter_map(|p| sim.node(ProcessId(p)).heard_at()).collect();
-    let reached = heard.len() as f64 / n as f64;
-    let spread = heard.iter().max().map(|t| t.ticks() as f64).unwrap_or(0.0);
+    let (heard, last) = (0..n)
+        .filter_map(|p| sim.node(ProcessId(p)).heard_at())
+        .fold((0usize, SimTime::ZERO), |(heard, last), t| (heard + 1, last.max(t)));
+    let reached = heard as f64 / n as f64;
+    let spread = last.ticks() as f64;
     let msgs_per_proc = sim.stats().sent as f64 / n as f64;
+    // Free the gossip run before the ABD one is built: at a million
+    // processes the two together would double the trial's peak memory.
+    drop(sim);
 
     let cfg = SimConfig {
         seed: abd_seed,
