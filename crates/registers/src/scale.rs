@@ -380,6 +380,15 @@ mod tests {
     }
 
     #[test]
+    fn only_invoked_processes_carry_the_client_role() {
+        assert_eq!(std::mem::size_of::<SampledAbd<u64>>(), 48);
+        let sim = run_ops(9, 3, &[(1, 0, ScaleOp::Write(7)), (10_000, 5, ScaleOp::Read)]);
+        for p in 0..9 {
+            assert_eq!(sim.node(ProcessId(p)).client.is_some(), p == 0 || p == 5, "process {p}");
+        }
+    }
+
+    #[test]
     fn message_complexity_is_linear_in_n() {
         // One op = get req+resp and set req+ack to one arc each: 4q ≈ 2n
         // messages, far below the ~n² a broadcast protocol would emit.

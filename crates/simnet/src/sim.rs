@@ -38,9 +38,18 @@
 //!   per-channel slot assigned on first fault, with a global active
 //!   count that short-circuits the send path to zero lookups when no
 //!   channel is currently down,
-//! * the event queue is a hierarchical [`TimingWheel`] whose slot
-//!   capacities are pooled, so steady-state scheduling allocates nothing
-//!   per event, and
+//! * the event queue is a hierarchical [`TimingWheel`] whose slots are
+//!   lists of small fixed-size chunks drawn from one pool, so its memory
+//!   is the live events at their peak plus one partly filled chunk per
+//!   occupied slot — not a high-water mark per tick — and steady-state
+//!   scheduling allocates nothing per event,
+//! * start-up is a cursor, not `n` queued events: the first `n` events of
+//!   a run are the `on_start` calls at time zero in pid order, counted
+//!   like any others but never stored,
+//! * every handler runs against one [`Context`] the simulation owns and
+//!   re-targets per event; its effect buffer is drained in place and
+//!   keeps the capacity of the largest burst a handler has emitted, so
+//!   handling an event allocates nothing either, and
 //! * adjacency can be implicit ([`Topology::Ring`]/`Grid`/`Regions`),
 //!   costing O(1) memory instead of an O(n²) graph.
 //!
@@ -1930,14 +1939,21 @@ mod tests {
 
     use crate::trace::{FlightRecorder, JsonlSink, SharedSink};
 
-    /// Runs `busy_sim(seed)` with a JSONL sink attached and returns the
-    /// trace text plus the run fingerprint.
-    fn traced_busy_run(seed: u64) -> (String, String) {
-        let mut sim = busy_sim(seed);
+    /// Runs `sim` with a JSONL sink attached and returns the trace text
+    /// plus the run fingerprint.
+    fn traced_run<P>(mut sim: Simulation<P>) -> (String, String)
+    where
+        P: Protocol + std::fmt::Debug,
+    {
         let sink = SharedSink::new(JsonlSink::new());
         sim.set_trace(Box::new(sink.clone()));
         sim.run();
         (sink.with(|s| s.as_str().to_string()), fingerprint(&sim))
+    }
+
+    /// [`traced_run`] of `busy_sim(seed)`.
+    fn traced_busy_run(seed: u64) -> (String, String) {
+        traced_run(busy_sim(seed))
     }
 
     /// Echoes every message to all for a few hops, either with
@@ -2200,5 +2216,152 @@ mod tests {
             bound += 25;
         }
         assert_eq!(fingerprint(&straight), fingerprint(&sliced));
+    }
+
+    /// Start-up probe: `on_start` greets the successor (one delay draw)
+    /// and arms a timer, so a run's first `n` events leave work queued.
+    #[derive(Clone, Default, Debug)]
+    struct Starter {
+        started: bool,
+        greeted: u64,
+        fired: u64,
+    }
+
+    impl Protocol for Starter {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+
+        fn on_start(&mut self, ctx: &mut Context<(), ()>) {
+            assert!(!self.started, "on_start runs once");
+            assert_eq!(ctx.now(), SimTime::ZERO);
+            self.started = true;
+            ctx.send(ProcessId((ctx.me().index() + 1) % ctx.n()), ());
+            ctx.set_timer(TimerId(0), 7);
+        }
+
+        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<(), ()>) {
+            self.greeted += 1;
+        }
+
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<(), ()>) {
+            self.fired += 1;
+        }
+
+        fn on_invoke(&mut self, _op: OpId, _body: (), _ctx: &mut Context<(), ()>) {}
+    }
+
+    fn starters(n: usize) -> Simulation<Starter> {
+        Simulation::new(SimConfig { seed: 31, ..SimConfig::default() }, vec![Starter::default(); n])
+    }
+
+    #[test]
+    fn startup_is_n_events_at_time_zero() {
+        // A protocol that does nothing: the starts are the whole run.
+        let mut idle = Simulation::new(SimConfig::default(), vec![PingPong::default(); 5]);
+        assert_eq!(idle.run(), StopReason::Quiescent);
+        assert_eq!(idle.stats().events, 5);
+        assert_eq!(idle.now(), SimTime::ZERO);
+        assert!(!idle.step(), "nothing is left to process");
+
+        // `run_until(0)` runs every start and nothing they queued.
+        let mut sim = starters(4);
+        assert_eq!(sim.run_until(SimTime::ZERO), StopReason::Horizon);
+        let s = sim.stats();
+        assert_eq!((s.events, s.sent, s.delivered, s.timers_fired), (4, 4, 0, 0));
+        assert!(sim.nodes.iter().all(|node| node.started));
+        assert_eq!(sim.run(), StopReason::Quiescent);
+        assert!(sim.nodes.iter().all(|node| node.greeted == 1 && node.fired == 1));
+    }
+
+    #[test]
+    fn a_crash_at_time_zero_strikes_after_every_start() {
+        let mut sim = starters(4);
+        let mut sched = FailureSchedule::none();
+        sched.crash(ProcessId(2), SimTime::ZERO);
+        sim.apply_failures(&sched);
+        sim.run();
+        assert!(sim.nodes.iter().all(|node| node.started), "the crash does not pre-empt a start");
+        assert!(sim.is_crashed(ProcessId(2)));
+        let crashed = sim.node(ProcessId(2));
+        assert_eq!((crashed.greeted, crashed.fired), (0, 0), "nothing reaches it afterwards");
+        assert_eq!(sim.stats().dropped_crashed, 1);
+    }
+
+    #[test]
+    fn checkpoint_between_starts_restores_the_cursor() {
+        let n = 5;
+        let mut straight = starters(n);
+        straight.run();
+        let expected = fingerprint(&straight);
+        for k in 0..n {
+            let mut sim = starters(n);
+            for _ in 0..k {
+                assert!(sim.step());
+            }
+            let cp = sim.checkpoint();
+            sim.run();
+            assert_eq!(fingerprint(&sim), expected, "k={k}: run after checkpoint");
+            sim.restore(&cp);
+            assert_eq!(sim.nodes.iter().filter(|node| node.started).count(), k);
+            assert_eq!(sim.stats().events, k as u64);
+            sim.run();
+            assert_eq!(fingerprint(&sim), expected, "k={k}: restored replay");
+        }
+    }
+
+    /// Invoked, sends a burst of `burst` messages round-robin; every
+    /// message with hops left is answered with one send.
+    #[derive(Clone, Debug)]
+    struct Burst {
+        burst: usize,
+        received: u64,
+    }
+
+    impl Protocol for Burst {
+        type Msg = u8;
+        type Op = ();
+        type Resp = ();
+
+        fn on_start(&mut self, _ctx: &mut Context<u8, ()>) {}
+
+        fn on_message(&mut self, from: ProcessId, hops: u8, ctx: &mut Context<u8, ()>) {
+            self.received += 1;
+            if hops > 0 {
+                ctx.send(from, hops - 1);
+            }
+        }
+
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<u8, ()>) {}
+
+        fn on_invoke(&mut self, op: OpId, _body: (), ctx: &mut Context<u8, ()>) {
+            for k in 0..self.burst {
+                ctx.send(ProcessId(k % ctx.n()), 2);
+            }
+            ctx.complete(op, ());
+        }
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The lent effect buffer grows to the largest burst and is then
+    /// reused by every ordinary handler: neither may change what a run
+    /// does. Pinned to the values the fresh-context-per-event simulator
+    /// produced for the same run.
+    #[test]
+    fn a_large_burst_leaves_later_handlers_untouched() {
+        let cfg = SimConfig { seed: 47, loss: 0.1, ..SimConfig::default() };
+        let mut sim = Simulation::new(cfg, vec![Burst { burst: 10_000, received: 0 }; 4]);
+        sim.invoke_at(SimTime(1), ProcessId(1), ());
+        sim.invoke_at(SimTime(40), ProcessId(3), ());
+        let (trace, print) = traced_run(sim);
+        assert_eq!(
+            (trace.lines().count(), fnv1a(&trace), fnv1a(&print)),
+            (111_380, 0x267a_6d09_f28d_ece3, 0xa62f_a189_26a3_9dbf),
+            "trace lines, trace digest, fingerprint digest"
+        );
     }
 }

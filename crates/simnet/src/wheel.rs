@@ -24,17 +24,19 @@
 //! ## Memory
 //!
 //! No slot owns a growing buffer. A slot is a list of fixed-capacity
-//! **chunks** ([`CHUNK`] entries each, allocated once at full capacity and
-//! never grown) drawn from a LIFO pool the wheel owns; a chunk whose
-//! entries were popped or cascaded away goes back to the pool, so the next
-//! push reuses the memory most recently touched. The footprint is
-//! therefore the *live* entries at their peak, rounded up to whole chunks,
-//! plus one partly filled chunk per occupied slot — however the busy ticks
+//! **chunks** (32 entries each, allocated once at full capacity and never
+//! grown) drawn from a LIFO pool the wheel owns; a chunk whose entries
+//! were popped or cascaded away goes back to the pool, so the next push
+//! reuses the memory most recently touched. The footprint is therefore the
+//! *live* entries at their peak, rounded up to whole chunks, plus one
+//! partly filled chunk per occupied slot and one empty chunk in each of
+//! the 64 level-0 slots once it has been drained — however the busy ticks
 //! move over the run, no tick keeps a high-water mark of its own — and
 //! steady-state scheduling allocates nothing per event. A slot that never
 //! outgrows one chunk (the usual case outside bursts) comes due by
-//! swapping that chunk with the empty drain buffer, exactly as a flat
-//! `Vec` slot would; a larger slot drains chunk by chunk.
+//! swapping that chunk with the spent drain buffer, exactly as a flat
+//! `Vec` slot would, which is where a drained slot's empty chunk comes
+//! from; a larger slot drains chunk by chunk.
 //!
 //! The wheel requires `push(at, ..)` with `at` no earlier than the last
 //! *popped* time. [`Simulation`](crate::Simulation) guarantees this:
@@ -58,11 +60,15 @@ const SLOTS: usize = 1 << SLOT_BITS; // 64
 const LEVELS: usize = 6; // covers deltas < 64^6 = 2^36 ticks
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 
-/// Entries per chunk. Chosen by measurement on the benchmark's `scale`
-/// workload (64 and 256 were tried; 256 read a little faster): large
-/// enough that a 50 000-entry tick is a couple of hundred chunk moves,
-/// small enough that reversing one for the drain stays in cache.
-const CHUNK: usize = 256;
+/// Entries per chunk, chosen by measurement on the benchmark. Every
+/// level-0 slot a run has drained keeps one (empty) chunk, so a small
+/// simulation holds about 70 of them whatever it queues: at 256 entries
+/// the ABD half of the `scale` workload read about a fifth faster than at
+/// 32, but the peak RSS of the three small-simulation workloads (a 5 MiB
+/// process, 120-byte entries) rose by 1.4–2.8 MiB, and at 64 by 0.6–0.9
+/// MiB; at 32 it stays within 0.3 MiB of flat slots, and `scale` is still
+/// twice as fast as with them.
+const CHUNK: usize = 32;
 
 /// A run of entries in push order: either unallocated (capacity zero, what
 /// an idle slot holds) or allocated once with room for exactly [`CHUNK`]
@@ -72,7 +78,7 @@ const CHUNK: usize = 256;
 struct Chunk<T>(Vec<Entry<T>>);
 
 impl<T> Chunk<T> {
-    const fn unallocated() -> Self {
+    fn unallocated() -> Self {
         Chunk(Vec::new())
     }
 
@@ -159,7 +165,7 @@ struct Slot<T> {
 }
 
 impl<T> Slot<T> {
-    const fn new() -> Self {
+    fn new() -> Self {
         Slot { full: Vec::new(), tail: Chunk::unallocated() }
     }
 
@@ -444,19 +450,11 @@ impl<T> TimingWheel<T> {
             lv.occupied &= !(1 << slot);
             let mut full = std::mem::take(&mut lv.slots[slot].full);
             let tail = std::mem::take(&mut lv.slots[slot].tail);
-            let min = full
-                .iter()
-                .chain([&tail])
-                .flat_map(|chunk| &chunk.0)
-                .map(|e| e.at)
-                .min()
-                .expect("occupancy bit set on empty slot");
+            let entries = || full.iter().chain([&tail]).flat_map(|chunk| &chunk.0);
+            let min = entries().map(|e| e.at).min().expect("occupancy bit set on empty slot");
             debug_assert!(min >= self.now);
             debug_assert!(
-                full.iter()
-                    .chain([&tail])
-                    .flat_map(|chunk| &chunk.0)
-                    .all(|e| Self::level_of(min, e.at) < level),
+                entries().all(|e| Self::level_of(min, e.at) < level),
                 "cascade must descend"
             );
             self.now = min;
@@ -535,6 +533,28 @@ mod tests {
         w.push(4, 2, "injected");
         assert_eq!(w.pop(), Some((4, 1, "second")));
         assert_eq!(w.pop(), Some((4, 2, "injected")));
+
+        // The same with a tick of several chunks: entries injected while
+        // the first and while a middle chunk drain both pop after every
+        // chunk that was queued before them.
+        let queued = 3 * CHUNK as u64 + 5;
+        let mut w = TimingWheel::new();
+        for seq in 0..queued {
+            w.push(9, seq, "queued");
+        }
+        assert_eq!(w.pop(), Some((9, 0, "queued")));
+        w.push(9, queued, "injected");
+        for seq in 1..CHUNK as u64 + CHUNK as u64 / 2 {
+            assert_eq!(w.pop(), Some((9, seq, "queued")));
+        }
+        w.push(9, queued + 1, "injected later");
+        assert_eq!(w.next_time(), Some(9));
+        for seq in CHUNK as u64 + CHUNK as u64 / 2..queued {
+            assert_eq!(w.pop(), Some((9, seq, "queued")));
+        }
+        assert_eq!(w.pop(), Some((9, queued, "injected")));
+        assert_eq!(w.pop(), Some((9, queued + 1, "injected later")));
+        assert_eq!(w.pop(), None);
     }
 
     /// The conformance oracle: any interleaving of monotone pushes and
@@ -736,14 +756,74 @@ mod tests {
         assert_eq!(out_a, out_b);
     }
 
+    /// The oracle for slots of several chunks, which the workloads above
+    /// (at most four entries a step) never build: bursts of 1 to 4 chunks'
+    /// worth of entries at one tick — the tick being drained, a near one,
+    /// one a few levels up, one in the overflow bucket — popped in runs
+    /// that stop mid-chunk, with peeks in between, and with snapshots
+    /// taken mid-drain that must drain exactly as the original goes on to.
+    #[test]
+    fn bursts_of_several_chunks_match_binary_heap() {
+        for case in 0..24u64 {
+            let mut rng = SplitMix64::new(0xB0257 ^ case);
+            let mut wheel = TimingWheel::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut clock = 0u64;
+            for _ in 0..60 {
+                let delta = match rng.range(0, 5) {
+                    0 => 0,
+                    1 | 2 => rng.range(1, 63),
+                    3 => rng.range(64, 1 << 20),
+                    4 => rng.range(1 << 20, 1 << 35),
+                    _ => rng.range(1 << 36, 1 << 40),
+                };
+                let at = clock + delta;
+                for _ in 0..rng.range(1, 4 * CHUNK as u64) {
+                    wheel.push(at, seq, seq);
+                    heap.push(Reverse((at, seq)));
+                    seq += 1;
+                }
+                assert_eq!(wheel.len(), heap.len());
+                let run = rng.range(1, 3 * CHUNK as u64);
+                for _ in 0..run {
+                    let Some(Reverse((at, s))) = heap.pop() else { break };
+                    if rng.chance(0.3) {
+                        assert_eq!(wheel.next_time(), Some(at), "case {case}");
+                    }
+                    assert_eq!(wheel.pop(), Some((at, s, s)), "case {case}");
+                    clock = at;
+                }
+                if rng.chance(0.25) {
+                    let mut snap = wheel.clone();
+                    assert_eq!(snap.len(), heap.len());
+                    for Reverse((at, s)) in heap.clone().into_sorted_vec().into_iter().rev() {
+                        assert_eq!(snap.pop(), Some((at, s, s)), "case {case} snapshot drain");
+                    }
+                    assert_eq!(snap.pop(), None, "case {case} snapshot residue");
+                }
+            }
+            while let Some(Reverse((at, s))) = heap.pop() {
+                assert_eq!(wheel.next_time(), Some(at), "case {case} drain");
+                assert_eq!(wheel.pop(), Some((at, s, s)), "case {case} drain");
+            }
+            assert_eq!(wheel.pop(), None, "case {case}");
+        }
+    }
+
     #[test]
     fn slot_capacity_is_reused_across_ticks() {
         // After warmup, a steady push/pop rhythm must not grow memory:
-        // the drain buffer and slot Vecs trade capacities.
+        // the drain buffer and the slots trade chunks.
         let mut w = TimingWheel::new();
         let mut seq = 0u64;
         let mut clock = 0u64;
+        let mut warm = 0;
         for round in 0..10_000u64 {
+            if round == 1_000 {
+                warm = w.pool.allocated;
+                assert!(warm > 0);
+            }
             for k in 0..8 {
                 w.push(clock + 1 + (k % 3), seq, round);
                 seq += 1;
@@ -757,5 +837,29 @@ mod tests {
         }
         while w.pop().is_some() {}
         assert!(w.is_empty());
+        assert_eq!(w.pool.allocated, warm, "a steady rhythm allocates nothing after warm-up");
+
+        // Memory follows the live entries, not the ticks they sat in: 64
+        // bursts at 64 successive ticks, each drained before the next,
+        // reuse one burst's worth of chunks (plus the one chunk each
+        // drained level-0 slot keeps) instead of 64 bursts' worth.
+        let burst = 64 * CHUNK as u64;
+        let mut w = TimingWheel::new();
+        for tick in 1..=64u64 {
+            for k in 0..burst {
+                w.push(tick, tick * burst + k, ());
+            }
+            for k in 0..burst {
+                assert_eq!(w.pop(), Some((tick, tick * burst + k, ())));
+            }
+        }
+        assert!(w.is_empty());
+        let per_burst = (burst as usize).div_ceil(CHUNK);
+        assert!(w.pool.allocated >= per_burst);
+        assert!(
+            w.pool.allocated <= per_burst + SLOTS + 1,
+            "{} chunks allocated for 64 bursts of {per_burst} chunks each",
+            w.pool.allocated
+        );
     }
 }
