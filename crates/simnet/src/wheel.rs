@@ -62,12 +62,13 @@ const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 
 /// Entries per chunk, chosen by measurement on the benchmark. Every
 /// level-0 slot a run has drained keeps one (empty) chunk, so a small
-/// simulation holds about 70 of them whatever it queues: at 256 entries
-/// the ABD half of the `scale` workload read about a fifth faster than at
-/// 32, but the peak RSS of the three small-simulation workloads (a 5 MiB
-/// process, 120-byte entries) rose by 1.4–2.8 MiB, and at 64 by 0.6–0.9
-/// MiB; at 32 it stays within 0.3 MiB of flat slots, and `scale` is still
-/// twice as fast as with them.
+/// simulation holds about 70 of them whatever it queues. At 256 entries
+/// the ABD half of the `scale` workload read 15–20 % faster than at 32
+/// (5–10 % at 64), but the peak RSS of the three small-simulation
+/// workloads (a 5 MiB process, 120-byte entries) rose by 1.4–2.8 MiB —
+/// past their 20 % bound — and at 64 by up to 0.9 MiB; at 32 it stays
+/// within 0.2 MiB of flat slots, and `scale` still takes 57 % of the time
+/// it took with them.
 const CHUNK: usize = 32;
 
 /// A run of entries in push order: either unallocated (capacity zero, what
