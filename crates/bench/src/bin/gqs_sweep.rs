@@ -1,33 +1,11 @@
-//! `gqs_sweep` — stream a scenario grid through the sweep engine and emit
-//! machine-readable aggregate tables.
+//! `gqs_sweep` — stream a scenario grid through the sweep engine
+//! (`gqs_workloads::sweep`) and emit machine-readable aggregate tables.
 //!
-//! The grid is the cross product of `--n`, `--density` and `--p-chan`
-//! (each a value, comma list, or inclusive range — see
-//! `gqs_workloads::sweep::parse_usize_list`), over one topology family
-//! and one failure-pattern family. In the default `--mode solvability`
-//! every cell runs `--trials` seeded trials measuring GQS/QS+ existence,
-//! the separation gap, witness size and residual SCC count; in
-//! `--mode latency` each trial instead *simulates* a flooded ABD majority
-//! register over the cell's topology under its first drawn failure
-//! pattern and measures completion rate, operation latency and message
-//! cost (`gqs_workloads::sweep::LATENCY_METRICS`); `--mode availability`
-//! swaps in the self-healing register stack (retransmitting quorum
-//! engines over `--loss`-lossy channels) and measures completion,
-//! stalled ops, time-to-heal and retransmits/op
-//! (`gqs_workloads::sweep::AVAILABILITY_METRICS`); `--mode scale` runs
-//! the scale core — flooded gossip over the family's *implicit* topology
-//! plus sampled-arc majority ABD, with no materialized graph or
-//! fail-prone system, at sizes up to `gqs_simnet::MAX_SIM_PROCESSES`
-//! (`gqs_workloads::sweep::SCALE_METRICS`). Either way results are
-//! folded incrementally (constant memory per worker, no materialized
-//! batches) and are bit-identical for any `--threads` value.
-//!
-//! The consensus and availability modes also take `--branch-at <T>
-//! --branches <N>`: each trial runs one warmup to simulated time `T`,
-//! checkpoints the entire simulation, and fans `N` seeded continuations
-//! off the snapshot — amortizing the warmup across branches. Fork and
-//! straight-line (`--branch-mode straight`) execution emit byte-identical
-//! reports.
+//! [`USAGE`] (`gqs_sweep --help`) is the reference for every flag, mode,
+//! execution strategy and the grid grammar. The binary itself only turns
+//! flags into a `ScenarioGrid`, a `Mode` and an `Exec`, refuses bad
+//! combinations before anything runs (exit 2, one line on stderr), calls
+//! `ScenarioGrid::run_mode` and renders the report.
 //!
 //! ```text
 //! gqs_sweep --family ring --n 4..8 --patterns rotating \
@@ -41,10 +19,9 @@ use std::time::Instant;
 
 use gqs_workloads::sweep::{
     parse_f64_list, parse_usize_list, replay_trial_flight, replay_trial_trace, report_csv,
-    report_json_branched, report_json_timeline, timeline_buckets, BranchMode, BranchSpec,
-    NetworkFamily, PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily, SimMode, StallLog,
-    SweepOptions, TopologyFamily, TraceFormat, AVAILABILITY_METRICS, CONSENSUS_HORIZON,
-    CONSENSUS_METRICS, LATENCY_HORIZON, LATENCY_METRICS,
+    report_json_exec, timeline_buckets, BranchMode, BranchSpec, Exec, Mode, NetworkFamily,
+    PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily, StallLog, SweepOptions,
+    TopologyFamily, TraceFormat,
 };
 
 const USAGE: &str = "\
@@ -103,13 +80,14 @@ runs implicit topologies up to n <= 4194304 (gqs_simnet::MAX_SIM_PROCESSES).
     --threads <T>        worker threads          [default: GQS_THREADS or auto]
     --shard <K>          trials per shard                     [default: 64]
 
-BRANCHING (consensus and availability modes only; both flags required
-together — every trial runs one warmup to the branch point, snapshots
-the whole simulation, and fans out seeded continuations, so the warmup
-cost is paid once per trial instead of once per branch):
+BRANCHING (simulated modes latency|consensus|availability only; both
+flags required together — every trial runs one warmup to the branch
+point, snapshots the whole simulation, and fans out seeded continuations,
+so the warmup cost is paid once per trial instead of once per branch):
     --branch-at <T>      fork each trial at simulated time T (must be
                          positive and below the mode's horizon: 200000
-                         for consensus, 100000 for availability)
+                         for consensus, 100000 for latency and
+                         availability)
     --branches <N>       seeded continuations per trial (at least 1);
                          each contributes one row to the aggregates
     --branch-mode <M>    fork (checkpoint/restore) or straight (re-run
@@ -172,15 +150,12 @@ struct Args {
     max_crashes: usize,
     p_chans: Vec<f64>,
     losses: Vec<f64>,
-    mode: String,
+    mode: Mode,
     trials: usize,
     seed: u64,
     threads: Option<usize>,
     shard: Option<usize>,
-    branch_at: Option<u64>,
-    branches: Option<usize>,
-    branch_mode: BranchMode,
-    timeline: Option<u64>,
+    exec: Exec,
     trace_out: Option<String>,
     trace_cell: Option<usize>,
     trace_trial: Option<usize>,
@@ -202,15 +177,12 @@ fn parse_args() -> Result<Args, String> {
         max_crashes: 1,
         p_chans: vec![0.2],
         losses: vec![0.0],
-        mode: "solvability".to_string(),
+        mode: Mode::Solvability,
         trials: 100,
         seed: 42,
         threads: None,
         shard: None,
-        branch_at: None,
-        branches: None,
-        branch_mode: BranchMode::Fork,
-        timeline: None,
+        exec: Exec::Straight,
         trace_out: None,
         trace_cell: None,
         trace_trial: None,
@@ -218,6 +190,8 @@ fn parse_args() -> Result<Args, String> {
         format: "json".to_string(),
         out: None,
     };
+    let (mut branch_at, mut branches, mut branch_mode) = (None, None, BranchMode::Fork);
+    let mut timeline = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "-h" || flag == "--help" {
@@ -253,7 +227,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--p-chan" => args.p_chans = parse_f64_list(&value()?)?,
             "--loss" => args.losses = parse_f64_list(&value()?)?,
-            "--mode" => args.mode = value()?,
+            "--mode" => args.mode = value()?.parse()?,
             "--trials" => args.trials = value()?.parse().map_err(|e| format!("bad trials: {e}"))?,
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--threads" => {
@@ -263,13 +237,13 @@ fn parse_args() -> Result<Args, String> {
                 args.shard = Some(value()?.parse().map_err(|e| format!("bad shard: {e}"))?)
             }
             "--branch-at" => {
-                args.branch_at = Some(value()?.parse().map_err(|e| format!("bad branch-at: {e}"))?)
+                branch_at = Some(value()?.parse().map_err(|e| format!("bad branch-at: {e}"))?)
             }
             "--branches" => {
-                args.branches = Some(value()?.parse().map_err(|e| format!("bad branches: {e}"))?)
+                branches = Some(value()?.parse().map_err(|e| format!("bad branches: {e}"))?)
             }
             "--branch-mode" => {
-                args.branch_mode = match value()?.as_str() {
+                branch_mode = match value()?.as_str() {
                     "fork" => BranchMode::Fork,
                     "straight" => BranchMode::Straight,
                     other => {
@@ -280,7 +254,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--timeline" => {
-                args.timeline = Some(value()?.parse().map_err(|e| format!("bad timeline: {e}"))?)
+                timeline = Some(value()?.parse().map_err(|e| format!("bad timeline: {e}"))?)
             }
             "--trace-out" => args.trace_out = Some(value()?),
             "--trace-cell" => {
@@ -324,82 +298,55 @@ fn parse_args() -> Result<Args, String> {
             return Err(format!("--loss values must be in [0, 1] (got {loss})"));
         }
     }
-    if !matches!(
-        args.mode.as_str(),
-        "solvability" | "latency" | "consensus" | "availability" | "scale"
-    ) {
-        return Err(format!(
-            "unknown mode {:?} (expected solvability|latency|consensus|availability|scale)",
-            args.mode
-        ));
-    }
     if !matches!(args.format.as_str(), "json" | "csv") {
         return Err(format!("unknown format {:?} (expected json|csv)", args.format));
     }
-    match (args.branch_at, args.branches) {
-        (None, None) => {}
-        (Some(_), None) => return Err("--branch-at needs --branches".to_string()),
-        (None, Some(_)) => return Err("--branches needs --branch-at".to_string()),
-        (Some(at), Some(branches)) => {
-            let horizon = match args.mode.as_str() {
-                "consensus" => CONSENSUS_HORIZON,
-                "availability" => LATENCY_HORIZON,
-                other => {
-                    return Err(format!(
-                    "--branch-at/--branches need --mode consensus or availability, not {other:?}"
-                ))
-                }
-            };
+    // Windowing, branching and trace replay act on one bounded protocol
+    // simulation per trial: exactly the modes with a horizon.
+    let mode = args.mode.name();
+    args.exec = match (branch_at, branches, timeline) {
+        (None, None, None) => Exec::Straight,
+        (Some(_), None, _) => return Err("--branch-at needs --branches".to_string()),
+        (None, Some(_), _) => return Err("--branches needs --branch-at".to_string()),
+        (Some(_), Some(_), Some(_)) => {
+            return Err("--timeline is incompatible with --branch-at (a branched trial has \
+                        no single timeline)"
+                .to_string())
+        }
+        (Some(at), Some(branches), None) => {
+            let horizon = args.mode.horizon_for("--branch-at")?;
             if at == 0 {
                 return Err("--branch-at must be positive (the warmup must run before the fork)"
                     .to_string());
             }
             if at >= horizon {
                 return Err(format!(
-                    "--branch-at {at} is at or past the --mode {} horizon of {horizon}",
-                    args.mode
+                    "--branch-at {at} is at or past the --mode {mode} horizon of {horizon}"
                 ));
             }
             if branches == 0 {
                 return Err("--branches must be at least 1".to_string());
             }
+            Exec::Branched(BranchSpec { at, branches, mode: branch_mode })
         }
-    }
-    let simulated = matches!(args.mode.as_str(), "latency" | "consensus" | "availability");
-    if let Some(bucket) = args.timeline {
-        if !simulated {
-            return Err(format!(
-                "--timeline needs --mode latency, consensus or availability, not {:?}",
-                args.mode
-            ));
+        (None, None, Some(bucket)) => {
+            let horizon = args.mode.horizon_for("--timeline")?;
+            if bucket == 0 {
+                return Err("--timeline bucket must be positive".to_string());
+            }
+            let buckets = timeline_buckets(bucket, horizon);
+            if buckets > 256 {
+                return Err(format!(
+                    "--timeline {bucket} yields {buckets} windows over the --mode {mode} horizon \
+                     of {horizon}; raise the bucket so at most 256 windows remain"
+                ));
+            }
+            Exec::Timeline(bucket)
         }
-        if args.branch_at.is_some() {
-            return Err("--timeline is incompatible with --branch-at (a branched trial has \
-                        no single timeline)"
-                .to_string());
-        }
-        if bucket == 0 {
-            return Err("--timeline bucket must be positive".to_string());
-        }
-        let horizon = if args.mode == "consensus" { CONSENSUS_HORIZON } else { LATENCY_HORIZON };
-        let buckets = timeline_buckets(bucket, horizon);
-        if buckets > 256 {
-            return Err(format!(
-                "--timeline {bucket} yields {buckets} windows over the --mode {} horizon of \
-                 {horizon}; raise the bucket so at most 256 windows remain",
-                args.mode
-            ));
-        }
-    }
+    };
     if args.trace_out.is_some() {
-        if !simulated {
-            return Err(format!(
-                "--trace-out needs --mode latency, consensus or availability, not {:?} \
-                 (the solvability and scale modes run no traceable protocol stack)",
-                args.mode
-            ));
-        }
-        if args.branch_at.is_some() {
+        args.mode.horizon_for("--trace-out")?;
+        if matches!(args.exec, Exec::Branched(_)) {
             return Err("--trace-out is incompatible with --branch-at (trace replay re-runs \
                         the straight trial)"
                 .to_string());
@@ -408,16 +355,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--trace-cell/--trace-trial need --trace-out".to_string());
     }
     Ok(args)
-}
-
-/// The replay mode of a simulated `--mode` string; callers have already
-/// validated membership.
-fn sim_mode(mode: &str) -> SimMode {
-    match mode {
-        "latency" => SimMode::Latency,
-        "consensus" => SimMode::Consensus,
-        _ => SimMode::Availability,
-    }
 }
 
 fn build_grid(args: &Args) -> Result<ScenarioGrid, String> {
@@ -437,36 +374,25 @@ fn build_grid(args: &Args) -> Result<ScenarioGrid, String> {
         TopologyFamily::Regions { .. } => TopologyFamily::Regions { regions: args.regions },
         f => f,
     };
-    let scale = args.mode == "scale";
+    let scale = args.mode == Mode::Scale;
     if scale && family.implicit(2).is_none() {
         return Err(format!(
             "--mode scale needs an implicit topology family (complete|ring|grid|regions), not {}",
             family.name()
         ));
     }
-    // Each mode's size ceiling: the decision modes build quorum systems
-    // and fail-prone structures, whose bitsets stop at
-    // gqs_core::MAX_PROCESSES; scale mode only needs the simulator's
-    // pid-space.
-    let (n_cap, cap_origin) = if scale {
-        (gqs_simnet::MAX_SIM_PROCESSES, "gqs_simnet::MAX_SIM_PROCESSES")
-    } else {
-        (gqs_core::MAX_PROCESSES, "gqs_core::MAX_PROCESSES")
-    };
+    let (n_cap, cap_origin) = args.mode.size_cap();
     // Non-random families ignore density; collapse that axis so the grid
-    // has no duplicate cells. Solvability decides existence, not
-    // executions, so the schedule and loss axes collapse there the same
-    // way; scale mode runs fault-free and collapses the pattern-adjacent
-    // axes entirely.
+    // has no duplicate cells. Only the simulated modes (the ones with a
+    // horizon) execute anything under a schedule, loss rate or network
+    // model — solvability decides existence, scale runs fault-free — so
+    // those axes collapse everywhere else; scale ignores patterns too.
+    let simulated = args.mode.horizon().is_some();
     let densities: &[f64] = if family == TopologyFamily::Random { &args.densities } else { &[1.0] };
-    let schedules: &[ScheduleFamily] = if args.mode == "solvability" || scale {
-        &[ScheduleFamily::Static]
-    } else {
-        &args.schedules
-    };
-    let losses: &[f64] = if args.mode == "solvability" || scale { &[0.0] } else { &args.losses };
-    let nets: &[NetworkFamily] =
-        if args.mode == "solvability" || scale { &[NetworkFamily::Uniform] } else { &args.nets };
+    let schedules: &[ScheduleFamily] =
+        if simulated { &args.schedules } else { &[ScheduleFamily::Static] };
+    let losses: &[f64] = if simulated { &args.losses } else { &[0.0] };
+    let nets: &[NetworkFamily] = if simulated { &args.nets } else { &[NetworkFamily::Uniform] };
     let p_chans: &[f64] = if scale { &[0.0] } else { &args.p_chans };
     let mut cells = Vec::new();
     for &n in &args.ns {
@@ -476,7 +402,7 @@ fn build_grid(args: &Args) -> Result<ScenarioGrid, String> {
         if n > n_cap {
             return Err(format!(
                 "--n {n} exceeds the --mode {} limit of {n_cap} ({cap_origin})",
-                args.mode
+                args.mode.name()
             ));
         }
         if let TopologyFamily::Regions { regions } = family {
@@ -528,6 +454,15 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // The trial to trace, checked against the grid before the sweep runs:
+    // a bad coordinate found afterwards would discard a finished report.
+    let (cell, trial) = (args.trace_cell.unwrap_or(0), args.trace_trial.unwrap_or(0));
+    if args.trace_out.is_some() {
+        if let Err(e) = grid.locate(cell, trial) {
+            eprintln!("gqs_sweep: cannot trace cell {cell} trial {trial}: {e}");
+            std::process::exit(2);
+        }
+    }
     let stall_log: StallLog = StallLog::default();
     let opts = SweepOptions {
         threads: args.threads,
@@ -535,23 +470,8 @@ fn main() {
         cancel: None,
         stall_log: Some(stall_log.clone()),
     };
-    let branch = match (args.branch_at, args.branches) {
-        (Some(at), Some(branches)) => Some(BranchSpec { at, branches, mode: args.branch_mode }),
-        _ => None,
-    };
     let start = Instant::now();
-    let report = match (args.mode.as_str(), &branch, args.timeline) {
-        ("consensus", Some(b), _) => grid.run_consensus_branched(&opts, b),
-        ("availability", Some(b), _) => grid.run_availability_branched(&opts, b),
-        ("latency", _, Some(bucket)) => grid.run_latency_timeline(&opts, bucket),
-        ("consensus", _, Some(bucket)) => grid.run_consensus_timeline(&opts, bucket),
-        ("availability", _, Some(bucket)) => grid.run_availability_timeline(&opts, bucket),
-        ("latency", _, _) => grid.run_latency(&opts),
-        ("consensus", _, _) => grid.run_consensus(&opts),
-        ("availability", _, _) => grid.run_availability(&opts),
-        ("scale", _, _) => grid.run_scale(&opts),
-        _ => grid.run(&opts),
-    };
+    let report = grid.run_mode(args.mode, &args.exec, &opts);
     let elapsed = start.elapsed();
     let total_trials = grid.trials * grid.cells.len();
     eprintln!(
@@ -578,10 +498,7 @@ fn main() {
         );
     }
     if let Some(path) = &args.trace_out {
-        let mode = sim_mode(&args.mode);
-        let cell = args.trace_cell.unwrap_or(0);
-        let trial = args.trace_trial.unwrap_or(0);
-        let trace = match replay_trial_trace(&grid, mode, cell, trial, args.trace_format) {
+        let trace = match replay_trial_trace(&grid, args.mode, cell, trial, args.trace_format) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("gqs_sweep: cannot trace cell {cell} trial {trial}: {e}");
@@ -595,22 +512,14 @@ fn main() {
         eprintln!("gqs_sweep: wrote trace of cell {cell} trial {trial} to {path}");
         // The flight recorder dumps exactly when the traced trial hit its
         // event cap: stalled ops, armed timers, the last events.
-        match replay_trial_flight(&grid, mode, cell, trial) {
+        match replay_trial_flight(&grid, args.mode, cell, trial) {
             Ok(Some(dump)) => eprintln!("{dump}"),
             Ok(None) => {}
             Err(e) => eprintln!("gqs_sweep: flight replay failed: {e}"),
         }
     }
-    let rendered = match (args.format.as_str(), args.timeline) {
-        ("json", Some(bucket)) => {
-            let n_base = match args.mode.as_str() {
-                "latency" => LATENCY_METRICS.len(),
-                "consensus" => CONSENSUS_METRICS.len(),
-                _ => AVAILABILITY_METRICS.len(),
-            };
-            report_json_timeline(&grid, &report, n_base, bucket)
-        }
-        ("json", None) => report_json_branched(&grid, &report, branch.as_ref()),
+    let rendered = match args.format.as_str() {
+        "json" => report_json_exec(&grid, &report, &args.exec),
         _ => report_csv(&grid, &report),
     };
     match &args.out {

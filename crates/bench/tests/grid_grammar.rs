@@ -56,6 +56,9 @@ fn stepless_float_range_is_a_clear_error() {
 fn absurdly_fine_float_step_is_rejected_not_hung() {
     // A pathological step must not spin generating 10^300 grid points.
     assert_clean_error(&["--p-chan", "0..1:1e-300"], "over a million points");
+    // Nor may an integer range try to allocate its 10^15 points (this one
+    // used to abort the process on an 8 PB allocation).
+    assert_clean_error(&["--n", "2..1000000000000000"], "over a million points");
 }
 
 #[test]
@@ -174,16 +177,26 @@ fn branch_flags_are_validated() {
         &["--mode", "consensus", "--branch-at", "200000", "--branches", "2"],
         "past the --mode consensus horizon of 200000",
     );
-    assert_clean_error(
-        &["--mode", "availability", "--branch-at", "100000", "--branches", "2"],
-        "past the --mode availability horizon of 100000",
-    );
-    // Branching only exists for the modes whose trials can fork.
-    for mode in ["solvability", "latency", "scale"] {
+    for mode in ["latency", "availability"] {
         assert_clean_error(
-            &["--mode", mode, "--branch-at", "600", "--branches", "2"],
-            "need --mode consensus or availability",
+            &["--mode", mode, "--branch-at", "100000", "--branches", "2"],
+            &format!("past the --mode {mode} horizon of 100000"),
         );
+    }
+    // Branching only exists for the modes whose trial is one simulation
+    // to fork; the others refuse it the way they refuse --timeline and
+    // --trace-out.
+    for mode in ["solvability", "scale"] {
+        for flags in [
+            &["--branch-at", "600", "--branches", "2"][..],
+            &["--timeline", "25000"],
+            &["--trace-out", "/tmp/x.jsonl"],
+        ] {
+            assert_clean_error(
+                &[&["--mode", mode, "--family", "ring"], flags].concat(),
+                &format!("{} needs --mode latency, consensus or availability", flags[0]),
+            );
+        }
     }
     // The flags come as a pair.
     assert_clean_error(&["--mode", "consensus", "--branch-at", "600"], "needs --branches");
@@ -192,22 +205,24 @@ fn branch_flags_are_validated() {
         &["--mode", "consensus", "--branch-at", "600", "--branches", "2", "--branch-mode", "zig"],
         "unknown branch mode",
     );
-    // A well-formed branched consensus sweep runs.
-    let (code, _) = run(&[
-        "--mode",
-        "consensus",
-        "--n",
-        "4",
-        "--trials",
-        "1",
-        "--branch-at",
-        "600",
-        "--branches",
-        "2",
-        "--format",
-        "csv",
-    ]);
-    assert_eq!(code, Some(0), "a well-formed branched sweep runs");
+    // A well-formed branched sweep runs in every simulated mode.
+    for mode in ["latency", "consensus", "availability"] {
+        let (code, _) = run(&[
+            "--mode",
+            mode,
+            "--n",
+            "4",
+            "--trials",
+            "1",
+            "--branch-at",
+            "600",
+            "--branches",
+            "2",
+            "--format",
+            "csv",
+        ]);
+        assert_eq!(code, Some(0), "a well-formed branched {mode} sweep runs");
+    }
 }
 
 #[test]

@@ -1,332 +1,183 @@
-//! Golden test for the `gqs_sweep` binary: a tiny grid's JSON output must
-//! be byte-identical to the checked-in `golden/tiny_sweep.json`, for any
-//! thread count — the CLI-level face of the sweep engine's determinism
-//! contract. (CI runs the same comparison as a shell smoke job.)
-//!
-//! If an intentional change to the metrics, the sketch, or the JSON shape
-//! lands, regenerate the golden file with the command in `golden_args`.
+//! Golden tests for the `gqs_sweep` binary: every file under
+//! `crates/bench/golden/` must be reproduced byte for byte by the
+//! invocation recorded in [`GOLDENS`], for any thread count — the
+//! CLI-level face of the sweep engine's determinism contract. The rest
+//! of the file checks output shapes and flag validation.
 //!
 //! Portability note: the quantile sketch's bucket boundaries go through
 //! `f64::ln`/`powi`, whose last-ulp rounding is libm-specific. The
 //! determinism promise (same bytes for any thread count / shard size) is
 //! per-platform; on a toolchain whose libm rounds differently, regenerate
-//! the golden file once rather than chasing the final digits.
+//! the golden files once rather than chasing the final digits.
 
 use std::process::Command;
 
-/// The exact invocation `golden/tiny_sweep.json` was produced with.
-fn golden_args() -> Vec<&'static str> {
-    vec![
-        "--family",
-        "two-cliques-bridge",
-        "--n",
-        "6",
-        "--patterns",
-        "rotating",
-        "--p-chan",
-        "0.25",
-        "--trials",
-        "8",
-        "--seed",
-        "7",
-        "--format",
-        "json",
-    ]
+/// Every golden file under `crates/bench/golden/` with the exact
+/// command line that produced it. Reports come out of `--out`, the trace
+/// dump out of `--trace-out`; after an intentional change to the metrics,
+/// the sketch, a protocol, the simulator or an output shape, regenerate
+/// with `gqs_sweep ARGS --out crates/bench/golden/FILE`.
+const GOLDENS: &[(&str, &str)] = &[
+    (
+        "tiny_sweep.json",
+        "--family two-cliques-bridge --n 6 --patterns rotating --p-chan 0.25 --trials 8 --seed 7 \
+         --format json",
+    ),
+    (
+        "tiny_latency.json",
+        "--mode latency --family ring --n 5 --patterns rotating --p-chan 0,0.3 --trials 6 \
+         --seed 11 --format json",
+    ),
+    // A 3-region WAN under a staggered region-outage schedule.
+    (
+        "tiny_consensus.json",
+        "--mode consensus --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
+         --schedule region-outage --trials 4 --seed 13 --format json",
+    ),
+    // The same WAN and schedule with 10% per-channel message loss, over
+    // the self-healing register stack.
+    (
+        "tiny_availability.json",
+        "--mode availability --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
+         --loss 0.1 --schedule region-outage --trials 4 --seed 17 --format json",
+    ),
+    // Heavy-tailed lognormal delays with 5% message loss. The polar-method
+    // normal sampler consumes a variable number of RNG draws per delay, so
+    // this golden pins both the sampler's cross-run determinism and its
+    // thread-invariance.
+    (
+        "tiny_lognormal.json",
+        "--mode latency --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
+         --loss 0.05 --net lognormal --trials 6 --seed 19 --format json",
+    ),
+    // Gossip, then sampled-arc ABD, on implicit rings. At n = 30 000 one
+    // ABD arc queues ≈ 1500 deliveries in a single tick, so the timing
+    // wheel's slots hold several chunks each.
+    (
+        "tiny_scale.json",
+        "--mode scale --family ring --n 3000,30000 --trials 2 --seed 29 --format json",
+    ),
+    // Trial 1 of the self-healing register over a lossy complete graph — a
+    // run whose trace exercises the whole vocabulary (sends, delivers,
+    // lossy drops, retransmissions, timers, op and QAF phase spans). The
+    // replay is serial and seeded exactly like the parallel engine seeds
+    // the trial, so the dump does not depend on the thread count either.
+    (
+        "tiny_trace.jsonl",
+        "--mode availability --family complete --n 4 --patterns rotating --p-chan 0.2 --loss 0.2 \
+         --trials 2 --seed 11 --trace-trial 1",
+    ),
+];
+
+/// The recorded invocation of golden file `file`, followed by `extra`.
+fn golden_args<'a>(file: &str, extra: &[&'a str]) -> Vec<&'a str> {
+    let (_, line) = GOLDENS.iter().find(|(f, _)| *f == file).expect("a row of GOLDENS");
+    line.split_whitespace().chain(extra.iter().copied()).collect()
 }
 
-fn run_sweep(extra: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-        .args(golden_args())
-        .args(extra)
-        .output()
-        .expect("gqs_sweep runs");
+fn golden_bytes(file: &str) -> String {
+    let path = format!("{}/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
+
+/// Runs `gqs_sweep` with `args` and returns its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep")).args(args).output().expect("runs");
     assert!(out.status.success(), "gqs_sweep failed: {}", String::from_utf8_lossy(&out.stderr));
     String::from_utf8(out.stdout).expect("output is UTF-8")
 }
 
-#[test]
-fn tiny_grid_matches_golden_aggregate() {
-    let golden = include_str!("../golden/tiny_sweep.json");
-    let got = run_sweep(&[]);
-    assert_eq!(
-        got, golden,
-        "gqs_sweep output drifted from golden/tiny_sweep.json; if the change \
-         is intentional, regenerate the golden file"
-    );
-    // And the determinism contract at the CLI boundary: forcing one
-    // worker must reproduce the same bytes.
-    let single = run_sweep(&["--threads", "1"]);
-    assert_eq!(single, golden, "--threads 1 output differs from golden");
+/// The check behind every golden test: the recorded invocation
+/// reproduces the file's bytes at `GQS_THREADS=1` and `=8`, and the file
+/// contains `needles` (so a regenerated golden cannot silently lose what
+/// it is there to pin).
+fn assert_matches_golden(file: &str, needles: &[&str]) {
+    let golden = golden_bytes(file);
+    let out_flag = if file.ends_with(".jsonl") { "--trace-out" } else { "--out" };
+    for threads in ["1", "8"] {
+        let path = std::env::temp_dir().join(format!("gqs_golden_t{threads}_{file}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
+            .env("GQS_THREADS", threads)
+            .args(golden_args(file, &[]))
+            .arg(out_flag)
+            .arg(&path)
+            .output()
+            .expect("gqs_sweep runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let got = std::fs::read_to_string(&path).expect("output written");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            got == golden,
+            "GQS_THREADS={threads} output drifted from golden/{file}; if the change is \
+             intentional, regenerate the file (see GOLDENS)"
+        );
+    }
+    for needle in needles {
+        assert!(golden.contains(needle), "golden/{file} lacks {needle}");
+    }
 }
 
-/// The exact invocation `golden/tiny_latency.json` was produced with.
-fn latency_golden_args() -> Vec<&'static str> {
-    vec![
-        "--mode",
-        "latency",
-        "--family",
-        "ring",
-        "--n",
-        "5",
-        "--patterns",
-        "rotating",
-        "--p-chan",
-        "0,0.3",
-        "--trials",
-        "6",
-        "--seed",
-        "11",
-        "--format",
-        "json",
-    ]
+#[test]
+fn tiny_grid_matches_golden_aggregate() {
+    assert_matches_golden("tiny_sweep.json", &[]);
 }
 
 #[test]
 fn tiny_latency_grid_matches_golden_aggregate() {
-    let golden = include_str!("../golden/tiny_latency.json");
-    let run = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-            .args(latency_golden_args())
-            .args(extra)
-            .output()
-            .expect("gqs_sweep runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).expect("output is UTF-8")
-    };
-    let got = run(&[]);
-    assert_eq!(
-        got, golden,
-        "latency-mode output drifted from golden/tiny_latency.json; if the \
-         change is intentional (e.g. a simulator or protocol change shifting \
-         latencies), regenerate the golden file"
+    assert_matches_golden(
+        "tiny_latency.json",
+        &["\"metrics\": [\"completed\", \"lat_mean\", \"lat_max\", \"msgs_per_op\"]"],
     );
-    assert!(
-        got.contains("\"metrics\": [\"completed\", \"lat_mean\", \"lat_max\", \"msgs_per_op\"]")
-    );
-    // The determinism contract holds for simulated latency trials too.
-    let single = run(&["--threads", "1"]);
-    assert_eq!(single, golden, "--threads 1 latency output differs from golden");
-}
-
-/// The exact invocation `golden/tiny_consensus.json` was produced with:
-/// a 3-region WAN under a staggered region-outage schedule, in consensus
-/// mode.
-fn consensus_golden_args() -> Vec<&'static str> {
-    vec![
-        "--mode",
-        "consensus",
-        "--family",
-        "regions",
-        "--regions",
-        "3",
-        "--n",
-        "6",
-        "--patterns",
-        "rotating",
-        "--p-chan",
-        "0",
-        "--schedule",
-        "region-outage",
-        "--trials",
-        "4",
-        "--seed",
-        "13",
-        "--format",
-        "json",
-    ]
 }
 
 #[test]
 fn tiny_consensus_grid_matches_golden_aggregate() {
-    let golden = include_str!("../golden/tiny_consensus.json");
-    let run = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-            .args(consensus_golden_args())
-            .args(extra)
-            .output()
-            .expect("gqs_sweep runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).expect("output is UTF-8")
-    };
-    let got = run(&[]);
-    assert_eq!(
-        got, golden,
-        "consensus-mode output drifted from golden/tiny_consensus.json; if the \
-         change is intentional (e.g. a simulator, consensus or fault-script \
-         change shifting decisions), regenerate the golden file"
+    assert_matches_golden(
+        "tiny_consensus.json",
+        &[
+            "\"metrics\": [\"decided\", \"views\", \"decide_lat\", \"lat_over_cdelta\", \"msgs_per_op\"]",
+            "\"schedule\": \"region-outage\"",
+        ],
     );
-    assert!(got.contains(
-        "\"metrics\": [\"decided\", \"views\", \"decide_lat\", \"lat_over_cdelta\", \"msgs_per_op\"]"
-    ));
-    assert!(got.contains("\"schedule\": \"region-outage\""));
-    // The determinism contract holds for simulated consensus trials too.
-    let single = run(&["--threads", "1"]);
-    assert_eq!(single, golden, "--threads 1 consensus output differs from golden");
-}
-
-/// The exact invocation `golden/tiny_availability.json` was produced
-/// with: a 3-region WAN under a staggered region-outage schedule with 10%
-/// per-channel message loss, in availability mode (the self-healing
-/// register stack).
-fn availability_golden_args() -> Vec<&'static str> {
-    vec![
-        "--mode",
-        "availability",
-        "--family",
-        "regions",
-        "--regions",
-        "3",
-        "--n",
-        "6",
-        "--patterns",
-        "rotating",
-        "--p-chan",
-        "0",
-        "--loss",
-        "0.1",
-        "--schedule",
-        "region-outage",
-        "--trials",
-        "4",
-        "--seed",
-        "17",
-        "--format",
-        "json",
-    ]
 }
 
 #[test]
 fn tiny_availability_grid_matches_golden_aggregate() {
-    let golden = include_str!("../golden/tiny_availability.json");
-    let run = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-            .args(availability_golden_args())
-            .args(extra)
-            .output()
-            .expect("gqs_sweep runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).expect("output is UTF-8")
-    };
-    let got = run(&[]);
-    assert_eq!(
-        got, golden,
-        "availability-mode output drifted from golden/tiny_availability.json; \
-         if the change is intentional (e.g. a retransmission or loss-model \
-         change shifting completions), regenerate the golden file"
+    assert_matches_golden(
+        "tiny_availability.json",
+        &[
+            "\"metrics\": [\"completed\", \"stalled\", \"time_to_heal\", \"retransmits_per_op\"]",
+            "\"loss\": 0.1",
+        ],
     );
-    assert!(got.contains(
-        "\"metrics\": [\"completed\", \"stalled\", \"time_to_heal\", \"retransmits_per_op\"]"
-    ));
-    assert!(got.contains("\"loss\": 0.1"));
-    // The determinism contract holds for availability trials too.
-    let single = run(&["--threads", "1"]);
-    assert_eq!(single, golden, "--threads 1 availability output differs from golden");
-}
-
-/// The exact invocation `golden/tiny_lognormal.json` was produced with:
-/// a 3-region WAN under heavy-tailed lognormal delays with 5% message
-/// loss, in latency mode. The polar-method normal sampler consumes a
-/// variable number of RNG draws per delay, so this golden pins both the
-/// sampler's cross-run determinism and its thread-invariance.
-fn lognormal_golden_args() -> Vec<&'static str> {
-    vec![
-        "--mode",
-        "latency",
-        "--family",
-        "regions",
-        "--regions",
-        "3",
-        "--n",
-        "6",
-        "--patterns",
-        "rotating",
-        "--p-chan",
-        "0",
-        "--loss",
-        "0.05",
-        "--net",
-        "lognormal",
-        "--trials",
-        "6",
-        "--seed",
-        "19",
-        "--format",
-        "json",
-    ]
 }
 
 #[test]
 fn tiny_lognormal_grid_matches_golden_aggregate() {
-    let golden = include_str!("../golden/tiny_lognormal.json");
-    let run = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-            .args(lognormal_golden_args())
-            .args(extra)
-            .output()
-            .expect("gqs_sweep runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).expect("output is UTF-8")
-    };
-    let got = run(&[]);
-    assert_eq!(
-        got, golden,
-        "lognormal-net output drifted from golden/tiny_lognormal.json; if the \
-         change is intentional (e.g. a sampler or network-model change \
-         shifting delays), regenerate the golden file"
-    );
-    assert!(got.contains("\"net\": \"lognormal\""));
-    // Thread-invariance despite the variable-draw-count sampler.
-    let single = run(&["--threads", "1"]);
-    assert_eq!(single, golden, "--threads 1 lognormal output differs from golden");
-    let eight = run(&["--threads", "8"]);
-    assert_eq!(eight, golden, "--threads 8 lognormal output differs from golden");
-}
-
-/// The exact invocation `golden/tiny_scale.json` was produced with: the
-/// scale mode (gossip, then sampled-arc ABD) on implicit rings. At
-/// n = 30 000 one ABD arc queues ≈ 1500 deliveries in a single tick, so
-/// the timing wheel's slots hold several chunks each.
-fn scale_golden_args() -> Vec<&'static str> {
-    vec![
-        "--mode",
-        "scale",
-        "--family",
-        "ring",
-        "--n",
-        "3000,30000",
-        "--trials",
-        "2",
-        "--seed",
-        "29",
-        "--format",
-        "json",
-    ]
+    assert_matches_golden("tiny_lognormal.json", &["\"net\": \"lognormal\""]);
 }
 
 #[test]
 fn tiny_scale_grid_matches_golden_aggregate() {
-    let golden = include_str!("../golden/tiny_scale.json");
-    let run = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-            .args(scale_golden_args())
-            .args(extra)
-            .output()
-            .expect("gqs_sweep runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).expect("output is UTF-8")
-    };
-    let got = run(&[]);
-    assert_eq!(
-        got, golden,
-        "scale-mode output drifted from golden/tiny_scale.json; if the \
-         change is intentional (e.g. a gossip or sampled-ABD change \
-         shifting spread or message counts), regenerate the golden file"
+    assert_matches_golden("tiny_scale.json", &["\"n\": 30000"]);
+}
+
+#[test]
+fn trace_dump_matches_golden_and_is_thread_invariant() {
+    // The dump covers the whole event loop and the protocol spans.
+    assert_matches_golden(
+        "tiny_trace.jsonl",
+        &[
+            "\"ev\":\"send\"",
+            "\"ev\":\"deliver\"",
+            "\"ev\":\"drop_lossy\"",
+            "\"ev\":\"op_start\"",
+            "\"ev\":\"op_end\"",
+            "\"ev\":\"span_start\",\"p\":",
+            "\"label\":\"qaf_get\"",
+            "\"label\":\"qaf_set\"",
+        ],
     );
-    assert!(got.contains("\"n\": 30000"));
-    let single = run(&["--threads", "1"]);
-    assert_eq!(single, golden, "--threads 1 scale output differs from golden");
-    let eight = run(&["--threads", "8"]);
-    assert_eq!(eight, golden, "--threads 8 scale output differs from golden");
 }
 
 /// `--net uniform` is the degenerate case: it routes delays through the
@@ -334,15 +185,12 @@ fn tiny_scale_grid_matches_golden_aggregate() {
 /// byte (same draws, same omitted JSON field).
 #[test]
 fn explicit_uniform_net_reproduces_the_latency_golden() {
-    let golden = include_str!("../golden/tiny_latency.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-        .args(latency_golden_args())
-        .args(["--net", "uniform"])
-        .output()
-        .expect("gqs_sweep runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let got = String::from_utf8(out.stdout).expect("output is UTF-8");
-    assert_eq!(got, golden, "--net uniform must be byte-identical to the default path");
+    let got = stdout_of(&golden_args("tiny_latency.json", &["--net", "uniform"]));
+    assert_eq!(
+        got,
+        golden_bytes("tiny_latency.json"),
+        "--net uniform must be byte-identical to the default path"
+    );
 }
 
 #[test]
@@ -391,7 +239,7 @@ fn unknown_mode_fails_cleanly() {
 
 #[test]
 fn json_output_is_well_formed() {
-    let got = run_sweep(&["--threads", "4"]);
+    let got = stdout_of(&golden_args("tiny_sweep.json", &["--threads", "4"]));
     // A minimal structural check (no JSON parser in-tree): balanced
     // braces/brackets outside strings and the expected top-level keys.
     let (mut depth, mut max_depth) = (0i64, 0i64);
@@ -470,86 +318,11 @@ fn schedule_axis_multiplies_latency_cells() {
     assert!(text.contains(",rolling-restart,"));
 }
 
-/// The exact invocation `golden/tiny_trace.jsonl` was produced with: the
-/// self-healing register over a lossy complete graph in availability
-/// mode, tracing trial 1 of the single cell — a run whose trace exercises
-/// the whole vocabulary (sends, delivers, lossy drops, retransmissions,
-/// timers, op and QAF phase spans).
-fn trace_golden_args() -> Vec<&'static str> {
-    vec![
-        "--mode",
-        "availability",
-        "--family",
-        "complete",
-        "--n",
-        "4",
-        "--patterns",
-        "rotating",
-        "--p-chan",
-        "0.2",
-        "--loss",
-        "0.2",
-        "--trials",
-        "2",
-        "--seed",
-        "11",
-        "--trace-trial",
-        "1",
-    ]
-}
-
-#[test]
-fn trace_dump_matches_golden_and_is_thread_invariant() {
-    let golden = include_str!("../golden/tiny_trace.jsonl");
-    let dump = |threads: &str| {
-        let path = std::env::temp_dir().join(format!("gqs_tiny_trace_t{threads}.jsonl"));
-        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-            .args(trace_golden_args())
-            .args(["--trace-out", path.to_str().unwrap(), "--threads", threads])
-            .output()
-            .expect("gqs_sweep runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let trace = std::fs::read_to_string(&path).expect("trace written");
-        let _ = std::fs::remove_file(&path);
-        trace
-    };
-    let got = dump("4");
-    assert_eq!(
-        got, golden,
-        "trace dump drifted from golden/tiny_trace.jsonl; if the change is \
-         intentional (e.g. a simulator or trace-vocabulary change), \
-         regenerate the golden file"
-    );
-    // The replay is serial and seeded exactly like the parallel engine
-    // seeds the trial, so the dump is byte-identical for any --threads —
-    // the trace-plane face of the determinism contract (CI re-checks
-    // this with cmp at the shell level).
-    assert_eq!(dump("1"), golden, "--threads 1 trace differs");
-    assert_eq!(dump("8"), golden, "--threads 8 trace differs");
-    // The dump covers the whole event loop and the protocol spans.
-    for needle in [
-        "\"ev\":\"send\"",
-        "\"ev\":\"deliver\"",
-        "\"ev\":\"drop_lossy\"",
-        "\"ev\":\"op_start\"",
-        "\"ev\":\"op_end\"",
-        "\"ev\":\"span_start\",\"p\":",
-        "\"label\":\"qaf_get\"",
-        "\"label\":\"qaf_set\"",
-    ] {
-        assert!(golden.contains(needle), "golden trace lacks {needle}");
-    }
-}
-
 #[test]
 fn chrome_trace_is_one_json_array_of_the_same_run() {
     let path = std::env::temp_dir().join("gqs_tiny_trace.chrome.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
-        .args(trace_golden_args())
-        .args(["--trace-out", path.to_str().unwrap(), "--trace-format", "chrome"])
-        .output()
-        .expect("gqs_sweep runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let dump = ["--trace-out", path.to_str().unwrap(), "--trace-format", "chrome"];
+    stdout_of(&golden_args("tiny_trace.jsonl", &dump));
     let trace = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
     assert!(trace.starts_with('[') && trace.ends_with("]\n"), "not a JSON array");
@@ -664,6 +437,9 @@ fn observability_flag_validation_fails_cleanly() {
         &["--mode", "latency", "--timeline", "10"],
         // Unknown trace format.
         &["--mode", "latency", "--trace-out", "/tmp/x.jsonl", "--trace-format", "xml"],
+        // Trace coordinates outside the grid (one cell, 100 trials).
+        &["--mode", "latency", "--trace-out", "/tmp/x.jsonl", "--trace-cell", "1"],
+        &["--mode", "latency", "--trace-out", "/tmp/x.jsonl", "--trace-trial", "100"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
@@ -671,7 +447,11 @@ fn observability_flag_validation_fails_cleanly() {
             .output()
             .expect("gqs_sweep runs");
         assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");
-        assert!(!out.stderr.is_empty());
+        // Refused before anything ran: a message, no sweep summary, no
+        // report.
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.is_empty() && !stderr.contains("trials/s"), "args {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "args {args:?} must print no report");
     }
 }
 

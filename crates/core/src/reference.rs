@@ -3,8 +3,9 @@
 //! These are the **pre-optimization** algorithms, kept verbatim as oracles:
 //! the differential property tests in `crates/core/tests/` check the
 //! transpose-cached engine of [`crate::graph`] and the memoized CSP solver
-//! of [`crate::finder`] against them, and the `perf_snapshot` binary of
-//! `gqs-bench` times them to quantify (and regression-track) the speedup.
+//! of [`crate::finder`] against them, and the repository benchmark
+//! (`bash benchmark/run.sh`) times them to quantify (and regression-track)
+//! the speedup as its `core.naive_over_fast.n32` layer metric.
 //!
 //! Everything here is deliberately slow and simple:
 //!
@@ -164,7 +165,8 @@ struct NaiveCandidate {
 /// residuals, quadratic `reach_to`, and a backtracking solver that
 /// re-evaluates pairwise compatibility inside the search tree.
 ///
-/// Used as the finder's oracle and as the perf baseline in BENCH.json.
+/// Used as the finder's oracle and as the baseline of the benchmark's
+/// `core.naive_over_fast.n32` layer metric.
 pub fn gqs_exists_naive(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
     let candidates: Vec<Vec<NaiveCandidate>> = fail_prone
         .patterns()

@@ -12,8 +12,8 @@
 //! batches until the measurement-time budget is spent; the mean and minimum
 //! per-iteration wall-clock times are printed. No statistics beyond that —
 //! this is a smoke-and-trend harness, not a rigorous sampler. For
-//! machine-readable perf tracking use `gqs-bench`'s `perf_snapshot` binary,
-//! which writes BENCH.json.
+//! machine-readable perf tracking with noise bounds use the repository
+//! benchmark (`bash benchmark/run.sh`, declared in `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 

@@ -1,9 +1,9 @@
-//! The experiment drivers behind EXPERIMENTS.md: one function per
-//! experiment in DESIGN.md's per-experiment index (E1–E12).
+//! The experiment drivers behind the `tables` binary: one function per
+//! experiment (E1–E12).
 //!
 //! Each driver is deterministic (fixed seeds), runs in seconds, and
 //! returns an [`ExperimentReport`] whose table is what the `tables`
-//! binary prints and what EXPERIMENTS.md records.
+//! binary prints.
 
 use std::fmt;
 use std::time::Instant;
@@ -45,7 +45,7 @@ use crate::table::Table;
 /// One reproduced experiment: the table plus its context.
 #[derive(Clone, Debug)]
 pub struct ExperimentReport {
-    /// Experiment id from DESIGN.md (e.g. `"E5"`).
+    /// Experiment id as the `tables` binary takes it (e.g. `"E5"`).
     pub id: &'static str,
     /// Human-readable title.
     pub title: &'static str,

@@ -5,13 +5,13 @@
 //! * [`generators`] — seeded random topologies and fail-prone systems for
 //!   sweeps and property tests;
 //! * [`convert`] — simulator histories → checker inputs;
-//! * [`experiments`] — one driver per experiment of DESIGN.md's index
+//! * [`experiments`] — one driver per experiment of the `tables` binary
 //!   (E1–E12), each returning a printable [`ExperimentReport`];
 //! * [`par`] — deterministic fork-join helpers that spread the random
 //!   sweeps (E3, E11, E12) across cores;
 //! * [`sweep`] — the streaming sweep engine: sharded scenario grids,
 //!   constant-memory incremental aggregation, scenario families;
-//! * [`table`] — the plain-text tables EXPERIMENTS.md records;
+//! * [`table`] — the plain-text tables the `tables` binary prints;
 //! * [`tracemetrics`] — the trace-plane load model: [`LoadSink`]
 //!   combines per-process/per-channel-class message counters with a
 //!   latency histogram, fed entirely by simulator trace events.
@@ -29,33 +29,22 @@
 //! sketch) and stream them to an in-order merger, so peak memory is
 //! independent of the trial count and aggregates are bit-identical for
 //! any thread count (see the [`sweep`] module docs for the full
-//! determinism contract). The `gqs-bench` crate's `gqs_sweep` binary
-//! exposes the engine on the command line:
+//! determinism contract).
 //!
-//! ```text
-//! gqs_sweep [--family complete|ring|oriented-ring|star|grid|two-cliques-bridge|regions|random]
-//!           [--n LIST] [--density LIST] [--regions R]
-//!           [--patterns rotating|random|adversarial]
-//!           [--pattern-count K] [--max-crashes K] [--p-chan LIST]
-//!           [--schedule static|region-outage|flapping-link|hub-crash|rolling-restart,...]
-//!           [--mode solvability|latency|consensus]
-//!           [--trials N] [--seed S] [--threads T] [--shard K]
-//!           [--format json|csv] [--out PATH]
-//! ```
-//!
-//! where `LIST` is the grid grammar of [`sweep::parse_usize_list`] /
-//! [`sweep::parse_f64_list`]: a value (`6`), a comma list (`4,6,8`), or
-//! an inclusive range with optional step (`4..8`, `4..16:4`,
-//! `0.1..0.5:0.2`). The grid is the cross product of `--n`, `--density`,
-//! `--p-chan` and `--schedule`; every cell runs `--trials` seeded trials
-//! measuring [`sweep::SCENARIO_METRICS`] (default mode), or simulates per
-//! trial — under the cell's [`sweep::ScheduleFamily`] fault timeline — a
-//! flooded ABD register (`--mode latency`, [`sweep::LATENCY_METRICS`]:
-//! completion rate, operation latency, msgs/op) or a single-shot
-//! Figure-6 consensus run (`--mode consensus`,
-//! [`sweep::CONSENSUS_METRICS`]: decided fraction, views and time to
-//! decide, decision latency over `C × δ`, msgs/proposal). The JSON/CSV
-//! output contains no timing, so reports diff byte for byte.
+//! A scenario grid ([`sweep::ScenarioGrid`]) runs under two orthogonal
+//! choices. A [`sweep::Mode`] says *what* one trial measures: the
+//! decision procedures alone (solvability), a simulated flooded ABD
+//! register (latency), Figure-6 consensus, the self-healing register
+//! stack (availability), or gossip plus sampled-arc ABD on implicit
+//! topologies (scale). A [`sweep::Exec`] says *how* a simulated trial is
+//! executed: straight, in windows that add a timeline, or as one warmup
+//! forked into seeded branches. [`sweep::ScenarioGrid::run_mode`] is the
+//! one entry point, and [`sweep::report_json_exec`]/[`sweep::report_csv`]
+//! render its report with no timing in it, so reports diff byte for byte.
+//! The `gqs-bench` crate's `gqs_sweep` binary exposes all of it on the
+//! command line; `gqs_sweep --help` is the reference for its flags and for
+//! the grid grammar of [`sweep::parse_usize_list`] /
+//! [`sweep::parse_f64_list`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

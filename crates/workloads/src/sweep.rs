@@ -56,6 +56,19 @@
 //! [`report_json`]/[`report_csv`] render machine-readable tables, and
 //! [`parse_usize_list`]/[`parse_f64_list`] implement the CLI's grid
 //! grammar (`4..8`, `4..16:2`, `0.1,0.3`, single values).
+//!
+//! # Modes × execution strategies
+//!
+//! [`ScenarioGrid::run_mode`] takes two orthogonal values. A [`Mode`]
+//! says *what* one trial measures; each simulated mode (latency,
+//! consensus, availability) is one private description — protocol stack,
+//! metrics, horizon, schedule timing, delay model, nodes and operations,
+//! how to read the metric row — over one shared scenario draw. An
+//! [`Exec`] says *how* a simulated trial is executed — straight, windowed
+//! into a timeline, or one warmup forked into seeded branches — and is
+//! applied to any description by one generic driver; trace replay
+//! ([`replay_trial_trace`]) is the same draw with a sink attached. So a
+//! new simulated mode is one `impl`, and it gets every strategy.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -534,54 +547,65 @@ where
         // smaller index is already folded), so progress is guaranteed and
         // the merger's out-of-order buffer never exceeds `window` shards.
         let window = (workers * 4).max(16);
-        let cancelled = || opts.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed));
+        // Raised by a worker unwinding out of a panicking trial: its shard
+        // will never advance the merge frontier, so the others must stop
+        // waiting on it for the scope to join and re-raise the panic.
+        let aborted = AtomicBool::new(false);
+        let cancelled = || {
+            aborted.load(Ordering::Relaxed)
+                || opts.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
+        };
         let (tx, rx) = mpsc::channel::<(usize, Vec<MetricAgg>)>();
         let trial = &trial;
         let next = &next;
         let folded = &folded;
+        let aborted = &aborted;
         let cancelled = &cancelled;
         thread::scope(|s| {
             for _ in 0..workers {
                 let tx = tx.clone();
-                s.spawn(move || loop {
-                    if cancelled() {
-                        break;
-                    }
-                    let sidx = next.fetch_add(1, Ordering::Relaxed);
-                    if sidx >= total_shards {
-                        break;
-                    }
-                    while sidx >= folded.load(Ordering::Acquire) + window {
+                s.spawn(move || {
+                    let _abort_on_unwind = AbortOnUnwind(aborted);
+                    loop {
                         if cancelled() {
-                            return;
-                        }
-                        thread::yield_now();
-                    }
-                    let c = sidx / shards_per_cell;
-                    let k = sidx % shards_per_cell;
-                    let lo = k * shard;
-                    let hi = ((k + 1) * shard).min(spec.trials);
-                    let mut partial = vec![MetricAgg::new(); n_metrics];
-                    let mut abandoned = false;
-                    for t in lo..hi {
-                        if cancelled() {
-                            abandoned = true;
                             break;
                         }
-                        let mut rng = trial_rng(spec.seed, c * spec.trials + t);
-                        for row in trial(&spec.cells[c], t, &mut rng) {
-                            assert_eq!(row.len(), n_metrics, "trial row width mismatch");
-                            for (agg, v) in partial.iter_mut().zip(row) {
-                                agg.observe(v);
+                        let sidx = next.fetch_add(1, Ordering::Relaxed);
+                        if sidx >= total_shards {
+                            break;
+                        }
+                        while sidx >= folded.load(Ordering::Acquire) + window {
+                            if cancelled() {
+                                return;
+                            }
+                            thread::yield_now();
+                        }
+                        let c = sidx / shards_per_cell;
+                        let k = sidx % shards_per_cell;
+                        let lo = k * shard;
+                        let hi = ((k + 1) * shard).min(spec.trials);
+                        let mut partial = vec![MetricAgg::new(); n_metrics];
+                        let mut abandoned = false;
+                        for t in lo..hi {
+                            if cancelled() {
+                                abandoned = true;
+                                break;
+                            }
+                            let mut rng = trial_rng(spec.seed, c * spec.trials + t);
+                            for row in trial(&spec.cells[c], t, &mut rng) {
+                                assert_eq!(row.len(), n_metrics, "trial row width mismatch");
+                                for (agg, v) in partial.iter_mut().zip(row) {
+                                    agg.observe(v);
+                                }
                             }
                         }
+                        if abandoned {
+                            break;
+                        }
+                        // The merger only hangs up on cancellation; dropping
+                        // the partial then is exactly right.
+                        let _ = tx.send((sidx, partial));
                     }
-                    if abandoned {
-                        break;
-                    }
-                    // The merger only hangs up on cancellation; dropping
-                    // the partial then is exactly right.
-                    let _ = tx.send((sidx, partial));
                 });
             }
             drop(tx);
@@ -616,6 +640,17 @@ fn resolve_threads(opts: &SweepOptions) -> usize {
     match opts.threads {
         Some(t) if t >= 1 => t,
         _ => par::thread_count(),
+    }
+}
+
+/// Raises its flag when dropped by a panic's unwinding (see [`run_rows`]).
+struct AbortOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1139,6 +1174,109 @@ pub fn scenario_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
     ]
 }
 
+// ---------------------------------------------------------------------------
+// Simulated modes: each described once
+// ---------------------------------------------------------------------------
+
+/// One simulated sweep mode, described once: its protocol stack, the
+/// constants of a run, the nodes and operations of a drawn scenario, and
+/// how to read the metric row off the finished run. Everything else — the
+/// scenario draw ([`prepare`]), windowing, fork-and-branch, trace replay,
+/// stall logging, aggregation — is applied to the description by code
+/// that never names a mode.
+trait Simulated: Sized {
+    /// The protocol stack every process runs.
+    type Proto: Protocol;
+    /// Metric names, one per element of the measured row.
+    const METRICS: &'static [&'static str];
+    /// Hard stop per trial, in simulated ticks.
+    const HORIZON: u64;
+    /// Where the dynamic fault schedules place their events.
+    const TIMING: ScheduleTiming;
+
+    /// The mode's plain delay model, which the cell's [`NetworkFamily`]
+    /// refines per channel class.
+    fn delay() -> DelayModel {
+        SimConfig::default().delay
+    }
+
+    /// The `n` nodes, and the operations to schedule (in scheduling
+    /// order).
+    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>);
+
+    /// Reads [`Simulated::METRICS`] off a finished run.
+    fn measure(run: &Prepared<Self>) -> Vec<f64>;
+}
+
+/// One operation a trial schedules: when, where, and what.
+type Invoke<M> = (SimTime, ProcessId, <<M as Simulated>::Proto as Protocol>::Op);
+
+/// A trial's simulation, populated and ready to run, plus what the draw
+/// leaves for measuring and branching.
+struct Prepared<M: Simulated> {
+    sim: Simulation<M::Proto>,
+    /// How many processes invoke operations.
+    invokers: usize,
+    /// The compiled fault schedule.
+    schedule: FailureSchedule,
+    /// The drawn simulator seed, which branch seeds derive from.
+    sim_seed: u64,
+}
+
+/// The scenario draw every simulated mode shares: topology and fail-prone
+/// system exactly like [`scenario_trial`], then the simulator seed, the
+/// cell's fault schedule around the first pattern, and the mode's nodes
+/// and operations. `None` when the cell draws an empty fail-prone system
+/// or no invokers (the trial reports zeros); the seed is drawn *before*
+/// those returns, so a trial advances its RNG identically either way.
+fn prepare<M: Simulated>(cell: &ScenarioCell, rng: &mut SplitMix64) -> Option<Prepared<M>> {
+    let g = cell.family.build(cell.n, cell.density, rng);
+    let fp = cell.patterns.build(&g, cell.p_chan, rng);
+    let sim_seed = rng.next_u64();
+    if fp.is_empty() {
+        return None;
+    }
+    let pattern = fp.pattern(0);
+    let invokers = cell.schedule.invokers(cell.n, pattern);
+    if invokers.is_empty() {
+        return None;
+    }
+    let schedule = cell.schedule.script(cell.family, cell.n, &g, pattern, &M::TIMING).to_schedule();
+    let (nodes, ops) = M::build(cell.n, &invokers);
+    let delay = M::delay();
+    let cfg = SimConfig {
+        seed: sim_seed,
+        delay,
+        net: Some(cell.net.net_model(delay, cell.region_spec())),
+        topology: Topology::from(g),
+        horizon: SimTime(M::HORIZON),
+        loss: cell.loss,
+        max_events: sweep_max_events(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(cfg, nodes);
+    sim.apply_failures(&schedule);
+    for (at, p, op) in ops {
+        sim.invoke_at(at, p, op);
+    }
+    Some(Prepared { sim, invokers: invokers.len(), schedule, sim_seed })
+}
+
+/// The event cap simulated sweep trials run under: [`SimConfig`]'s
+/// default, overridable via the `GQS_MAX_EVENTS` environment variable
+/// (read once per process). CI uses a tiny cap to exercise the
+/// event-cap → stall-hint → flight-recorder path cheaply; it is also the
+/// escape hatch when a pathological grid needs a higher ceiling.
+fn sweep_max_events() -> u64 {
+    static CAP: OnceLock<u64> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        std::env::var("GQS_MAX_EVENTS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(SimConfig::default().max_events)
+    })
+}
+
 /// The metrics every protocol-latency trial reports, in row order:
 ///
 /// * `completed` — fraction of the trial's operations that completed
@@ -1161,9 +1299,57 @@ const LATENCY_OPS: u64 = 6;
 /// Gap between successive invocations (ticks) — wide enough that ops
 /// mostly run uncontended under the default `[1, 10]` delay model.
 const LATENCY_OP_SPACING: u64 = 400;
-/// Hard stop per trial; stalled runs go quiescent long before this.
-/// Public so the CLI can reject a `--branch-at` past the horizon.
+/// Hard stop per latency or availability trial; stalled runs go quiescent
+/// long before this.
 pub const LATENCY_HORIZON: u64 = 100_000;
+
+/// The register workload of the latency and availability modes:
+/// alternating writes and reads, round-robin over the invokers.
+fn register_ops(invokers: &[ProcessId]) -> Vec<(SimTime, ProcessId, RegOp<u8, u64>)> {
+    (0..LATENCY_OPS)
+        .map(|i| {
+            let op =
+                if i % 2 == 0 { RegOp::Write { reg: 0, value: i } } else { RegOp::Read { reg: 0 } };
+            (SimTime(10 + i * LATENCY_OP_SPACING), invokers[(i as usize) % invokers.len()], op)
+        })
+        .collect()
+}
+
+/// Majority-quorum ABD registers wrapped in [`Flood`]; `retry` selects
+/// the retransmitting engine and its period.
+fn flooded_registers(n: usize, retry: Option<u64>) -> Vec<Flood<AbdRegister<u8, u64>>> {
+    let qs = majority_system(n).expect("majority system exists for n >= 1");
+    let (reads, writes) = (qs.reads().clone(), qs.writes().clone());
+    let nodes = match retry {
+        Some(interval) => reliable_abd_register_nodes::<u8, u64>(n, reads, writes, 0, interval),
+        None => abd_register_nodes::<u8, u64>(n, reads, writes, 0),
+    };
+    nodes.into_iter().map(Flood::new).collect()
+}
+
+/// [`Mode::Latency`].
+struct Latency;
+
+impl Simulated for Latency {
+    type Proto = Flood<AbdRegister<u8, u64>>;
+    const METRICS: &'static [&'static str] = LATENCY_METRICS;
+    const HORIZON: u64 = LATENCY_HORIZON;
+    const TIMING: ScheduleTiming = LATENCY_TIMING;
+
+    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
+        (flooded_registers(n, None), register_ops(invokers))
+    }
+
+    fn measure(run: &Prepared<Self>) -> Vec<f64> {
+        let lats: Vec<u64> = run.sim.history().ops().iter().filter_map(|r| r.latency()).collect();
+        let completed = lats.len() as f64 / LATENCY_OPS as f64;
+        let lat_mean =
+            if lats.is_empty() { 0.0 } else { lats.iter().sum::<u64>() as f64 / lats.len() as f64 };
+        let lat_max = lats.iter().max().copied().unwrap_or(0) as f64;
+        let msgs_per_op = run.sim.stats().delivered as f64 / LATENCY_OPS as f64;
+        vec![completed, lat_mean, lat_max, msgs_per_op]
+    }
+}
 
 /// Runs one protocol-latency trial: builds the cell's topology and
 /// fail-prone system exactly like [`scenario_trial`], then drives an
@@ -1185,87 +1371,7 @@ pub const LATENCY_HORIZON: u64 = 100_000;
 /// availability/latency trade-off of the classical quorum-system
 /// literature, now measured per cell *and per fault timeline*.
 pub fn latency_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let Some((mut sim, (), _)) = latency_setup(cell, rng) else {
-        return vec![0.0; LATENCY_METRICS.len()];
-    };
-    sim.run_until_ops_complete();
-    latency_measure(&sim)
-}
-
-/// The flooded ABD register stack ready to run: scenario drawn, schedule
-/// applied, operations invoked. `None` when the cell draws an empty
-/// fail-prone system or no invokers (the trial reports zeros). Split out
-/// of [`latency_trial`] so trace replay and timeline runs can drive the
-/// exact same simulation differently.
-fn latency_setup(
-    cell: &ScenarioCell,
-    rng: &mut SplitMix64,
-) -> PreparedSim<Flood<AbdRegister<u8, u64>>, ()> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
-    let sim_seed = rng.next_u64();
-    if fp.is_empty() {
-        return None;
-    }
-    let pattern = fp.pattern(0);
-    let invokers = cell.schedule.invokers(cell.n, pattern);
-    if invokers.is_empty() {
-        return None;
-    }
-    let script = cell.schedule.script(cell.family, cell.n, &g, pattern, &LATENCY_TIMING);
-    let qs = majority_system(cell.n).expect("majority system exists for n >= 1");
-    let nodes: Vec<Flood<_>> =
-        abd_register_nodes::<u8, u64>(cell.n, qs.reads().clone(), qs.writes().clone(), 0)
-            .into_iter()
-            .map(Flood::new)
-            .collect();
-    let cfg = SimConfig {
-        seed: sim_seed,
-        net: Some(cell.net.net_model(SimConfig::default().delay, cell.region_spec())),
-        topology: Topology::from(g),
-        horizon: SimTime(LATENCY_HORIZON),
-        loss: cell.loss,
-        max_events: sweep_max_events(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&script.to_schedule());
-    for i in 0..LATENCY_OPS {
-        let p = invokers[(i as usize) % invokers.len()];
-        let at = SimTime(10 + i * LATENCY_OP_SPACING);
-        if i % 2 == 0 {
-            sim.invoke_at(at, p, RegOp::Write { reg: 0, value: i });
-        } else {
-            sim.invoke_at(at, p, RegOp::Read { reg: 0 });
-        }
-    }
-    Some((sim, (), sim_seed))
-}
-
-/// Reads [`LATENCY_METRICS`] off a finished latency run.
-fn latency_measure(sim: &Simulation<Flood<AbdRegister<u8, u64>>>) -> Vec<f64> {
-    let lats: Vec<u64> = sim.history().ops().iter().filter_map(|r| r.latency()).collect();
-    let completed = lats.len() as f64 / LATENCY_OPS as f64;
-    let lat_mean =
-        if lats.is_empty() { 0.0 } else { lats.iter().sum::<u64>() as f64 / lats.len() as f64 };
-    let lat_max = lats.iter().max().copied().unwrap_or(0) as f64;
-    let msgs_per_op = sim.stats().delivered as f64 / LATENCY_OPS as f64;
-    vec![completed, lat_mean, lat_max, msgs_per_op]
-}
-
-/// The event cap simulated sweep trials run under: [`SimConfig`]'s
-/// default, overridable via the `GQS_MAX_EVENTS` environment variable
-/// (read once per process). CI uses a tiny cap to exercise the
-/// event-cap → stall-hint → flight-recorder path cheaply; it is also the
-/// escape hatch when a pathological grid needs a higher ceiling.
-fn sweep_max_events() -> u64 {
-    static CAP: OnceLock<u64> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("GQS_MAX_EVENTS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(SimConfig::default().max_events)
-    })
+    one_row::<Latency>(cell, rng, None).0
 }
 
 /// The metrics every consensus trial reports, in row order:
@@ -1291,9 +1397,60 @@ const CONSENSUS_DELTA: u64 = 5;
 /// Global stabilization time: late enough that early views churn, early
 /// enough that decisions land well before the horizon.
 const CONSENSUS_GST: u64 = 1_000;
-/// Hard stop per consensus trial. Public so the CLI can reject a
-/// `--branch-at` past the horizon.
+/// Hard stop per consensus trial.
 pub const CONSENSUS_HORIZON: u64 = 200_000;
+
+/// [`Mode::Consensus`].
+struct Consensus;
+
+impl Simulated for Consensus {
+    type Proto = Flood<ConsensusNode<u64>>;
+    const METRICS: &'static [&'static str] = CONSENSUS_METRICS;
+    const HORIZON: u64 = CONSENSUS_HORIZON;
+    const TIMING: ScheduleTiming = CONSENSUS_TIMING;
+
+    fn delay() -> DelayModel {
+        DelayModel::PartialSynchrony {
+            pre_min: 1,
+            pre_max: 100,
+            gst: CONSENSUS_GST,
+            delta: CONSENSUS_DELTA,
+        }
+    }
+
+    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
+        let proposals = invokers
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (SimTime(10 + i as u64), p, p.index() as u64 + 1))
+            .collect();
+        (majority_consensus_nodes::<u64>(n, CONSENSUS_C, ProposalMode::Push), proposals)
+    }
+
+    /// Also trips the Agreement assertion.
+    fn measure(run: &Prepared<Self>) -> Vec<f64> {
+        let n = run.sim.len();
+        // One pass collects everything a decision yields: the value for the
+        // Agreement tripwire, the (view, time) pair for the metrics.
+        let decisions: Vec<(u64, u64, SimTime)> = (0..n)
+            .filter_map(|p| {
+                run.sim.node(ProcessId(p)).inner().decision().map(|&(v, view, at)| (v, view, at))
+            })
+            .collect();
+        assert!(
+            decisions.windows(2).all(|w| w[0].0 == w[1].0),
+            "consensus Agreement violated: {:?}",
+            decisions.iter().map(|&(v, _, _)| v).collect::<Vec<_>>()
+        );
+        let decided = decisions.len() as f64 / n as f64;
+        let first = decisions.iter().min_by_key(|&&(_, _, at)| at);
+        let views = first.map(|&(_, v, _)| v).unwrap_or(0) as f64;
+        let decide_lat = first.map(|&(_, _, at)| at.ticks()).unwrap_or(0) as f64;
+        let lat_over_cdelta = decide_lat / (CONSENSUS_C * CONSENSUS_DELTA) as f64;
+        let msgs_per_op = run.sim.stats().delivered as f64 / run.invokers as f64;
+        vec![decided, views, decide_lat, lat_over_cdelta, msgs_per_op]
+    }
+}
 
 /// Runs one single-shot consensus trial: builds the cell's topology and
 /// fail-prone system exactly like [`scenario_trial`], then drives the
@@ -1307,92 +1464,19 @@ pub const CONSENSUS_HORIZON: u64 = 200_000;
 /// that has caught real bugs in weaker harnesses) and reports liveness
 /// figures. Deterministic in the per-trial seed like every other trial.
 pub fn consensus_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let Some((mut sim, invokers, _)) = consensus_setup(cell, rng) else {
-        return vec![0.0; CONSENSUS_METRICS.len()];
-    };
-    sim.run_until_ops_complete();
-    consensus_measure(&sim, cell, &invokers)
+    one_row::<Consensus>(cell, rng, None).0
 }
 
-/// What a `*_setup` function hands to [`branch_rows`]: the warmed-up
-/// simulation, mode-specific measurement context `X`, and the drawn
-/// simulator seed that branch seeds derive from. `None` when the cell
-/// draws an empty scenario (the trial reports zeros).
-type PreparedSim<P, X> = Option<(Simulation<P>, X, u64)>;
-
-/// The consensus simulation ready to run: scenario drawn, nodes built,
-/// schedule applied, proposals invoked. `None` when the cell draws an
-/// empty fail-prone system or no invokers (the trial reports zeros).
-/// Also returns the drawn simulator seed, which branch seeds derive
-/// from. Split out of [`consensus_trial`] so branched execution can
-/// stop the same run at the branch point.
-fn consensus_setup(
+/// One branched consensus trial: [`consensus_trial`]'s exact scenario
+/// draw and warmup to `spec.at`, then `spec.branches` reseeded
+/// continuations, each reporting a [`CONSENSUS_METRICS`] row. See
+/// [`BranchSpec`] for the fork/straight contract.
+pub fn consensus_branch_trial(
     cell: &ScenarioCell,
     rng: &mut SplitMix64,
-) -> PreparedSim<Flood<ConsensusNode<u64>>, Vec<ProcessId>> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
-    let sim_seed = rng.next_u64();
-    if fp.is_empty() {
-        return None;
-    }
-    let pattern = fp.pattern(0);
-    let invokers = cell.schedule.invokers(cell.n, pattern);
-    if invokers.is_empty() {
-        return None;
-    }
-    let script = cell.schedule.script(cell.family, cell.n, &g, pattern, &CONSENSUS_TIMING);
-    let nodes = majority_consensus_nodes::<u64>(cell.n, CONSENSUS_C, ProposalMode::Push);
-    let delay = DelayModel::PartialSynchrony {
-        pre_min: 1,
-        pre_max: 100,
-        gst: CONSENSUS_GST,
-        delta: CONSENSUS_DELTA,
-    };
-    let cfg = SimConfig {
-        seed: sim_seed,
-        delay,
-        net: Some(cell.net.net_model(delay, cell.region_spec())),
-        topology: Topology::from(g),
-        horizon: SimTime(CONSENSUS_HORIZON),
-        loss: cell.loss,
-        max_events: sweep_max_events(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&script.to_schedule());
-    for (i, &p) in invokers.iter().enumerate() {
-        sim.invoke_at(SimTime(10 + i as u64), p, p.index() as u64 + 1);
-    }
-    Some((sim, invokers, sim_seed))
-}
-
-/// Reads [`CONSENSUS_METRICS`] off a finished consensus run (and trips
-/// the Agreement assertion).
-fn consensus_measure(
-    sim: &Simulation<Flood<ConsensusNode<u64>>>,
-    cell: &ScenarioCell,
-    invokers: &[ProcessId],
-) -> Vec<f64> {
-    // One pass collects everything a decision yields: the value for the
-    // Agreement tripwire, the (view, time) pair for the metrics.
-    let decisions: Vec<(u64, u64, SimTime)> = (0..cell.n)
-        .filter_map(|p| {
-            sim.node(ProcessId(p)).inner().decision().map(|&(v, view, at)| (v, view, at))
-        })
-        .collect();
-    assert!(
-        decisions.windows(2).all(|w| w[0].0 == w[1].0),
-        "consensus Agreement violated: {:?}",
-        decisions.iter().map(|&(v, _, _)| v).collect::<Vec<_>>()
-    );
-    let decided = decisions.len() as f64 / cell.n as f64;
-    let first = decisions.iter().min_by_key(|&&(_, _, at)| at);
-    let views = first.map(|&(_, v, _)| v).unwrap_or(0) as f64;
-    let decide_lat = first.map(|&(_, _, at)| at.ticks()).unwrap_or(0) as f64;
-    let lat_over_cdelta = decide_lat / (CONSENSUS_C * CONSENSUS_DELTA) as f64;
-    let msgs_per_op = sim.stats().delivered as f64 / invokers.len() as f64;
-    vec![decided, views, decide_lat, lat_over_cdelta, msgs_per_op]
+    spec: &BranchSpec,
+) -> Vec<Vec<f64>> {
+    branch_rows::<Consensus>(cell, rng, spec)
 }
 
 /// The metrics every availability trial reports, in row order:
@@ -1417,6 +1501,51 @@ pub const AVAILABILITY_METRICS: &[&str] =
 /// is retried several times before and shortly after the heal.
 const AVAILABILITY_RETRY: u64 = 150;
 
+/// [`Mode::Availability`].
+struct Availability;
+
+impl Simulated for Availability {
+    type Proto = Flood<AbdRegister<u8, u64>>;
+    const METRICS: &'static [&'static str] = AVAILABILITY_METRICS;
+    const HORIZON: u64 = LATENCY_HORIZON;
+    const TIMING: ScheduleTiming = LATENCY_TIMING;
+
+    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
+        (flooded_registers(n, Some(AVAILABILITY_RETRY)), register_ops(invokers))
+    }
+
+    fn measure(run: &Prepared<Self>) -> Vec<f64> {
+        let invoked = run.sim.history().ops().len();
+        if invoked == 0 {
+            return vec![0.0; AVAILABILITY_METRICS.len()];
+        }
+        let done: Vec<SimTime> =
+            run.sim.history().ops().iter().filter_map(|r| r.completed_at()).collect();
+        let completed = done.len() as f64 / invoked as f64;
+        let stalled = (invoked - done.len()) as f64;
+        // The schedule's last heal or recovery; faults that never heal
+        // contribute nothing (their damage shows up in `stalled` instead).
+        let last_heal = run
+            .schedule
+            .heals()
+            .iter()
+            .map(|&(_, at)| at)
+            .chain(run.schedule.recovers().iter().map(|&(_, at)| at))
+            .max();
+        let time_to_heal = match last_heal {
+            Some(heal) => done
+                .iter()
+                .filter(|&&at| at >= heal)
+                .max()
+                .map(|&at| (at.ticks() - heal.ticks()) as f64)
+                .unwrap_or(0.0),
+            None => 0.0,
+        };
+        let retransmits_per_op = run.sim.stats().retransmitted as f64 / invoked as f64;
+        vec![completed, stalled, time_to_heal, retransmits_per_op]
+    }
+}
+
 /// Runs one availability trial: the same topology/fail-prone draw and
 /// fault schedule as [`latency_trial`], but driving the *self-healing*
 /// register stack — [`gqs_registers::reliable_abd_register_nodes`], whose
@@ -1428,109 +1557,128 @@ const AVAILABILITY_RETRY: u64 = 150;
 /// completes after the heal with **no client-side retry**; the trial
 /// measures [`AVAILABILITY_METRICS`].
 pub fn availability_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let Some((mut sim, schedule, _)) = availability_setup(cell, rng) else {
-        return vec![0.0; AVAILABILITY_METRICS.len()];
-    };
-    sim.run_until_ops_complete();
-    availability_measure(&sim, &schedule)
-}
-
-/// The self-healing register stack ready to run, plus the fault schedule
-/// (the `time_to_heal` metric needs its last heal time) and the drawn
-/// simulator seed (branch seeds derive from it). `None` when the cell
-/// draws an empty fail-prone system or no invokers. Split out of
-/// [`availability_trial`] so branched execution can stop the same run at
-/// the branch point.
-fn availability_setup(
-    cell: &ScenarioCell,
-    rng: &mut SplitMix64,
-) -> PreparedSim<Flood<AbdRegister<u8, u64>>, FailureSchedule> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
-    let sim_seed = rng.next_u64();
-    if fp.is_empty() {
-        return None;
-    }
-    let pattern = fp.pattern(0);
-    let invokers = cell.schedule.invokers(cell.n, pattern);
-    if invokers.is_empty() {
-        return None;
-    }
-    let script = cell.schedule.script(cell.family, cell.n, &g, pattern, &LATENCY_TIMING);
-    let schedule = script.to_schedule();
-    let qs = majority_system(cell.n).expect("majority system exists for n >= 1");
-    let nodes: Vec<Flood<_>> = reliable_abd_register_nodes::<u8, u64>(
-        cell.n,
-        qs.reads().clone(),
-        qs.writes().clone(),
-        0,
-        AVAILABILITY_RETRY,
-    )
-    .into_iter()
-    .map(Flood::new)
-    .collect();
-    let cfg = SimConfig {
-        seed: sim_seed,
-        net: Some(cell.net.net_model(SimConfig::default().delay, cell.region_spec())),
-        topology: Topology::from(g),
-        horizon: SimTime(LATENCY_HORIZON),
-        loss: cell.loss,
-        max_events: sweep_max_events(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&schedule);
-    for i in 0..LATENCY_OPS {
-        let p = invokers[(i as usize) % invokers.len()];
-        let at = SimTime(10 + i * LATENCY_OP_SPACING);
-        if i % 2 == 0 {
-            sim.invoke_at(at, p, RegOp::Write { reg: 0, value: i });
-        } else {
-            sim.invoke_at(at, p, RegOp::Read { reg: 0 });
-        }
-    }
-    Some((sim, schedule, sim_seed))
-}
-
-/// Reads [`AVAILABILITY_METRICS`] off a finished availability run.
-fn availability_measure(
-    sim: &Simulation<Flood<AbdRegister<u8, u64>>>,
-    schedule: &FailureSchedule,
-) -> Vec<f64> {
-    let invoked = sim.history().ops().len();
-    if invoked == 0 {
-        return vec![0.0; AVAILABILITY_METRICS.len()];
-    }
-    let done: Vec<SimTime> = sim.history().ops().iter().filter_map(|r| r.completed_at()).collect();
-    let completed = done.len() as f64 / invoked as f64;
-    let stalled = (invoked - done.len()) as f64;
-    // The schedule's last heal or recovery; faults that never heal
-    // contribute nothing (their damage shows up in `stalled` instead).
-    let last_heal = schedule
-        .heals()
-        .iter()
-        .map(|&(_, at)| at)
-        .chain(schedule.recovers().iter().map(|&(_, at)| at))
-        .max();
-    let time_to_heal = match last_heal {
-        Some(heal) => done
-            .iter()
-            .filter(|&&at| at >= heal)
-            .max()
-            .map(|&at| (at.ticks() - heal.ticks()) as f64)
-            .unwrap_or(0.0),
-        None => 0.0,
-    };
-    let retransmits_per_op = sim.stats().retransmitted as f64 / invoked as f64;
-    vec![completed, stalled, time_to_heal, retransmits_per_op]
+    one_row::<Availability>(cell, rng, None).0
 }
 
 // ---------------------------------------------------------------------------
-// Fork-and-branch execution
+// Execution strategies: straight, windowed, fork-and-branch, trace replay
+// ---------------------------------------------------------------------------
 
-/// Runs one branched trial generically: `setup` builds the simulation
-/// (advancing the trial RNG by exactly one draw sequence), `measure`
-/// reads a metric row off a finished run.
+/// How a simulated sweep executes each trial — orthogonal to *what* the
+/// trial simulates ([`Mode`]). Windowing and branching exclude each
+/// other: a branched trial has no single timeline.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Exec {
+    /// One run to completion per trial, one metric row.
+    Straight,
+    /// One run per trial driven in windows of this many ticks, appending
+    /// [`TIMELINE_SERIES`] samples per window to the metric row
+    /// ([`report_json_exec`] renders them as series). Pure observation:
+    /// the base metrics equal [`Exec::Straight`]'s bit for bit. On an
+    /// outage grid in availability mode the `tl_ops` series shows the
+    /// parked backlog draining in a burst right after the heal.
+    Timeline(u64),
+    /// One warmup to `at` per trial, then `branches` reseeded
+    /// continuations (or the warmup replayed per branch in
+    /// [`BranchMode::Straight`]), each contributing one metric row — a
+    /// cell aggregates `trials × branches` rows.
+    Branched(BranchSpec),
+}
+
+/// The three per-bucket series every timeline trial samples, in column
+/// order within each bucket:
+///
+/// * `events` — simulator events processed inside the window;
+/// * `ops` — operations completed inside the window;
+/// * `avail` — cumulative completed/scheduled operation fraction at the
+///   window's end (0 before anything is scheduled).
+pub const TIMELINE_SERIES: &[&str] = &["events", "ops", "avail"];
+
+/// Bucket count of a timeline run over `horizon` ticks: one window per
+/// `bucket` ticks, the last window possibly short.
+///
+/// # Panics
+///
+/// Panics if `bucket` is zero.
+pub fn timeline_buckets(bucket: u64, horizon: u64) -> usize {
+    assert!(bucket > 0, "timeline bucket must be positive");
+    horizon.div_ceil(bucket) as usize
+}
+
+/// Drives a prepared simulation in `bucket`-tick windows up to `horizon`,
+/// sampling [`TIMELINE_SERIES`] at every window boundary. Windowing is
+/// pure observation: the bucketed run processes exactly the event
+/// sequence of a straight [`Simulation::run_until_ops_complete`] (held by
+/// a simnet test), so timeline sweeps keep the engine's
+/// bit-identical-for-any-thread-count contract. Returns the per-window
+/// samples plus the final stop reason (for stall logging).
+fn run_bucketed<P: Protocol>(
+    sim: &mut Simulation<P>,
+    bucket: u64,
+    horizon: u64,
+) -> (Vec<[f64; 3]>, StopReason) {
+    let nb = timeline_buckets(bucket, horizon);
+    let mut out = Vec::with_capacity(nb);
+    let mut prev_events = sim.stats().events;
+    let mut prev_done = sim.finished_ops();
+    let mut reason = StopReason::Quiescent;
+    for k in 0..nb {
+        let until = SimTime(((k as u64 + 1) * bucket).min(horizon));
+        reason = sim.run_until_ops_complete_or(until);
+        let events = sim.stats().events;
+        let done = sim.finished_ops();
+        let scheduled = sim.scheduled_ops();
+        let avail = if scheduled == 0 { 0.0 } else { done as f64 / scheduled as f64 };
+        out.push([(events - prev_events) as f64, (done - prev_done) as f64, avail]);
+        prev_events = events;
+        prev_done = done;
+    }
+    (out, reason)
+}
+
+/// Prefix of the per-bucket columns a timeline sweep appends to its
+/// mode's base metrics; no base metric starts with it.
+const TIMELINE_PREFIX: &str = "tl_";
+
+/// Metric-name vector of a sweep over `buckets` windows: the mode's base
+/// metrics followed by `tl_<series><k>` columns for every bucket `k` —
+/// timeline samples ride the ordinary aggregation pipeline (and so
+/// inherit its determinism) instead of a side channel.
+fn timeline_metric_names(base: &[&str], buckets: usize) -> Vec<String> {
+    let mut names: Vec<String> = base.iter().map(|s| s.to_string()).collect();
+    for k in 0..buckets {
+        for series in TIMELINE_SERIES {
+            names.push(format!("{TIMELINE_PREFIX}{series}{k}"));
+        }
+    }
+    names
+}
+
+/// One unbranched trial of mode `M`: a straight run, or — with a
+/// `bucket` — a windowed one whose row carries the bucket-major
+/// [`TIMELINE_SERIES`] samples after the base metrics. An empty scenario
+/// draw reports a zero row of the same width. The stop reason is for
+/// stall logging.
+fn one_row<M: Simulated>(
+    cell: &ScenarioCell,
+    rng: &mut SplitMix64,
+    bucket: Option<u64>,
+) -> (Vec<f64>, StopReason) {
+    let Some(mut run) = prepare::<M>(cell, rng) else {
+        let buckets = bucket.map_or(0, |b| timeline_buckets(b, M::HORIZON));
+        let width = M::METRICS.len() + TIMELINE_SERIES.len() * buckets;
+        return (vec![0.0; width], StopReason::Quiescent);
+    };
+    let (samples, reason) = match bucket {
+        Some(b) => run_bucketed(&mut run.sim, b, M::HORIZON),
+        None => (Vec::new(), run.sim.run_until_ops_complete()),
+    };
+    let mut row = M::measure(&run);
+    row.extend(samples.iter().flatten());
+    (row, reason)
+}
+
+/// One branched trial of mode `M`:
 ///
 /// * [`BranchMode::Fork`] runs the warmup once to `spec.at`, snapshots
 ///   it with [`Simulation::checkpoint`], and fans `spec.branches`
@@ -1547,29 +1695,23 @@ fn availability_measure(
 /// is purely an execution strategy, invisible in the aggregates. Empty
 /// scenario draws yield `spec.branches` all-zero rows so per-cell row
 /// counts agree across modes.
-fn branch_rows<P, X>(
-    spec: &BranchSpec,
+fn branch_rows<M: Simulated>(
+    cell: &ScenarioCell,
     rng: &mut SplitMix64,
-    n_metrics: usize,
-    setup: impl Fn(&mut SplitMix64) -> Option<(Simulation<P>, X, u64)>,
-    measure: impl Fn(&Simulation<P>, &X) -> Vec<f64>,
-) -> Vec<Vec<f64>>
-where
-    P: Protocol,
-{
+    spec: &BranchSpec,
+) -> Vec<Vec<f64>> {
+    let zeros = || vec![vec![0.0; M::METRICS.len()]; spec.branches];
     match spec.mode {
         BranchMode::Fork => {
-            let Some((mut sim, extra, sim_seed)) = setup(rng) else {
-                return vec![vec![0.0; n_metrics]; spec.branches];
-            };
-            sim.run_until(SimTime(spec.at));
-            let cp = sim.checkpoint();
+            let Some(mut run) = prepare::<M>(cell, rng) else { return zeros() };
+            run.sim.run_until(SimTime(spec.at));
+            let cp = run.sim.checkpoint();
             (0..spec.branches)
                 .map(|b| {
-                    sim.restore(&cp);
-                    sim.reseed(BranchSpec::branch_seed(sim_seed, b));
-                    sim.run_until_ops_complete();
-                    measure(&sim, &extra)
+                    run.sim.restore(&cp);
+                    run.sim.reseed(BranchSpec::branch_seed(run.sim_seed, b));
+                    run.sim.run_until_ops_complete();
+                    M::measure(&run)
                 })
                 .collect()
         }
@@ -1582,54 +1724,60 @@ where
             for b in 0..spec.branches {
                 let mut replay = pre.clone();
                 let r = if b == 0 { &mut *rng } else { &mut replay };
-                let Some((mut sim, extra, sim_seed)) = setup(r) else {
-                    return vec![vec![0.0; n_metrics]; spec.branches];
-                };
-                sim.run_until(SimTime(spec.at));
-                sim.reseed(BranchSpec::branch_seed(sim_seed, b));
-                sim.run_until_ops_complete();
-                rows.push(measure(&sim, &extra));
+                let Some(mut run) = prepare::<M>(cell, r) else { return zeros() };
+                run.sim.run_until(SimTime(spec.at));
+                run.sim.reseed(BranchSpec::branch_seed(run.sim_seed, b));
+                run.sim.run_until_ops_complete();
+                rows.push(M::measure(&run));
             }
             rows
         }
     }
 }
 
-/// One branched consensus trial: [`consensus_trial`]'s exact scenario
-/// draw and warmup to `spec.at`, then `spec.branches` reseeded
-/// continuations, each reporting a [`CONSENSUS_METRICS`] row. See
-/// [`BranchSpec`] for the fork/straight contract.
-pub fn consensus_branch_trial(
+/// Runs one trial of mode `M` to completion with `sink` attached; `false`
+/// when the trial draws an empty scenario (nothing to trace).
+fn replay<M: Simulated>(
     cell: &ScenarioCell,
     rng: &mut SplitMix64,
-    spec: &BranchSpec,
-) -> Vec<Vec<f64>> {
-    branch_rows(
-        spec,
-        rng,
-        CONSENSUS_METRICS.len(),
-        |r| consensus_setup(cell, r),
-        |sim, invokers| consensus_measure(sim, cell, invokers),
-    )
+    sink: Box<dyn TraceSink>,
+) -> bool {
+    let Some(mut run) = prepare::<M>(cell, rng) else { return false };
+    run.sim.set_trace(sink);
+    run.sim.run_until_ops_complete();
+    true
 }
 
-/// One branched availability trial: the self-healing register stack
-/// warmed to `spec.at`, then `spec.branches` reseeded continuations,
-/// each reporting an [`AVAILABILITY_METRICS`] row. See [`BranchSpec`]
-/// for the fork/straight contract.
-pub fn availability_branch_trial(
-    cell: &ScenarioCell,
-    rng: &mut SplitMix64,
-    spec: &BranchSpec,
-) -> Vec<Vec<f64>> {
-    branch_rows(
-        spec,
-        rng,
-        AVAILABILITY_METRICS.len(),
-        |r| availability_setup(cell, r),
-        availability_measure,
-    )
+/// Streams `grid` through the engine in mode `M` under `exec`: the one
+/// place a simulated sweep's [`SweepSpec`], metric names, cell indexing
+/// and stall log come together. Only unbranched trials feed the stall
+/// log: the hint it produces points at the straight replay of a trial,
+/// which a reseeded continuation is not.
+fn drive<M: Simulated>(grid: &ScenarioGrid, exec: &Exec, opts: &SweepOptions) -> SweepReport {
+    let bucket = match *exec {
+        Exec::Timeline(bucket) => Some(bucket),
+        Exec::Straight | Exec::Branched(_) => None,
+    };
+    let buckets = bucket.map_or(0, |b| timeline_buckets(b, M::HORIZON));
+    let names = timeline_metric_names(M::METRICS, buckets);
+    let metrics: Vec<&str> = names.iter().map(String::as_str).collect();
+    // Cells travel with their grid index so stall records can address them
+    // (the engine's closure signature only carries the trial index).
+    let cells: Vec<(usize, ScenarioCell)> = grid.cells.iter().copied().enumerate().collect();
+    let spec = SweepSpec { cells: &cells, trials: grid.trials, seed: grid.seed, metrics: &metrics };
+    run_rows(&spec, opts, |(c, cell), t, rng| match exec {
+        Exec::Branched(branch) => branch_rows::<M>(cell, rng, branch),
+        Exec::Straight | Exec::Timeline(_) => {
+            let (row, reason) = one_row::<M>(cell, rng, bucket);
+            note_stall(&opts.stall_log, *c, t, reason);
+            vec![row]
+        }
+    })
 }
+
+// ---------------------------------------------------------------------------
+// Scale mode (two simulations per trial, so outside `Simulated`)
+// ---------------------------------------------------------------------------
 
 /// The metrics every scale trial reports, in row order:
 ///
@@ -1647,8 +1795,9 @@ pub fn availability_branch_trial(
 /// Every metric is a deterministic simulation quantity — counts and
 /// virtual times, never wall-clock — so scale reports diff byte for byte
 /// across machines and thread counts like every other mode. (Throughput
-/// and memory figures live in the bench crate's `perf_snapshot`, which
-/// measures rather than simulates.)
+/// and memory figures live in the repository benchmark's `scale`
+/// workload, `bash benchmark/run.sh`, which measures rather than
+/// simulates.)
 pub const SCALE_METRICS: &[&str] =
     &["reached", "spread", "msgs_per_proc", "abd_completed", "abd_msgs_per_proc"];
 
@@ -1726,96 +1875,127 @@ pub fn scale_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Timeline runs (windowed metrics over virtual time)
+// The mode vocabulary and the grid's entry points
 // ---------------------------------------------------------------------------
 
-/// The three per-bucket series every timeline trial samples, in column
-/// order within each bucket:
-///
-/// * `events` — simulator events processed inside the window;
-/// * `ops` — operations completed inside the window;
-/// * `avail` — cumulative completed/scheduled operation fraction at the
-///   window's end (0 before anything is scheduled).
-pub const TIMELINE_SERIES: &[&str] = &["events", "ops", "avail"];
-
-/// Bucket count of a timeline run over `horizon` ticks: one window per
-/// `bucket` ticks, the last window possibly short.
-///
-/// # Panics
-///
-/// Panics if `bucket` is zero.
-pub fn timeline_buckets(bucket: u64, horizon: u64) -> usize {
-    assert!(bucket > 0, "timeline bucket must be positive");
-    horizon.div_ceil(bucket) as usize
+/// What one trial of a scenario grid measures (`gqs_sweep --mode`),
+/// orthogonal to how the trial is executed ([`Exec`]). Every mode draws
+/// from the per-trial RNG only, so a trial is deterministic in its seed
+/// and reports diff byte for byte.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// The decision procedures alone: [`scenario_trial`],
+    /// [`SCENARIO_METRICS`].
+    Solvability,
+    /// The flooded ABD register of [`latency_trial`],
+    /// [`LATENCY_METRICS`].
+    Latency,
+    /// The Figure 6 consensus stack of [`consensus_trial`],
+    /// [`CONSENSUS_METRICS`].
+    Consensus,
+    /// The self-healing register stack of [`availability_trial`],
+    /// [`AVAILABILITY_METRICS`].
+    Availability,
+    /// Gossip and sampled-arc ABD over implicit topologies:
+    /// [`scale_trial`], [`SCALE_METRICS`].
+    Scale,
 }
 
-/// Drives a prepared simulation in `bucket`-tick windows up to `horizon`,
-/// sampling [`TIMELINE_SERIES`] at every window boundary. Windowing is
-/// pure observation: the bucketed run processes exactly the event
-/// sequence of a straight [`Simulation::run_until_ops_complete`] (held by
-/// a simnet test), so timeline sweeps keep the engine's
-/// bit-identical-for-any-thread-count contract. Returns the per-window
-/// samples plus the final stop reason (for stall logging).
-fn run_bucketed<P: Protocol>(
-    sim: &mut Simulation<P>,
-    bucket: u64,
+/// The monomorphized entry points of one [`Simulated`] description.
+struct SimEntry {
     horizon: u64,
-) -> (Vec<[f64; 3]>, StopReason) {
-    let nb = timeline_buckets(bucket, horizon);
-    let mut out = Vec::with_capacity(nb);
-    let mut prev_events = sim.stats().events;
-    let mut prev_done = sim.finished_ops();
-    let mut reason = StopReason::Quiescent;
-    for k in 0..nb {
-        let until = SimTime(((k as u64 + 1) * bucket).min(horizon));
-        reason = sim.run_until_ops_complete_or(until);
-        let events = sim.stats().events;
-        let done = sim.finished_ops();
-        let scheduled = sim.scheduled_ops();
-        let avail = if scheduled == 0 { 0.0 } else { done as f64 / scheduled as f64 };
-        out.push([(events - prev_events) as f64, (done - prev_done) as f64, avail]);
-        prev_events = events;
-        prev_done = done;
-    }
-    (out, reason)
+    drive: fn(&ScenarioGrid, &Exec, &SweepOptions) -> SweepReport,
+    replay: fn(&ScenarioCell, &mut SplitMix64, Box<dyn TraceSink>) -> bool,
 }
 
-/// Metric-name vector of a timeline sweep: the mode's base metrics
-/// followed by `tl_<series><k>` columns for every bucket `k` — timeline
-/// samples ride the ordinary aggregation pipeline (and so inherit its
-/// determinism) instead of a side channel.
-fn timeline_metric_names(base: &[&str], buckets: usize) -> Vec<String> {
-    let mut names: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-    for k in 0..buckets {
-        for series in TIMELINE_SERIES {
-            names.push(format!("tl_{series}{k}"));
+impl SimEntry {
+    fn of<M: Simulated>() -> Self {
+        SimEntry { horizon: M::HORIZON, drive: drive::<M>, replay: replay::<M> }
+    }
+}
+
+impl Mode {
+    /// Every mode, in `--help` order.
+    const ALL: [Mode; 5] =
+        [Mode::Solvability, Mode::Latency, Mode::Consensus, Mode::Availability, Mode::Scale];
+
+    /// The CLI name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Solvability => "solvability",
+            Mode::Latency => "latency",
+            Mode::Consensus => "consensus",
+            Mode::Availability => "availability",
+            Mode::Scale => "scale",
         }
     }
-    names
-}
 
-/// Appends one bucket-major sample row to a base metric row.
-fn extend_with_timeline(mut row: Vec<f64>, samples: &[[f64; 3]]) -> Vec<f64> {
-    for s in samples {
-        row.extend_from_slice(s);
+    /// The metric names of one trial row, in row order.
+    pub fn metrics(self) -> &'static [&'static str] {
+        match self {
+            Mode::Solvability => SCENARIO_METRICS,
+            Mode::Latency => LATENCY_METRICS,
+            Mode::Consensus => CONSENSUS_METRICS,
+            Mode::Availability => AVAILABILITY_METRICS,
+            Mode::Scale => SCALE_METRICS,
+        }
     }
-    row
+
+    /// The one place a runtime mode becomes its [`Simulated`] type (once
+    /// per sweep, never per trial); `None` for the modes that drive no
+    /// single protocol simulation.
+    fn simulated(self) -> Option<SimEntry> {
+        match self {
+            Mode::Latency => Some(SimEntry::of::<Latency>()),
+            Mode::Consensus => Some(SimEntry::of::<Consensus>()),
+            Mode::Availability => Some(SimEntry::of::<Availability>()),
+            Mode::Solvability | Mode::Scale => None,
+        }
+    }
+
+    /// The hard stop of one simulated trial, in ticks. `Some` exactly for
+    /// the modes whose trial is one bounded protocol simulation (latency,
+    /// consensus, availability): the ones that can be windowed, branched
+    /// and trace-replayed, and whose grids have schedule, loss and
+    /// network axes.
+    pub fn horizon(self) -> Option<u64> {
+        self.simulated().map(|entry| entry.horizon)
+    }
+
+    /// [`Mode::horizon`], or the one refusal windowing, branching and
+    /// trace replay (`what` names which) all give on a mode without one:
+    /// solvability decides, scale runs two simulations per trial — neither
+    /// has a single run to window, fork or trace.
+    pub fn horizon_for(self, what: &str) -> Result<u64, String> {
+        self.horizon().ok_or_else(|| self.unsimulated(what))
+    }
+
+    fn unsimulated(self, what: &str) -> String {
+        format!("{what} needs --mode latency, consensus or availability, not {:?}", self.name())
+    }
+
+    /// The largest system size a cell may have, and the constant that
+    /// sets it: the decision modes build quorum systems and fail-prone
+    /// structures, whose bitsets stop at `gqs_core::MAX_PROCESSES`; scale
+    /// mode only needs the simulator's pid space.
+    pub fn size_cap(self) -> (usize, &'static str) {
+        match self {
+            Mode::Scale => (gqs_simnet::MAX_SIM_PROCESSES, "gqs_simnet::MAX_SIM_PROCESSES"),
+            _ => (gqs_core::MAX_PROCESSES, "gqs_core::MAX_PROCESSES"),
+        }
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Trace replay (serial re-execution of one sweep trial)
-// ---------------------------------------------------------------------------
+impl FromStr for Mode {
+    type Err = String;
 
-/// The simulated sweep modes a single trial can be replayed under (the
-/// solvability and scale modes run no traceable protocol stack).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SimMode {
-    /// The flooded ABD register of [`latency_trial`].
-    Latency,
-    /// The Figure 6 consensus stack of [`consensus_trial`].
-    Consensus,
-    /// The self-healing register stack of [`availability_trial`].
-    Availability,
+    fn from_str(s: &str) -> Result<Self, String> {
+        Mode::ALL.into_iter().find(|m| m.name() == s).ok_or_else(|| {
+            format!(
+                "unknown mode {s:?} (expected solvability|latency|consensus|availability|scale)"
+            )
+        })
+    }
 }
 
 /// Output encodings of [`replay_trial_trace`].
@@ -1835,48 +2015,30 @@ pub enum TraceFormat {
 /// execution the sweep aggregated, independent of `GQS_THREADS`.
 fn replay_trial(
     grid: &ScenarioGrid,
-    mode: SimMode,
+    mode: Mode,
     cell: usize,
     trial: usize,
     sink: Box<dyn TraceSink>,
 ) -> Result<(), String> {
-    let c = grid
-        .cells
-        .get(cell)
-        .ok_or_else(|| format!("cell {cell} out of range (grid has {} cells)", grid.cells.len()))?;
-    if trial >= grid.trials {
-        return Err(format!("trial {trial} out of range (grid has {} trials/cell)", grid.trials));
-    }
+    let entry = mode.simulated().ok_or_else(|| mode.unsimulated("trace replay"))?;
+    let c = grid.locate(cell, trial)?;
     let mut rng = trial_rng(grid.seed, cell * grid.trials + trial);
-    let empty = || "trial draws an empty scenario (nothing to trace)".to_string();
-    match mode {
-        SimMode::Latency => {
-            let (mut sim, _, _) = latency_setup(c, &mut rng).ok_or_else(empty)?;
-            sim.set_trace(sink);
-            sim.run_until_ops_complete();
-        }
-        SimMode::Consensus => {
-            let (mut sim, _, _) = consensus_setup(c, &mut rng).ok_or_else(empty)?;
-            sim.set_trace(sink);
-            sim.run_until_ops_complete();
-        }
-        SimMode::Availability => {
-            let (mut sim, _, _) = availability_setup(c, &mut rng).ok_or_else(empty)?;
-            sim.set_trace(sink);
-            sim.run_until_ops_complete();
-        }
+    if (entry.replay)(c, &mut rng, sink) {
+        Ok(())
+    } else {
+        Err("trial draws an empty scenario (nothing to trace)".to_string())
     }
-    Ok(())
 }
 
 /// Serially re-executes one sweep trial with an export sink attached and
 /// returns the rendered trace. Deterministic in `(grid, mode, cell,
 /// trial)`: byte-identical for any thread count, because the replay is
 /// single-threaded and seeded exactly like the parallel engine seeds
-/// that trial.
+/// that trial. Errors on out-of-range coordinates, an empty scenario
+/// draw, and the modes without a [`Mode::horizon`].
 pub fn replay_trial_trace(
     grid: &ScenarioGrid,
-    mode: SimMode,
+    mode: Mode,
     cell: usize,
     trial: usize,
     format: TraceFormat,
@@ -1901,7 +2063,7 @@ pub fn replay_trial_trace(
 /// armed timers and last events of the stuck run.
 pub fn replay_trial_flight(
     grid: &ScenarioGrid,
-    mode: SimMode,
+    mode: Mode,
     cell: usize,
     trial: usize,
 ) -> Result<Option<String>, String> {
@@ -1910,206 +2072,80 @@ pub fn replay_trial_flight(
     Ok(sink.with(|fr| fr.report().map(|r| r.to_string())))
 }
 
-/// Pairs every cell with its grid index so trial closures can address
-/// stall records (the engine's closure signature only carries the trial
-/// index).
-fn index_cells(cells: &[ScenarioCell]) -> Vec<(usize, ScenarioCell)> {
-    cells.iter().cloned().enumerate().collect()
-}
-
 impl ScenarioGrid {
-    /// Streams the grid through the engine.
+    /// Streams the grid through the engine in `mode` under `exec`; the
+    /// report carries [`Mode::metrics`] per cell (plus the window columns
+    /// under [`Exec::Timeline`]). Aggregates are bit-identical for any
+    /// thread count, and for either [`BranchMode`] of a branched run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exec` is not [`Exec::Straight`] for a mode without a
+    /// [`Mode::horizon`] (check with [`Mode::horizon_for`] first), or on a
+    /// zero [`Exec::Timeline`] bucket.
+    pub fn run_mode(&self, mode: Mode, exec: &Exec, opts: &SweepOptions) -> SweepReport {
+        if let Some(entry) = mode.simulated() {
+            return (entry.drive)(self, exec, opts);
+        }
+        assert!(*exec == Exec::Straight, "{}", mode.unsimulated("windowing or branching"));
+        let spec = SweepSpec {
+            cells: &self.cells,
+            trials: self.trials,
+            seed: self.seed,
+            metrics: mode.metrics(),
+        };
+        match mode {
+            Mode::Scale => run(&spec, opts, |cell, _t, rng| scale_trial(cell, rng)),
+            _ => run(&spec, opts, |cell, _t, rng| scenario_trial(cell, rng)),
+        }
+    }
+
+    /// The cell at index `cell`, provided `(cell, trial)` addresses a
+    /// trial of this grid; the error names the offending coordinate.
+    pub fn locate(&self, cell: usize, trial: usize) -> Result<&ScenarioCell, String> {
+        let c = self.cells.get(cell).ok_or_else(|| {
+            format!("cell {cell} out of range (grid has {} cells)", self.cells.len())
+        })?;
+        if trial >= self.trials {
+            return Err(format!(
+                "trial {trial} out of range (grid has {} trials/cell)",
+                self.trials
+            ));
+        }
+        Ok(c)
+    }
+
+    /// [`ScenarioGrid::run_mode`] in [`Mode::Solvability`].
     pub fn run(&self, opts: &SweepOptions) -> SweepReport {
-        let spec = SweepSpec {
-            cells: &self.cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: SCENARIO_METRICS,
-        };
-        run(&spec, opts, |cell, _t, rng| scenario_trial(cell, rng))
+        self.run_mode(Mode::Solvability, &Exec::Straight, opts)
     }
 
-    /// Streams the grid through the engine in protocol-latency mode
-    /// ([`latency_trial`] per trial, [`LATENCY_METRICS`] per cell). The
-    /// determinism contract is identical: aggregates are bit-identical
-    /// for any thread count.
+    /// [`ScenarioGrid::run_mode`] in [`Mode::Latency`].
     pub fn run_latency(&self, opts: &SweepOptions) -> SweepReport {
-        let cells = index_cells(&self.cells);
-        let spec = SweepSpec {
-            cells: &cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: LATENCY_METRICS,
-        };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match latency_setup(cell, rng) {
-            Some((mut sim, (), _)) => {
-                note_stall(&log, *c, t, sim.run_until_ops_complete());
-                latency_measure(&sim)
-            }
-            None => vec![0.0; LATENCY_METRICS.len()],
-        })
+        self.run_mode(Mode::Latency, &Exec::Straight, opts)
     }
 
-    /// Protocol-latency mode with windowed metrics: every trial runs in
-    /// `bucket`-tick windows and appends [`TIMELINE_SERIES`] samples per
-    /// window to its [`LATENCY_METRICS`] row. Render with
-    /// [`report_json_timeline`]. Same determinism contract as
-    /// [`ScenarioGrid::run_latency`] — windowing is pure observation.
-    pub fn run_latency_timeline(&self, opts: &SweepOptions, bucket: u64) -> SweepReport {
-        self.run_timeline(opts, bucket, LATENCY_METRICS, LATENCY_HORIZON, |cell, rng, b| {
-            latency_setup(cell, rng).map(|(mut sim, (), _)| {
-                let (samples, reason) = run_bucketed(&mut sim, b, LATENCY_HORIZON);
-                (extend_with_timeline(latency_measure(&sim), &samples), reason)
-            })
-        })
-    }
-
-    /// Streams the grid through the engine in consensus mode
-    /// ([`consensus_trial`] per trial, [`CONSENSUS_METRICS`] per cell),
-    /// under the same determinism contract.
+    /// [`ScenarioGrid::run_mode`] in [`Mode::Consensus`].
     pub fn run_consensus(&self, opts: &SweepOptions) -> SweepReport {
-        let cells = index_cells(&self.cells);
-        let spec = SweepSpec {
-            cells: &cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: CONSENSUS_METRICS,
-        };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match consensus_setup(cell, rng) {
-            Some((mut sim, invokers, _)) => {
-                note_stall(&log, *c, t, sim.run_until_ops_complete());
-                consensus_measure(&sim, cell, &invokers)
-            }
-            None => vec![0.0; CONSENSUS_METRICS.len()],
-        })
+        self.run_mode(Mode::Consensus, &Exec::Straight, opts)
     }
 
-    /// Consensus mode with windowed metrics; the timeline counterpart of
-    /// [`ScenarioGrid::run_consensus`] (see
-    /// [`ScenarioGrid::run_latency_timeline`]).
-    pub fn run_consensus_timeline(&self, opts: &SweepOptions, bucket: u64) -> SweepReport {
-        self.run_timeline(opts, bucket, CONSENSUS_METRICS, CONSENSUS_HORIZON, |cell, rng, b| {
-            consensus_setup(cell, rng).map(|(mut sim, invokers, _)| {
-                let (samples, reason) = run_bucketed(&mut sim, b, CONSENSUS_HORIZON);
-                (extend_with_timeline(consensus_measure(&sim, cell, &invokers), &samples), reason)
-            })
-        })
-    }
-
-    /// Streams the grid through the engine in availability mode
-    /// ([`availability_trial`] per trial, [`AVAILABILITY_METRICS`] per
-    /// cell), under the same determinism contract: aggregates are
-    /// bit-identical for any thread count.
+    /// [`ScenarioGrid::run_mode`] in [`Mode::Availability`].
     pub fn run_availability(&self, opts: &SweepOptions) -> SweepReport {
-        let cells = index_cells(&self.cells);
-        let spec = SweepSpec {
-            cells: &cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: AVAILABILITY_METRICS,
-        };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match availability_setup(cell, rng) {
-            Some((mut sim, schedule, _)) => {
-                note_stall(&log, *c, t, sim.run_until_ops_complete());
-                availability_measure(&sim, &schedule)
-            }
-            None => vec![0.0; AVAILABILITY_METRICS.len()],
-        })
+        self.run_mode(Mode::Availability, &Exec::Straight, opts)
     }
 
-    /// Availability mode with windowed metrics; the timeline counterpart
-    /// of [`ScenarioGrid::run_availability`] (see
-    /// [`ScenarioGrid::run_latency_timeline`]). On an outage grid the
-    /// `tl_ops` series shows the parked backlog draining in a burst right
-    /// after the heal.
-    pub fn run_availability_timeline(&self, opts: &SweepOptions, bucket: u64) -> SweepReport {
-        self.run_timeline(opts, bucket, AVAILABILITY_METRICS, LATENCY_HORIZON, |cell, rng, b| {
-            availability_setup(cell, rng).map(|(mut sim, schedule, _)| {
-                let (samples, reason) = run_bucketed(&mut sim, b, LATENCY_HORIZON);
-                (extend_with_timeline(availability_measure(&sim, &schedule), &samples), reason)
-            })
-        })
-    }
-
-    /// The shared engine behind the `run_*_timeline` modes: widens the
-    /// metric row with per-bucket columns, observes stalls, and zero-fills
-    /// empty scenario draws.
-    fn run_timeline<F>(
-        &self,
-        opts: &SweepOptions,
-        bucket: u64,
-        base: &[&str],
-        horizon: u64,
-        trial: F,
-    ) -> SweepReport
-    where
-        F: Fn(&ScenarioCell, &mut SplitMix64, u64) -> Option<(Vec<f64>, StopReason)> + Sync,
-    {
-        let nb = timeline_buckets(bucket, horizon);
-        let names = timeline_metric_names(base, nb);
-        let metrics: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let cells = index_cells(&self.cells);
-        let spec =
-            SweepSpec { cells: &cells, trials: self.trials, seed: self.seed, metrics: &metrics };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match trial(cell, rng, bucket) {
-            Some((row, reason)) => {
-                note_stall(&log, *c, t, reason);
-                row
-            }
-            None => vec![0.0; base.len() + TIMELINE_SERIES.len() * nb],
-        })
-    }
-
-    /// Consensus mode with fork-and-branch execution: every trial warms
-    /// one simulation to `branch.at`, then fans `branch.branches`
-    /// reseeded continuations off the checkpoint (or replays the warmup
-    /// per branch in [`BranchMode::Straight`]). Each continuation
-    /// contributes one [`CONSENSUS_METRICS`] row, so a cell aggregates
-    /// `trials × branches` rows; aggregation stays bit-identical for any
-    /// `GQS_THREADS` and for either branch mode.
+    /// [`ScenarioGrid::run_mode`] in [`Mode::Consensus`] under
+    /// [`Exec::Branched`].
     pub fn run_consensus_branched(&self, opts: &SweepOptions, branch: &BranchSpec) -> SweepReport {
-        let spec = SweepSpec {
-            cells: &self.cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: CONSENSUS_METRICS,
-        };
-        run_rows(&spec, opts, |cell, _t, rng| consensus_branch_trial(cell, rng, branch))
+        self.run_mode(Mode::Consensus, &Exec::Branched(*branch), opts)
     }
 
-    /// Availability mode with fork-and-branch execution; the branched
-    /// counterpart of [`ScenarioGrid::run_availability`], with the same
-    /// row accounting as [`ScenarioGrid::run_consensus_branched`].
-    pub fn run_availability_branched(
-        &self,
-        opts: &SweepOptions,
-        branch: &BranchSpec,
-    ) -> SweepReport {
-        let spec = SweepSpec {
-            cells: &self.cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: AVAILABILITY_METRICS,
-        };
-        run_rows(&spec, opts, |cell, _t, rng| availability_branch_trial(cell, rng, branch))
-    }
-
-    /// Streams the grid through the engine in scale mode ([`scale_trial`]
-    /// per trial, [`SCALE_METRICS`] per cell), under the same determinism
-    /// contract. The only mode that runs past `gqs_core::MAX_PROCESSES`
-    /// — up to [`gqs_simnet::MAX_SIM_PROCESSES`] processes per cell.
+    /// [`ScenarioGrid::run_mode`] in [`Mode::Scale`] — the only mode that
+    /// runs past `gqs_core::MAX_PROCESSES`, up to
+    /// [`gqs_simnet::MAX_SIM_PROCESSES`] processes per cell.
     pub fn run_scale(&self, opts: &SweepOptions) -> SweepReport {
-        let spec = SweepSpec {
-            cells: &self.cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: SCALE_METRICS,
-        };
-        run(&spec, opts, |cell, _t, rng| scale_trial(cell, rng))
+        self.run_mode(Mode::Scale, &Exec::Straight, opts)
     }
 }
 
@@ -2135,6 +2171,7 @@ pub fn parse_usize_list(s: &str) -> Result<Vec<usize>, String> {
         if step == 0 {
             return Err(format!("zero step in {s:?}"));
         }
+        check_point_count(s, (hi - lo) as f64 / step as f64)?;
         return Ok((lo..=hi).step_by(step).collect());
     }
     s.split(',')
@@ -2151,9 +2188,7 @@ pub fn parse_f64_list(s: &str) -> Result<Vec<f64>, String> {
         if step <= 0.0 {
             return Err(format!("non-positive step in {s:?}"));
         }
-        if (hi - lo) / step > 1e6 {
-            return Err(format!("range {s:?} yields over a million points; raise the step"));
-        }
+        check_point_count(s, (hi - lo) / step)?;
         // Points are computed as `lo + i·step`, never by repeated
         // addition: accumulating `v += step` drifts by an ulp per
         // iteration, which lands endpoints off-grid (`0..0.5:0.05`
@@ -2167,6 +2202,15 @@ pub fn parse_f64_list(s: &str) -> Result<Vec<f64>, String> {
     s.split(',')
         .map(|p| p.trim().parse::<f64>().map_err(|e| format!("bad number {p:?}: {e}")))
         .collect()
+}
+
+/// Refuses a range of more than a million points (`steps` is
+/// `(hi - lo) / step`) before anything allocates or iterates over it.
+fn check_point_count(s: &str, steps: f64) -> Result<(), String> {
+    if steps > 1e6 {
+        return Err(format!("range {s:?} yields over a million points; raise the step"));
+    }
+    Ok(())
 }
 
 /// A parsed `a..b[:step]` range: inclusive bounds plus the optional step.
@@ -2214,30 +2258,49 @@ fn push_agg_json(out: &mut String, agg: &MetricAgg) {
 /// Renders a scenario-grid report as deterministic JSON (no timing, no
 /// environment — byte-identical across runs and thread counts).
 pub fn report_json(grid: &ScenarioGrid, report: &SweepReport) -> String {
-    report_json_branched(grid, report, None)
+    report_json_exec(grid, report, &Exec::Straight)
 }
 
-/// [`report_json`] for branched runs: when `branch` is set, the header
-/// gains `branch_at`/`branches` lines. The branch *mode* is deliberately
-/// never emitted — fork and straight-line execution compute the same
-/// report, so their JSON must be byte-identical (`cmp`-able in CI).
-/// Unbranched output is byte-identical to pre-branching reports.
+/// [`report_json_exec`] for an optionally branched run.
 pub fn report_json_branched(
     grid: &ScenarioGrid,
     report: &SweepReport,
     branch: Option<&BranchSpec>,
 ) -> String {
+    report_json_exec(grid, report, &branch.map_or(Exec::Straight, |b| Exec::Branched(*b)))
+}
+
+/// Renders the report of a [`ScenarioGrid::run_mode`] under `exec` as
+/// deterministic JSON — no timing, no environment, so it diffs byte for
+/// byte across runs and thread counts. What `exec` adds to the plain
+/// [`Exec::Straight`] report:
+///
+/// * [`Exec::Branched`]: `branch_at`/`branches` header lines. The branch
+///   *mode* is deliberately never emitted — fork and straight-line
+///   execution compute the same report, so their JSON must be
+///   byte-identical (`cmp`-able in CI).
+/// * [`Exec::Timeline`]: a `timeline_bucket` header line and, per cell, a
+///   `"timeline"` object holding the across-trials mean of every
+///   [`TIMELINE_SERIES`] bucket column (bucket-index order). The bucket
+///   columns themselves stay out of the metric list and the aggregates.
+pub fn report_json_exec(grid: &ScenarioGrid, report: &SweepReport, exec: &Exec) -> String {
+    // Window columns trail the base metrics (see `timeline_metric_names`).
+    let n_base = report.metrics.iter().take_while(|m| !m.starts_with(TIMELINE_PREFIX)).count();
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"gqs_sweep/v1\",\n");
     out.push_str(&format!("  \"trials_per_cell\": {},\n", grid.trials));
     out.push_str(&format!("  \"seed\": {},\n", grid.seed));
-    if let Some(b) = branch {
-        out.push_str(&format!("  \"branch_at\": {},\n", b.at));
-        out.push_str(&format!("  \"branches\": {},\n", b.branches));
+    match exec {
+        Exec::Straight => {}
+        Exec::Timeline(bucket) => out.push_str(&format!("  \"timeline_bucket\": {bucket},\n")),
+        Exec::Branched(b) => {
+            out.push_str(&format!("  \"branch_at\": {},\n", b.at));
+            out.push_str(&format!("  \"branches\": {},\n", b.branches));
+        }
     }
     out.push_str(&format!("  \"complete\": {},\n", report.complete));
     out.push_str("  \"metrics\": [");
-    for (i, m) in report.metrics.iter().enumerate() {
+    for (i, m) in report.metrics.iter().take(n_base).enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -2265,76 +2328,6 @@ pub fn report_json_branched(
             out.push_str(&format!(", \"net\": \"{}\"", cell.net.name()));
         }
         out.push_str(&format!(", \"trials\": {},\n     \"aggregates\": {{", aggs.trials));
-        for (m, (name, agg)) in report.metrics.iter().zip(&aggs.aggs).enumerate() {
-            if m > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": "));
-            push_agg_json(&mut out, agg);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Renders a timeline sweep (`run_*_timeline`) as deterministic JSON:
-/// the ordinary report for the first `n_base` metrics, plus a
-/// `timeline_bucket` header line and, per cell, a `"timeline"` object
-/// holding the across-trials mean of every [`TIMELINE_SERIES`] bucket
-/// column (bucket-index order). Like [`report_json`], the output embeds
-/// no timing or environment, so it diffs byte for byte across runs and
-/// thread counts.
-///
-/// # Panics
-///
-/// Panics if the report's metric count is not `n_base` plus a whole
-/// number of [`TIMELINE_SERIES`] groups.
-pub fn report_json_timeline(
-    grid: &ScenarioGrid,
-    report: &SweepReport,
-    n_base: usize,
-    bucket: u64,
-) -> String {
-    let width = TIMELINE_SERIES.len();
-    assert!(
-        report.metrics.len() >= n_base && (report.metrics.len() - n_base).is_multiple_of(width),
-        "report is not a timeline over {n_base} base metrics"
-    );
-    let nb = (report.metrics.len() - n_base) / width;
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"gqs_sweep/v1\",\n");
-    out.push_str(&format!("  \"trials_per_cell\": {},\n", grid.trials));
-    out.push_str(&format!("  \"seed\": {},\n", grid.seed));
-    out.push_str(&format!("  \"timeline_bucket\": {bucket},\n"));
-    out.push_str(&format!("  \"complete\": {},\n", report.complete));
-    out.push_str("  \"metrics\": [");
-    for (i, m) in report.metrics.iter().take(n_base).enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{m}\""));
-    }
-    out.push_str("],\n  \"cells\": [\n");
-    for (c, (cell, aggs)) in grid.cells.iter().zip(&report.cells).enumerate() {
-        if c > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"density\": ",
-            cell.family.name(),
-            cell.n
-        ));
-        push_json_f64(&mut out, cell.density);
-        out.push_str(&format!(", \"patterns\": \"{}\", \"p_chan\": ", cell.patterns.name()));
-        push_json_f64(&mut out, cell.p_chan);
-        out.push_str(", \"loss\": ");
-        push_json_f64(&mut out, cell.loss);
-        out.push_str(&format!(", \"schedule\": \"{}\"", cell.schedule.name()));
-        if cell.net != NetworkFamily::Uniform {
-            out.push_str(&format!(", \"net\": \"{}\"", cell.net.name()));
-        }
-        out.push_str(&format!(", \"trials\": {},\n     \"aggregates\": {{", aggs.trials));
         for (m, (name, agg)) in report.metrics.iter().zip(&aggs.aggs).take(n_base).enumerate() {
             if m > 0 {
                 out.push_str(", ");
@@ -2342,18 +2335,23 @@ pub fn report_json_timeline(
             out.push_str(&format!("\"{name}\": "));
             push_agg_json(&mut out, agg);
         }
-        out.push_str(&format!("}},\n     \"timeline\": {{\"bucket\": {bucket}"));
-        for (s, series) in TIMELINE_SERIES.iter().enumerate() {
-            out.push_str(&format!(", \"{series}\": ["));
-            for k in 0..nb {
-                if k > 0 {
-                    out.push_str(", ");
+        out.push('}');
+        if let Exec::Timeline(bucket) = exec {
+            out.push_str(&format!(",\n     \"timeline\": {{\"bucket\": {bucket}"));
+            for (s, series) in TIMELINE_SERIES.iter().enumerate() {
+                out.push_str(&format!(", \"{series}\": ["));
+                let column = aggs.aggs[n_base..].iter().skip(s).step_by(TIMELINE_SERIES.len());
+                for (k, agg) in column.enumerate() {
+                    if k > 0 {
+                        out.push_str(", ");
+                    }
+                    push_json_f64(&mut out, agg.mean());
                 }
-                push_json_f64(&mut out, aggs.aggs[n_base + k * width + s].mean());
+                out.push(']');
             }
-            out.push(']');
+            out.push('}');
         }
-        out.push_str("}}");
+        out.push('}');
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -2509,6 +2507,12 @@ mod tests {
         assert!(parse_usize_list("8..4").is_err());
         assert!(parse_f64_list("0.1..0.5").is_err(), "float ranges need a step");
         assert!(parse_usize_list("x").is_err());
+        // An absurd integer range is refused before it is collected.
+        for huge in ["2..1000000000000000", "0..1e300", "0..2000002:2"] {
+            let err = parse_usize_list(huge).unwrap_err();
+            assert!(err.contains("over a million points"), "{huge:?}: {err}");
+        }
+        assert_eq!(parse_usize_list("0..2000000:2").unwrap().len(), 1_000_001);
         // Integer ranges reject fractional or negative parts instead of
         // silently truncating them.
         for bad in ["4.5..8", "-1..3", "4..8.5", "4..16:2.5"] {
@@ -2654,7 +2658,8 @@ mod tests {
     fn timeline_windows_sum_to_the_straight_run() {
         let grid = tame_latency_grid(4, 11);
         let bucket = LATENCY_HORIZON / 8;
-        let report = grid.run_latency_timeline(&SweepOptions::default(), bucket);
+        let timeline = Exec::Timeline(bucket);
+        let report = grid.run_mode(Mode::Latency, &timeline, &SweepOptions::default());
         assert!(report.complete);
         let nb = timeline_buckets(bucket, LATENCY_HORIZON);
         assert_eq!(report.metrics.len(), LATENCY_METRICS.len() + TIMELINE_SERIES.len() * nb);
@@ -2672,11 +2677,15 @@ mod tests {
         let last_avail = report.agg(0, &format!("tl_avail{}", nb - 1)).mean();
         assert_eq!(last_avail, 1.0);
         // Thread-invariance carries over to timeline rows.
-        let single = grid
-            .run_latency_timeline(&SweepOptions { threads: Some(1), ..Default::default() }, bucket);
-        let many = grid.run_latency_timeline(
+        let single = grid.run_mode(
+            Mode::Latency,
+            &timeline,
+            &SweepOptions { threads: Some(1), ..Default::default() },
+        );
+        let many = grid.run_mode(
+            Mode::Latency,
+            &timeline,
             &SweepOptions { threads: Some(3), shard: Some(1), ..Default::default() },
-            bucket,
         );
         assert_eq!(single, many);
         assert_eq!(single, report);
@@ -2686,8 +2695,9 @@ mod tests {
     fn timeline_report_renders_base_metrics_plus_series() {
         let grid = tame_latency_grid(2, 3);
         let bucket = LATENCY_HORIZON / 4;
-        let report = grid.run_latency_timeline(&SweepOptions::default(), bucket);
-        let json = report_json_timeline(&grid, &report, LATENCY_METRICS.len(), bucket);
+        let timeline = Exec::Timeline(bucket);
+        let report = grid.run_mode(Mode::Latency, &timeline, &SweepOptions::default());
+        let json = report_json_exec(&grid, &report, &timeline);
         assert!(json.contains("\"timeline_bucket\": 25000"));
         assert!(json.contains("\"timeline\": {\"bucket\": 25000, \"events\": ["));
         assert!(json.contains("\"ops\": ["));
@@ -2702,8 +2712,8 @@ mod tests {
     #[test]
     fn replayed_traces_are_deterministic_and_cover_protocol_spans() {
         let grid = tame_latency_grid(3, 11);
-        let a = replay_trial_trace(&grid, SimMode::Latency, 0, 1, TraceFormat::Jsonl).unwrap();
-        let b = replay_trial_trace(&grid, SimMode::Latency, 0, 1, TraceFormat::Jsonl).unwrap();
+        let a = replay_trial_trace(&grid, Mode::Latency, 0, 1, TraceFormat::Jsonl).unwrap();
+        let b = replay_trial_trace(&grid, Mode::Latency, 0, 1, TraceFormat::Jsonl).unwrap();
         assert_eq!(a, b, "replay must be deterministic");
         for needle in
             ["\"ev\":\"op_start\"", "\"ev\":\"op_end\"", "qaf_get", "qaf_set", "\"ev\":\"deliver\""]
@@ -2711,18 +2721,22 @@ mod tests {
             assert!(a.contains(needle), "trace lacks {needle}");
         }
         // Distinct trials replay distinct executions.
-        let other = replay_trial_trace(&grid, SimMode::Latency, 0, 2, TraceFormat::Jsonl).unwrap();
+        let other = replay_trial_trace(&grid, Mode::Latency, 0, 2, TraceFormat::Jsonl).unwrap();
         assert_ne!(a, other);
         // The Chrome export is one JSON array of the same run.
-        let chrome =
-            replay_trial_trace(&grid, SimMode::Latency, 0, 1, TraceFormat::Chrome).unwrap();
+        let chrome = replay_trial_trace(&grid, Mode::Latency, 0, 1, TraceFormat::Chrome).unwrap();
         assert!(chrome.starts_with('[') && chrome.ends_with("]\n"));
         assert!(chrome.contains("qaf_get"));
         // Out-of-range coordinates are errors, not panics.
-        assert!(replay_trial_trace(&grid, SimMode::Latency, 1, 0, TraceFormat::Jsonl).is_err());
-        assert!(replay_trial_trace(&grid, SimMode::Latency, 0, 3, TraceFormat::Jsonl).is_err());
+        assert!(replay_trial_trace(&grid, Mode::Latency, 1, 0, TraceFormat::Jsonl).is_err());
+        assert!(replay_trial_trace(&grid, Mode::Latency, 0, 3, TraceFormat::Jsonl).is_err());
+        // So are the modes that run no single protocol simulation.
+        for mode in [Mode::Solvability, Mode::Scale] {
+            let err = replay_trial_trace(&grid, mode, 0, 1, TraceFormat::Jsonl).unwrap_err();
+            assert!(err.contains("needs --mode latency, consensus or availability"), "{err}");
+        }
         // A healthy trial leaves no flight-recorder dump.
-        assert_eq!(replay_trial_flight(&grid, SimMode::Latency, 0, 1).unwrap(), None);
+        assert_eq!(replay_trial_flight(&grid, Mode::Latency, 0, 1).unwrap(), None);
     }
 
     #[test]
@@ -2741,8 +2755,7 @@ mod tests {
             trials: 2,
             seed: 7,
         };
-        let trace =
-            replay_trial_trace(&grid, SimMode::Consensus, 0, 0, TraceFormat::Jsonl).unwrap();
+        let trace = replay_trial_trace(&grid, Mode::Consensus, 0, 0, TraceFormat::Jsonl).unwrap();
         assert!(trace.contains("view_enter"), "consensus trace lacks view_enter markers");
         assert!(trace.contains("\"label\":\"decide\""), "consensus trace lacks decide markers");
     }
@@ -2910,6 +2923,15 @@ mod tests {
             assert_eq!(fam.name().parse::<ScheduleFamily>().unwrap(), fam);
         }
         assert!("lunar-eclipse".parse::<ScheduleFamily>().is_err());
+        for mode in Mode::ALL {
+            assert_eq!(mode.name().parse::<Mode>().unwrap(), mode);
+            // Exactly the modes with a horizon can be windowed, branched
+            // and traced.
+            assert_eq!(mode.horizon_for("--timeline").ok(), mode.horizon());
+        }
+        assert_eq!(Mode::Availability.horizon(), Some(LATENCY_HORIZON));
+        assert_eq!(Mode::Scale.horizon(), None);
+        assert!("throughput".parse::<Mode>().is_err());
     }
 
     #[test]
@@ -3069,7 +3091,7 @@ mod tests {
     /// forked run (one warmup, `branches` continuations fanned off the
     /// checkpoint) must produce the same report, bit for bit, as the
     /// straight-line reference that re-runs every warmup from scratch —
-    /// in both branched modes, for any thread count at fixed sharding.
+    /// in every simulated mode, for any thread count at fixed sharding.
     #[test]
     fn forked_branches_match_straight_line_bit_for_bit() {
         let cell = ScenarioCell {
@@ -3095,10 +3117,12 @@ mod tests {
         assert_eq!(f.agg(0, "decided").count(), 4 * 3);
         assert!(f.agg(0, "decided").mean() > 0.0, "branched trials must still decide");
 
-        let fa = grid.run_availability_branched(&SweepOptions::default(), &fork);
-        let sa = grid.run_availability_branched(&SweepOptions::default(), &straight);
-        assert_eq!(fa, sa, "availability: fork must equal the straight-line reference");
-        assert_eq!(fa.agg(0, "completed").count(), 4 * 3);
+        for mode in [Mode::Latency, Mode::Availability] {
+            let f = grid.run_mode(mode, &Exec::Branched(fork), &SweepOptions::default());
+            let s = grid.run_mode(mode, &Exec::Branched(straight), &SweepOptions::default());
+            assert_eq!(f, s, "{}: fork must equal the straight-line reference", mode.name());
+            assert_eq!(f.agg(0, "completed").count(), 4 * 3);
+        }
 
         // Thread-invariance survives branching (rows fold in (trial, row)
         // order inside fixed shards).

@@ -1,5 +1,5 @@
 //! Plain-text, column-aligned tables — the output format of every
-//! experiment (and of EXPERIMENTS.md).
+//! experiment the `tables` binary prints.
 
 use std::fmt;
 

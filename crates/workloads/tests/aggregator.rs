@@ -177,3 +177,28 @@ fn engine_reduction_matches_oracle() {
         assert_matches_oracle(r.agg(ci, "v"), &Oracle::new(vals), &format!("cell {ci}"));
     }
 }
+
+/// A panicking trial (an in-trial safety oracle tripping, say) must fail
+/// a multi-worker sweep, not hang it: the dead worker's shard never
+/// reaches the merger, so unless the others are told to stop they spin on
+/// the merge frontier forever. The sweep runs on a helper thread so that
+/// a hang fails this test instead of wedging the suite.
+#[test]
+fn panicking_trial_fails_the_sweep_instead_of_hanging_it() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let spec = SweepSpec { cells: &[0u32], trials: 200, seed: 1, metrics: &["v"] };
+        let opts = SweepOptions { shard: Some(1), threads: Some(2), ..Default::default() };
+        let outcome = std::panic::catch_unwind(|| {
+            sweep::run(&spec, &opts, |_, t, _| {
+                assert!(t != 3, "trial 3 trips its oracle");
+                vec![t as f64]
+            })
+        });
+        let _ = tx.send(outcome.is_err());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+        Ok(panicked) => assert!(panicked, "the trial's panic must propagate out of the sweep"),
+        Err(_) => panic!("the sweep hung on a panicking trial"),
+    }
+}

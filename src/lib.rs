@@ -41,49 +41,18 @@
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and the `gqs-bench`
-//! crate for the experiment harness regenerating every table of
-//! EXPERIMENTS.md.
+//! crate for the experiment harness: its `tables` binary regenerates
+//! every experiment table E1–E12.
 //!
 //! ## Scenario sweeps from the command line
 //!
 //! Large scenario grids run through the streaming sweep engine
-//! ([`workloads::sweep`]) via the `gqs_sweep` binary. `gqs_sweep --help`:
-//!
-//! ```text
-//! gqs_sweep — streamed scenario-grid sweeps over the GQS decision procedures
-//!
-//! USAGE:
-//!     gqs_sweep [OPTIONS]
-//!
-//! GRID (each LIST is a value `6`, a comma list `4,6,8`, or an inclusive
-//! range `4..8` / `4..16:4` / `0.1..0.5:0.2` — float ranges need a step):
-//!     --family <F>         topology family: complete|ring|oriented-ring|star|
-//!                          grid|two-cliques-bridge|regions|random
-//!                                                              [default: complete]
-//!     --n <LIST>           system sizes                        [default: 4]
-//!     --density <LIST>     edge probability, random family only [default: 0.6]
-//!     --regions <R>        region count, regions family only    [default: 3]
-//!     --patterns <P>       pattern family: rotating|random|adversarial
-//!                                                              [default: rotating]
-//!     --pattern-count <K>  patterns per system (random/adversarial) [default: 3]
-//!     --max-crashes <K>    max crashes per pattern (random)     [default: 1]
-//!     --p-chan <LIST>      channel-failure probabilities        [default: 0.2]
-//!     --schedule <LIST>    fault schedules for the simulated modes:
-//!                          static|region-outage|flapping-link|hub-crash|
-//!                          rolling-restart                      [default: static]
-//!
-//! EXECUTION:
-//!     --mode <M>           solvability | latency | consensus | availability |
-//!                          scale                  [default: solvability]
-//!     --trials <N>         trials per cell                      [default: 100]
-//!     --seed <S>           base seed                            [default: 42]
-//!     --threads <T>        worker threads          [default: GQS_THREADS or auto]
-//!     --shard <K>          trials per shard                     [default: 64]
-//!
-//! OUTPUT:
-//!     --format <json|csv>  output format                        [default: json]
-//!     --out <PATH>         write to PATH instead of stdout
-//! ```
+//! ([`workloads::sweep`]) via the `gqs_sweep` binary: a grid of topology
+//! family × size × failure patterns × fault schedule × network model,
+//! measured per trial in one of five modes ([`workloads::sweep::Mode`]:
+//! solvability, latency, consensus, availability, scale) and executed
+//! straight, windowed or branched ([`workloads::sweep::Exec`]).
+//! `gqs_sweep --help` is the reference for every flag.
 //!
 //! For example, sweeping ring sizes against channel-failure rates:
 //!
