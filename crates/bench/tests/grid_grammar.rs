@@ -193,7 +193,7 @@ fn branch_flags_are_validated() {
             &["--trace-out", "/tmp/x.jsonl"],
         ] {
             assert_clean_error(
-                &[&["--mode", mode, "--family", "ring"], flags].concat(),
+                &[&["--mode", mode], flags].concat(),
                 &format!("{} needs --mode latency, consensus or availability", flags[0]),
             );
         }

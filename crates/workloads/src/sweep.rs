@@ -1561,6 +1561,105 @@ pub fn availability_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64>
 }
 
 // ---------------------------------------------------------------------------
+// Scale mode (two simulations per trial, so outside `Simulated`)
+// ---------------------------------------------------------------------------
+
+/// The metrics every scale trial reports, in row order:
+///
+/// * `reached` — fraction of processes the gossip rumor reached (1.0 on a
+///   connected topology);
+/// * `spread` — virtual time at which the last process heard it (the
+///   source's weighted eccentricity under the drawn delays);
+/// * `msgs_per_proc` — gossip messages sent per process (≈ the mean
+///   out-degree: 2 on a ring, ≤ 4 on a grid);
+/// * `abd_completed` — fraction of the sampled-arc majority-ABD
+///   operations that completed;
+/// * `abd_msgs_per_proc` — ABD messages sent per process (≈ 2 × ops,
+///   since one op costs `4q ≈ 2n` sends).
+///
+/// Every metric is a deterministic simulation quantity — counts and
+/// virtual times, never wall-clock — so scale reports diff byte for byte
+/// across machines and thread counts like every other mode. (Throughput
+/// and memory figures live in the repository benchmark's `scale`
+/// workload, `bash benchmark/run.sh`, which measures rather than
+/// simulates.)
+pub const SCALE_METRICS: &[&str] =
+    &["reached", "spread", "msgs_per_proc", "abd_completed", "abd_msgs_per_proc"];
+
+/// Operations per scale trial's ABD half.
+const SCALE_ABD_OPS: u64 = 2;
+
+/// Runs one scale trial: flooded [`Gossip`] over the cell's **implicit**
+/// topology, then [`sampled_abd_nodes`] majority ABD over the complete
+/// graph, measuring [`SCALE_METRICS`].
+///
+/// This is the only mode whose `n` may exceed
+/// `gqs_core::MAX_PROCESSES`: nothing here builds a [`NetworkGraph`],
+/// a `FailProneSystem` or any other bitset-backed decision structure —
+/// adjacency is answered arithmetically and quorums are counted arcs.
+/// The cell's pattern, schedule and density axes are ignored (the scale
+/// workloads run fault-free; fault-laden runs belong to the decision
+/// modes, which need patterns and hence the 1024-process bound).
+///
+/// # Panics
+///
+/// Panics if the cell's family has no implicit form (see
+/// [`TopologyFamily::implicit`]); the CLI rejects such grids up front.
+pub fn scale_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
+    let n = cell.n;
+    let topology = cell.family.implicit(n).unwrap_or_else(|| {
+        panic!("scale mode needs an implicit topology, not {}", cell.family.name())
+    });
+    let gossip_seed = rng.next_u64();
+    let source = rng.range(0, n as u64 - 1) as usize;
+    let abd_seed = rng.next_u64();
+
+    let cfg = SimConfig {
+        seed: gossip_seed,
+        topology,
+        horizon: SimTime::MAX,
+        max_events: u64::MAX,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(cfg, vec![Gossip::default(); n]);
+    sim.invoke_at(SimTime(1), ProcessId(source), ());
+    sim.run();
+    let (heard, last) = (0..n)
+        .filter_map(|p| sim.node(ProcessId(p)).heard_at())
+        .fold((0usize, SimTime::ZERO), |(heard, last), t| (heard + 1, last.max(t)));
+    let reached = heard as f64 / n as f64;
+    let spread = last.ticks() as f64;
+    let msgs_per_proc = sim.stats().sent as f64 / n as f64;
+    // Free the gossip run before the ABD one is built: at a million
+    // processes the two together would double the trial's peak memory.
+    drop(sim);
+
+    let cfg = SimConfig {
+        seed: abd_seed,
+        horizon: SimTime::MAX,
+        max_events: u64::MAX,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(cfg, sampled_abd_nodes(n, 0u64, abd_seed));
+    for i in 0..SCALE_ABD_OPS {
+        let p = ProcessId(((source as u64 + i * 7) % n as u64) as usize);
+        let at = SimTime(1 + i * 200);
+        if i % 2 == 0 {
+            sim.invoke_at(at, p, ScaleOp::Write(i));
+        } else {
+            sim.invoke_at(at, p, ScaleOp::Read);
+        }
+    }
+    sim.run_until_ops_complete();
+    let invoked = sim.history().ops().len().max(1);
+    let abd_completed =
+        sim.history().ops().iter().filter(|r| r.is_complete()).count() as f64 / invoked as f64;
+    let abd_msgs_per_proc = sim.stats().sent as f64 / n as f64;
+
+    vec![reached, spread, msgs_per_proc, abd_completed, abd_msgs_per_proc]
+}
+
+// ---------------------------------------------------------------------------
 // Execution strategies: straight, windowed, fork-and-branch, trace replay
 // ---------------------------------------------------------------------------
 
@@ -1776,105 +1875,6 @@ fn drive<M: Simulated>(grid: &ScenarioGrid, exec: &Exec, opts: &SweepOptions) ->
 }
 
 // ---------------------------------------------------------------------------
-// Scale mode (two simulations per trial, so outside `Simulated`)
-// ---------------------------------------------------------------------------
-
-/// The metrics every scale trial reports, in row order:
-///
-/// * `reached` — fraction of processes the gossip rumor reached (1.0 on a
-///   connected topology);
-/// * `spread` — virtual time at which the last process heard it (the
-///   source's weighted eccentricity under the drawn delays);
-/// * `msgs_per_proc` — gossip messages sent per process (≈ the mean
-///   out-degree: 2 on a ring, ≤ 4 on a grid);
-/// * `abd_completed` — fraction of the sampled-arc majority-ABD
-///   operations that completed;
-/// * `abd_msgs_per_proc` — ABD messages sent per process (≈ 2 × ops,
-///   since one op costs `4q ≈ 2n` sends).
-///
-/// Every metric is a deterministic simulation quantity — counts and
-/// virtual times, never wall-clock — so scale reports diff byte for byte
-/// across machines and thread counts like every other mode. (Throughput
-/// and memory figures live in the repository benchmark's `scale`
-/// workload, `bash benchmark/run.sh`, which measures rather than
-/// simulates.)
-pub const SCALE_METRICS: &[&str] =
-    &["reached", "spread", "msgs_per_proc", "abd_completed", "abd_msgs_per_proc"];
-
-/// Operations per scale trial's ABD half.
-const SCALE_ABD_OPS: u64 = 2;
-
-/// Runs one scale trial: flooded [`Gossip`] over the cell's **implicit**
-/// topology, then [`sampled_abd_nodes`] majority ABD over the complete
-/// graph, measuring [`SCALE_METRICS`].
-///
-/// This is the only mode whose `n` may exceed
-/// `gqs_core::MAX_PROCESSES`: nothing here builds a [`NetworkGraph`],
-/// a `FailProneSystem` or any other bitset-backed decision structure —
-/// adjacency is answered arithmetically and quorums are counted arcs.
-/// The cell's pattern, schedule and density axes are ignored (the scale
-/// workloads run fault-free; fault-laden runs belong to the decision
-/// modes, which need patterns and hence the 1024-process bound).
-///
-/// # Panics
-///
-/// Panics if the cell's family has no implicit form (see
-/// [`TopologyFamily::implicit`]); the CLI rejects such grids up front.
-pub fn scale_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let n = cell.n;
-    let topology = cell.family.implicit(n).unwrap_or_else(|| {
-        panic!("scale mode needs an implicit topology, not {}", cell.family.name())
-    });
-    let gossip_seed = rng.next_u64();
-    let source = rng.range(0, n as u64 - 1) as usize;
-    let abd_seed = rng.next_u64();
-
-    let cfg = SimConfig {
-        seed: gossip_seed,
-        topology,
-        horizon: SimTime::MAX,
-        max_events: u64::MAX,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, vec![Gossip::default(); n]);
-    sim.invoke_at(SimTime(1), ProcessId(source), ());
-    sim.run();
-    let (heard, last) = (0..n)
-        .filter_map(|p| sim.node(ProcessId(p)).heard_at())
-        .fold((0usize, SimTime::ZERO), |(heard, last), t| (heard + 1, last.max(t)));
-    let reached = heard as f64 / n as f64;
-    let spread = last.ticks() as f64;
-    let msgs_per_proc = sim.stats().sent as f64 / n as f64;
-    // Free the gossip run before the ABD one is built: at a million
-    // processes the two together would double the trial's peak memory.
-    drop(sim);
-
-    let cfg = SimConfig {
-        seed: abd_seed,
-        horizon: SimTime::MAX,
-        max_events: u64::MAX,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, sampled_abd_nodes(n, 0u64, abd_seed));
-    for i in 0..SCALE_ABD_OPS {
-        let p = ProcessId(((source as u64 + i * 7) % n as u64) as usize);
-        let at = SimTime(1 + i * 200);
-        if i % 2 == 0 {
-            sim.invoke_at(at, p, ScaleOp::Write(i));
-        } else {
-            sim.invoke_at(at, p, ScaleOp::Read);
-        }
-    }
-    sim.run_until_ops_complete();
-    let invoked = sim.history().ops().len().max(1);
-    let abd_completed =
-        sim.history().ops().iter().filter(|r| r.is_complete()).count() as f64 / invoked as f64;
-    let abd_msgs_per_proc = sim.stats().sent as f64 / n as f64;
-
-    vec![reached, spread, msgs_per_proc, abd_completed, abd_msgs_per_proc]
-}
-
-// ---------------------------------------------------------------------------
 // The mode vocabulary and the grid's entry points
 // ---------------------------------------------------------------------------
 
@@ -1970,6 +1970,7 @@ impl Mode {
         self.horizon().ok_or_else(|| self.unsimulated(what))
     }
 
+    /// The refusal [`Mode::horizon_for`] documents.
     fn unsimulated(self, what: &str) -> String {
         format!("{what} needs --mode latency, consensus or availability, not {:?}", self.name())
     }
