@@ -41,6 +41,14 @@ const GOLDENS: &[(&str, &str)] = &[
         "--mode availability --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
          --loss 0.1 --schedule region-outage --trials 4 --seed 17 --format json",
     ),
+    // The consensus WAN forked at t = 2000 into three reseeded branches
+    // per trial (fork replay: checkpoint once, restore per branch).
+    (
+        "tiny_branched.json",
+        "--mode consensus --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
+         --schedule region-outage --trials 4 --seed 13 --branch-at 2000 --branches 3 \
+         --format json",
+    ),
     // Heavy-tailed lognormal delays with 5% message loss. The polar-method
     // normal sampler consumes a variable number of RNG draws per delay, so
     // this golden pins both the sampler's cross-run determinism and its
@@ -150,6 +158,15 @@ fn tiny_availability_grid_matches_golden_aggregate() {
             "\"loss\": 0.1",
         ],
     );
+}
+
+/// Forked branches match the golden, and so does re-running each branch
+/// from time zero: `--branch-mode straight` must be the same bytes.
+#[test]
+fn tiny_branched_grid_matches_golden_forked_and_straight() {
+    assert_matches_golden("tiny_branched.json", &["\"branch_at\": 2000", "\"branches\": 3"]);
+    let straight = stdout_of(&golden_args("tiny_branched.json", &["--branch-mode", "straight"]));
+    assert_eq!(straight, golden_bytes("tiny_branched.json"), "fork and straight replay differ");
 }
 
 #[test]

@@ -112,23 +112,22 @@ impl<L: JoinSemilattice> LatticeNode<L> {
         &self.snap
     }
 
-    fn inner_ctx(ctx: &Ctx<L>) -> InnerCtx<L> {
-        let mut inner = Context::new(ctx.me(), ctx.n(), ctx.now());
-        inner.set_tracing(ctx.tracing());
-        inner
-    }
-
     fn issue(&mut self, machine: u64, op: SnapOp<Option<L>>, ctx: &mut Ctx<L>) {
         let id = OpId(self.next_internal);
         self.next_internal += 1;
         self.routes.insert(id.0, machine);
-        let mut inner = Self::inner_ctx(ctx);
-        self.snap.on_invoke(id, op, &mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |snap, inner| snap.on_invoke(id, op, inner));
     }
 
-    fn pump(&mut self, effects: Vec<Effect<LatticeMsg<L>, SnapResp<Option<L>>>>, ctx: &mut Ctx<L>) {
-        for eff in effects {
+    /// Runs one handler of the embedded snapshot object through
+    /// [`Context::nested`] and routes what it emitted: internal
+    /// completions drive the proposals; network effects pass through.
+    fn run_inner(
+        &mut self,
+        ctx: &mut Ctx<L>,
+        handler: impl FnOnce(&mut SnapshotNode<Option<L>, SnapEngine<L>>, &mut InnerCtx<L>),
+    ) {
+        for eff in ctx.nested(|inner| handler(&mut self.snap, inner)) {
             match eff {
                 Effect::Send { to, msg } => ctx.send(to, msg),
                 Effect::Broadcast { msg } => ctx.broadcast(msg),
@@ -171,9 +170,7 @@ impl<L: JoinSemilattice> Protocol for LatticeNode<L> {
     type Resp = Learned<L>;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner = Self::inner_ctx(ctx);
-        self.snap.on_start(&mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |snap, inner| snap.on_start(inner));
     }
 
     fn on_message(
@@ -182,15 +179,17 @@ impl<L: JoinSemilattice> Protocol for LatticeNode<L> {
         msg: Self::Msg,
         ctx: &mut Context<Self::Msg, Self::Resp>,
     ) {
-        let mut inner = Self::inner_ctx(ctx);
-        self.snap.on_message(from, msg, &mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |snap, inner| snap.on_message(from, msg, inner));
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner = Self::inner_ctx(ctx);
-        self.snap.on_timer(id, &mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |snap, inner| snap.on_timer(id, inner));
+    }
+
+    /// Forwards the recovery down to the register engine, which re-arms
+    /// its periodic push (and, under retries, its retry timer).
+    fn on_recover(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
+        self.run_inner(ctx, |snap, inner| snap.on_recover(inner));
     }
 
     fn on_invoke(
@@ -234,6 +233,30 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gqs_core::majority_system;
+    use gqs_registers::TICK_TIMER;
+    use gqs_simnet::SimTime;
+
+    /// Regression: the node used to inherit the default no-op
+    /// `on_recover`, so the recovery never reached the register engine
+    /// two layers down.
+    #[test]
+    fn recovery_rearms_the_engines_push_and_tick() {
+        let qs = majority_system(3).unwrap();
+        let seg0 = Segment { value: None, seq: 0, view: vec![None; 3] };
+        let engine: SnapEngine<MaxLattice> =
+            GeneralizedQaf::new(qs.reads().clone(), qs.writes().clone(), RegMap::new(seg0), 20);
+        let mut node = LatticeNode::new(ProcessId(1), 3, engine);
+        let mut ctx = Context::new(ProcessId(1), 3, SimTime(500));
+        node.on_recover(&mut ctx);
+        assert!(matches!(
+            ctx.take_effects()[..],
+            [
+                Effect::Broadcast { msg: GeneralizedMsg::GetResp { clock: 1, .. } },
+                Effect::SetTimer { id: TICK_TIMER, after: 20 },
+            ]
+        ));
+    }
 
     #[test]
     fn propose_and_learned_are_transparent() {

@@ -7,6 +7,9 @@
 //! message with a unique id, and has every process re-broadcast each
 //! first-seen envelope to all. A message from `p` to `q` is then delivered
 //! whenever a directed path of correct channels from `p` to `q` exists.
+//! Every handler of the wrapped protocol runs through the one layering
+//! seam, [`Context::nested`]; `Flood` floods the sends that come back and
+//! passes everything else through.
 //!
 //! The cost is exact: one envelope is `n` sends from its origin plus
 //! `n − 1` relays from each of the `n` first-time receivers, i.e.
@@ -90,15 +93,16 @@ impl<P: Protocol> Flood<P> {
         self.relayed
     }
 
-    /// Translates the inner protocol's effects: each logical send and
-    /// each logical broadcast becomes one flooded envelope; timers and
+    /// Runs one handler of the wrapped protocol through
+    /// [`Context::nested`] and floods what it emitted: each logical send
+    /// and each logical broadcast becomes one flooded envelope; timers and
     /// completions pass through.
-    fn translate(
+    fn run_inner(
         &mut self,
-        inner_ctx: &mut Context<P::Msg, P::Resp>,
         ctx: &mut Context<FloodMsg<P::Msg>, P::Resp>,
+        handler: impl FnOnce(&mut P, &mut Context<P::Msg, P::Resp>),
     ) {
-        for eff in inner_ctx.take_effects() {
+        for eff in ctx.nested(|inner| handler(&mut self.inner, inner)) {
             match eff {
                 Effect::Send { to, msg } => self.flood(Some(to), msg, ctx),
                 Effect::Broadcast { msg } => self.flood(None, msg, ctx),
@@ -122,12 +126,6 @@ impl<P: Protocol> Flood<P> {
         self.next_seq += 1;
         ctx.broadcast(FloodMsg { origin: ctx.me(), seq, dest, payload });
     }
-
-    fn inner_ctx(ctx: &Context<FloodMsg<P::Msg>, P::Resp>) -> Context<P::Msg, P::Resp> {
-        let mut inner = Context::new(ctx.me(), ctx.n(), ctx.now());
-        inner.set_tracing(ctx.tracing());
-        inner
-    }
 }
 
 impl<P: Protocol> Protocol for Flood<P> {
@@ -136,9 +134,7 @@ impl<P: Protocol> Protocol for Flood<P> {
     type Resp = P::Resp;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner_ctx = Self::inner_ctx(ctx);
-        self.inner.on_start(&mut inner_ctx);
-        self.translate(&mut inner_ctx, ctx);
+        self.run_inner(ctx, |p, inner| p.on_start(inner));
     }
 
     fn on_message(
@@ -164,30 +160,22 @@ impl<P: Protocol> Protocol for Flood<P> {
         }
         let for_me = env.dest.is_none_or(|d| d == ctx.me());
         if for_me {
-            let mut inner_ctx = Self::inner_ctx(ctx);
-            self.inner.on_message(env.origin, env.payload, &mut inner_ctx);
-            self.translate(&mut inner_ctx, ctx);
+            self.run_inner(ctx, |p, inner| p.on_message(env.origin, env.payload, inner));
         }
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner_ctx = Self::inner_ctx(ctx);
-        self.inner.on_timer(id, &mut inner_ctx);
-        self.translate(&mut inner_ctx, ctx);
+        self.run_inner(ctx, |p, inner| p.on_timer(id, inner));
     }
 
     fn on_invoke(&mut self, op: OpId, body: Self::Op, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner_ctx = Self::inner_ctx(ctx);
-        self.inner.on_invoke(op, body, &mut inner_ctx);
-        self.translate(&mut inner_ctx, ctx);
+        self.run_inner(ctx, |p, inner| p.on_invoke(op, body, inner));
     }
 
     fn on_recover(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
         // The dedup set survives the crash on purpose: envelopes relayed
         // before the crash are not re-delivered to the inner protocol.
-        let mut inner_ctx = Self::inner_ctx(ctx);
-        self.inner.on_recover(&mut inner_ctx);
-        self.translate(&mut inner_ctx, ctx);
+        self.run_inner(ctx, |p, inner| p.on_recover(inner));
     }
 }
 

@@ -4,9 +4,10 @@
 //! A protocol is a deterministic state machine replicated at every process.
 //! It reacts to four kinds of stimuli — startup, message delivery, timer
 //! expiry and operation invocation — and emits *effects* (sends, timers,
-//! operation completions) through a [`Context`]. The simulator (or a
-//! middleware layer such as [`crate::flood::Flood`]) collects the effects
-//! and turns them into future events.
+//! operation completions) through a [`Context`]. The simulator collects
+//! the effects and turns them into future events; a layer that wraps
+//! another protocol (such as [`crate::flood::Flood`]) runs the wrapped
+//! handlers through [`Context::nested`] and translates their effects.
 
 use std::fmt;
 
@@ -82,7 +83,8 @@ pub enum Effect<M, R> {
     /// [`crate::NetStats`]. Bookkeeping only — the resent copies travel as
     /// ordinary [`Effect::Send`]s; this effect lets reliability layers
     /// (e.g. [`crate::Reliable`]) surface their overhead in the
-    /// simulator-wide statistics. Middleware must pass it through.
+    /// simulator-wide statistics. A layer that wraps a protocol must pass
+    /// it through when it translates what [`Context::nested`] returned.
     NoteRetransmit {
         /// Number of retransmissions to account.
         count: u64,
@@ -90,8 +92,10 @@ pub enum Effect<M, R> {
     /// A protocol-emitted trace marker (span start/end or instant) for an
     /// attached [`TraceSink`](crate::trace::TraceSink). Emitted only while
     /// tracing is on (see [`Context::span_start`]); pure observability —
-    /// it changes no simulation state, consumes no randomness, and
-    /// middleware must pass it through via [`Context::emit_trace`].
+    /// it changes no simulation state, consumes no randomness, and a layer
+    /// that wraps a protocol must pass it through (via
+    /// [`Context::emit_trace`]) when it translates what
+    /// [`Context::nested`] returned.
     Trace {
         /// Span start / end / instant.
         kind: SpanKind,
@@ -104,12 +108,14 @@ pub enum Effect<M, R> {
 
 /// Handler context: identifies the process and collects effects.
 ///
-/// Middleware that wraps a protocol (e.g. flooding) creates inner contexts
-/// with [`Context::new`] and drains them with [`Context::take_effects`].
-/// The simulator itself owns a single context for the whole run and lends
-/// it to every handler call, re-targeted at the process and instant of the
+/// The simulator owns a single context for the whole run and lends it to
+/// every handler call, re-targeted at the process and instant of the
 /// event; its effect buffer keeps the capacity of the largest burst any
-/// handler has emitted, so handling an event allocates nothing.
+/// handler has emitted, so handling an event allocates nothing. A layer
+/// that wraps another protocol ([`crate::Flood`], [`crate::Reliable`], a
+/// snapshot over its registers, …) runs each of the wrapped protocol's
+/// handlers through [`Context::nested`] and translates the effects that
+/// come back.
 #[derive(Debug)]
 pub struct Context<M, R> {
     me: ProcessId,
@@ -123,23 +129,37 @@ pub struct Context<M, R> {
 }
 
 impl<M, R> Context<M, R> {
-    /// Creates a fresh context for a handler invocation at `me` in a
-    /// system of `n` processes at time `now`, with the complete-graph
-    /// [`Peers`] view.
-    ///
-    /// Middleware building *inner* contexts (e.g. [`crate::Flood`]) wants
-    /// exactly this: flooding restores logical completeness, so the
-    /// wrapped protocol legitimately sees everyone as a peer. The
-    /// simulator itself builds its topology-accurate context with
-    /// [`Context::with_peers`].
+    /// Creates a standalone context at `me` in a system of `n` processes
+    /// at time `now`, with the complete-graph [`Peers`] view and tracing
+    /// off — for tests that drive a protocol or engine handler directly
+    /// and inspect what it emitted with [`Context::take_effects`]. Layers
+    /// that wrap a protocol use [`Context::nested`] instead.
     pub fn new(me: ProcessId, n: usize, now: SimTime) -> Self {
-        Context { me, n, now, peers: Peers::all(n), effects: Vec::new(), tracing: false }
+        Context::with_peers(me, n, now, Peers::all(n))
     }
 
     /// Creates a context whose [`Context::peers`] view reflects an
     /// explicit topology (what [`crate::Simulation`] hands to handlers).
-    pub fn with_peers(me: ProcessId, n: usize, now: SimTime, peers: Peers) -> Self {
+    pub(crate) fn with_peers(me: ProcessId, n: usize, now: SimTime, peers: Peers) -> Self {
         Context { me, n, now, peers, effects: Vec::new(), tracing: false }
+    }
+
+    /// Runs one handler of a wrapped protocol — the seam between a
+    /// protocol layer and the protocol it wraps — and returns the effects
+    /// it emitted, in emission order, for the layer to translate.
+    ///
+    /// The inner context carries this context's process, instant, `n` and
+    /// tracing flag, with the complete-graph [`Peers`] view: flooding
+    /// restores logical completeness, so a wrapped protocol legitimately
+    /// sees everyone as a peer. Each call collects into a fresh buffer.
+    pub fn nested<M2, R2>(
+        &self,
+        handler: impl FnOnce(&mut Context<M2, R2>),
+    ) -> Vec<Effect<M2, R2>> {
+        let mut inner = Context::with_peers(self.me, self.n, self.now, Peers::all(self.n));
+        inner.tracing = self.tracing;
+        handler(&mut inner);
+        inner.effects
     }
 
     /// Points the context at the next handler call (simulator internal):
@@ -215,17 +235,10 @@ impl<M, R> Context<M, R> {
     }
 
     /// Whether a trace sink is listening (set by the simulator, inherited
-    /// by middleware inner contexts). The span API is a no-op while this
+    /// through [`Context::nested`]). The span API is a no-op while this
     /// is `false`, so protocols may call it unconditionally.
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Turns trace-marker collection on or off (simulator / middleware
-    /// internal; protocols only read the flag through
-    /// [`Context::tracing`]).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
     }
 
     /// Opens a protocol span `(label, id)` — e.g. a quorum-access phase —
@@ -252,14 +265,14 @@ impl<M, R> Context<M, R> {
         }
     }
 
-    /// Re-emits a trace marker verbatim — the middleware pass-through for
-    /// [`Effect::Trace`]. Unconditional: the gating already happened when
+    /// Re-emits a trace marker verbatim — how a layer passes an
+    /// [`Effect::Trace`] from [`Context::nested`] through. Unconditional: the gating already happened when
     /// the inner protocol emitted the marker.
     pub fn emit_trace(&mut self, kind: SpanKind, label: &'static str, id: u64) {
         self.effects.push(Effect::Trace { kind, label, id });
     }
 
-    /// Drains the collected effects (middleware entry point).
+    /// Drains the collected effects (the simulator's, and tests').
     pub fn take_effects(&mut self) -> Vec<Effect<M, R>> {
         std::mem::take(&mut self.effects)
     }
@@ -325,6 +338,7 @@ pub trait Protocol: Clone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     #[test]
     fn context_collects_effects_in_order() {
@@ -361,7 +375,7 @@ mod tests {
         ctx.span_end("qaf_get", 1);
         ctx.trace_instant("decide", 2);
         assert_eq!(ctx.effect_count(), 0, "tracing off: the span API pushes nothing");
-        ctx.set_tracing(true);
+        ctx.tracing = true;
         assert!(ctx.tracing());
         ctx.span_start("qaf_get", 1);
         ctx.trace_instant("decide", 2);
@@ -374,6 +388,49 @@ mod tests {
             effects[1],
             Effect::Trace { kind: SpanKind::Instant, label: "decide", id: 2 }
         ));
+    }
+
+    /// The seam hands the wrapped handler the outer process, `n`, instant
+    /// and tracing flag with the complete peers view, and returns what it
+    /// emitted in order.
+    #[test]
+    fn nested_handler_inherits_the_outer_context() {
+        let mut outer: Context<u8, ()> = Context::with_peers(
+            ProcessId(2),
+            4,
+            SimTime(9),
+            Peers::from_topology(&Topology::Ring { n: 4 }, 4),
+        );
+        for tracing in [false, true] {
+            outer.tracing = tracing;
+            let effects = outer.nested(|inner: &mut Context<&'static str, u32>| {
+                assert_eq!((inner.me(), inner.n(), inner.now()), (ProcessId(2), 4, SimTime(9)));
+                assert_eq!(inner.tracing(), tracing);
+                let peers = inner.peers().out_neighbors(inner.me());
+                assert_eq!(peers, [ProcessId(0), ProcessId(1), ProcessId(3)], "complete, not ring");
+                inner.send(ProcessId(0), "x");
+                inner.span_start("qaf_get", 1);
+                inner.broadcast("y");
+                inner.complete(OpId(3), 7);
+            });
+            let kinds: Vec<_> = effects
+                .iter()
+                .map(|e| match e {
+                    Effect::Send { to: ProcessId(0), msg: "x" } => "send",
+                    Effect::Trace { kind: SpanKind::Start, label: "qaf_get", id: 1 } => "span",
+                    Effect::Broadcast { msg: "y" } => "broadcast",
+                    Effect::Complete { op: OpId(3), resp: 7 } => "complete",
+                    other => panic!("unexpected effect {other:?}"),
+                })
+                .collect();
+            let expected: &[&str] = if tracing {
+                &["send", "span", "broadcast", "complete"]
+            } else {
+                &["send", "broadcast", "complete"]
+            };
+            assert_eq!(kinds, expected, "tracing = {tracing}");
+            assert_eq!(outer.effect_count(), 0, "the outer context is untouched");
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! an envelope delivered before the receiver's crash is acked-but-not-
 //! redelivered when the sender retransmits it afterwards.
 //!
+//! Like [`Flood`](crate::Flood), the layer runs every handler of the
+//! wrapped protocol through [`Context::nested`] and translates what comes
+//! back: it sequences the sends and passes everything else through.
 //! Composes with flooding as `Flood<Reliable<P>>`: retransmissions then
 //! travel along whatever paths currently exist.
 
@@ -194,16 +197,18 @@ impl<P: Protocol> Reliable<P> {
         self.arm(ctx);
     }
 
-    /// Translates the inner protocol's effects: each logical send becomes
-    /// a tracked envelope; timers and completions pass through. A
-    /// broadcast becomes one tracked envelope per destination, because
-    /// sequence numbers, acks and retransmission are per destination.
-    fn translate(
+    /// Runs one handler of the wrapped protocol through
+    /// [`Context::nested`] and sequences what it emitted: each logical
+    /// send becomes a tracked envelope; timers and completions pass
+    /// through. A broadcast becomes one tracked envelope per destination,
+    /// because sequence numbers, acks and retransmission are per
+    /// destination.
+    fn run_inner(
         &mut self,
-        inner_ctx: &mut Context<P::Msg, P::Resp>,
         ctx: &mut Context<ReliableMsg<P::Msg>, P::Resp>,
+        handler: impl FnOnce(&mut P, &mut Context<P::Msg, P::Resp>),
     ) {
-        for eff in inner_ctx.take_effects() {
+        for eff in ctx.nested(|inner| handler(&mut self.inner, inner)) {
             match eff {
                 Effect::Send { to, msg } => self.reliable_send(to, msg, ctx),
                 Effect::Broadcast { msg } => {
@@ -220,12 +225,6 @@ impl<P: Protocol> Reliable<P> {
                 Effect::Trace { kind, label, id } => ctx.emit_trace(kind, label, id),
             }
         }
-    }
-
-    fn inner_ctx(ctx: &Context<ReliableMsg<P::Msg>, P::Resp>) -> Context<P::Msg, P::Resp> {
-        let mut inner = Context::new(ctx.me(), ctx.n(), ctx.now());
-        inner.set_tracing(ctx.tracing());
-        inner
     }
 
     /// Resends every envelope due by `now` and pushes its next deadline
@@ -269,9 +268,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
     type Resp = P::Resp;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner_ctx = Self::inner_ctx(ctx);
-        self.inner.on_start(&mut inner_ctx);
-        self.translate(&mut inner_ctx, ctx);
+        self.run_inner(ctx, |p, inner| p.on_start(inner));
     }
 
     fn on_message(
@@ -295,9 +292,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
                 // protocol: exactly once, in per-sender order.
                 while let Some(payload) = self.held.remove(&(from, self.expected[&from])) {
                     *self.expected.get_mut(&from).expect("entry created above") += 1;
-                    let mut inner_ctx = Self::inner_ctx(ctx);
-                    self.inner.on_message(from, payload, &mut inner_ctx);
-                    self.translate(&mut inner_ctx, ctx);
+                    self.run_inner(ctx, |p, inner| p.on_message(from, payload, inner));
                 }
             }
             ReliableMsg::Ack { seq } => {
@@ -314,22 +309,16 @@ impl<P: Protocol> Protocol for Reliable<P> {
             self.retransmit_due(ctx);
             self.arm(ctx);
         } else {
-            let mut inner_ctx = Self::inner_ctx(ctx);
-            self.inner.on_timer(id, &mut inner_ctx);
-            self.translate(&mut inner_ctx, ctx);
+            self.run_inner(ctx, |p, inner| p.on_timer(id, inner));
         }
     }
 
     fn on_invoke(&mut self, op: OpId, body: Self::Op, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner_ctx = Self::inner_ctx(ctx);
-        self.inner.on_invoke(op, body, &mut inner_ctx);
-        self.translate(&mut inner_ctx, ctx);
+        self.run_inner(ctx, |p, inner| p.on_invoke(op, body, inner));
     }
 
     fn on_recover(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner_ctx = Self::inner_ctx(ctx);
-        self.inner.on_recover(&mut inner_ctx);
-        self.translate(&mut inner_ctx, ctx);
+        self.run_inner(ctx, |p, inner| p.on_recover(inner));
         // The crash cancelled the retransmit timer (its epoch advanced).
         // Re-arm it by making every pending envelope due now: acks that
         // were dropped while we were down are recovered by the resend.

@@ -326,29 +326,14 @@ impl FailureSchedule {
     }
 
     /// Splits the timeline at `at`: the first schedule holds every event
-    /// strictly before `at`, the second everything from `at` on — the
-    /// schedule's **cursor** for fork replay. A warmup applies the prefix,
-    /// checkpoints at `at`, and each branch then replays (or permutes) the
-    /// remaining timeline only:
-    ///
-    /// ```
-    /// use gqs_core::ProcessId;
-    /// use gqs_simnet::{FailureSchedule, SimTime};
-    ///
-    /// let mut s = FailureSchedule::none();
-    /// s.crash(ProcessId(0), SimTime(100)).recover(ProcessId(0), SimTime(900));
-    /// let (before, after) = s.split_at(SimTime(500));
-    /// assert_eq!(before.crashes().len(), 1);
-    /// assert!(before.recovers().is_empty());
-    /// assert_eq!(after.recovers(), &[(ProcessId(0), SimTime(900))]);
-    /// ```
-    ///
-    /// Within each half, events keep their original relative order (the
-    /// order [`Simulation::apply_failures`] assigns sequence numbers in),
-    /// so `apply(before); apply(after)` reproduces `apply(whole)`'s event
+    /// strictly before `at`, the second everything from `at` on. Within
+    /// each half, events keep their original relative order (the order
+    /// [`Simulation::apply_failures`] assigns sequence numbers in), so
+    /// `apply(before); apply(after)` reproduces `apply(whole)`'s event
     /// interleaving exactly for any `at` no later than the first event at
     /// a shared instant.
-    pub fn split_at(&self, at: SimTime) -> (FailureSchedule, FailureSchedule) {
+    #[cfg(test)]
+    pub(crate) fn split_at(&self, at: SimTime) -> (FailureSchedule, FailureSchedule) {
         let mut before = FailureSchedule::default();
         let mut after = FailureSchedule::default();
         fn part<T: Copy>(
@@ -650,7 +635,8 @@ impl<P: Protocol> Simulation<P> {
     /// the number of *distinct* channels a schedule ever faulted, not by
     /// how many times they flapped. The regression guard for flapping
     /// schedules growing memory without bound.
-    pub fn down_tracked_channels(&self) -> usize {
+    #[cfg(test)]
+    fn down_tracked_channels(&self) -> usize {
         self.down_slots.len()
     }
 
@@ -791,19 +777,7 @@ impl<P: Protocol> Simulation<P> {
     /// Runs until time `until` (inclusive), the queue drains, or the event
     /// cap is hit.
     pub fn run_until(&mut self, until: SimTime) -> StopReason {
-        let until = until.min(self.config.horizon);
-        loop {
-            match self.peek_time() {
-                None => return self.stopped(StopReason::Quiescent),
-                Some(t) if t > until => return self.stopped(StopReason::Horizon),
-                Some(_) => {}
-            }
-            if self.stats.events >= self.config.max_events {
-                let reason = StopReason::EventCap { stalled_ops: self.stalled_ops() };
-                return self.stopped(reason);
-            }
-            self.step();
-        }
+        self.run_loop::<false>(until)
     }
 
     /// Runs until every scheduled operation has completed, the horizon
@@ -820,9 +794,18 @@ impl<P: Protocol> Simulation<P> {
     /// events a single straight run would, in the same order, so the
     /// final state is bit-identical.
     pub fn run_until_ops_complete_or(&mut self, until: SimTime) -> StopReason {
+        self.run_loop::<true>(until)
+    }
+
+    /// The one run loop behind every `run*` method: stops when the queue
+    /// drains, the next event lies beyond `until` (or the horizon), the
+    /// event cap is hit, or — with `OPS` — every scheduled operation has
+    /// completed. A const parameter, so each public name compiles to the
+    /// loop it needs and no more.
+    fn run_loop<const OPS: bool>(&mut self, until: SimTime) -> StopReason {
         let until = until.min(self.config.horizon);
         loop {
-            if self.finished_ops == self.scheduled_ops {
+            if OPS && self.finished_ops == self.scheduled_ops {
                 return self.stopped(StopReason::OpsComplete);
             }
             match self.peek_time() {
@@ -862,14 +845,6 @@ impl<P: Protocol> Simulation<P> {
     /// residue of a truncated run (see [`StopReason::EventCap`]).
     pub fn stalled_ops(&self) -> u64 {
         self.scheduled_ops - self.finished_ops
-    }
-
-    /// The first `cap` stalled operations as `(op, process, invoked_at)`,
-    /// in invocation order — the named culprits behind a
-    /// [`StopReason::EventCap`] (or any other truncated stop). `cap`
-    /// bounds the work on histories with millions of pending ops.
-    pub fn stalled_op_details(&self, cap: usize) -> Vec<(OpId, ProcessId, SimTime)> {
-        self.history.pending().take(cap).map(|r| (r.id, r.process, r.invoked_at)).collect()
     }
 
     /// Processes a single event. Returns `false` if there was none left.
@@ -2144,10 +2119,9 @@ mod tests {
         let mut sim = Simulation::new(cfg, vec![Spinner::default()]);
         let recorder = SharedSink::new(FlightRecorder::with_capacity(16));
         sim.set_trace(Box::new(recorder.clone()));
-        let op = sim.invoke_at(SimTime(1), ProcessId(0), ());
+        sim.invoke_at(SimTime(1), ProcessId(0), ());
         let reason = sim.run_until_ops_complete();
         assert_eq!(reason, StopReason::EventCap { stalled_ops: 1 });
-        assert_eq!(sim.stalled_op_details(8), vec![(op, ProcessId(0), SimTime(1))]);
         let report = recorder.with(|r| r.report().map(str::to_string));
         let report = report.expect("EventCap must produce a flight-recorder report");
         assert!(report.contains("1 stalled op(s)"), "{report}");

@@ -189,33 +189,17 @@ where
         &self.reg
     }
 
-    fn inner_ctx(ctx: &Context<E::Msg, SnapResp<V>>) -> Context<E::Msg, RegResp<Segment<V>>> {
-        let mut inner = Context::new(ctx.me(), ctx.n(), ctx.now());
-        inner.set_tracing(ctx.tracing());
-        inner
-    }
-
-    fn issue_read(&mut self, machine: u64, segment: usize, ctx: &mut Context<E::Msg, SnapResp<V>>) {
-        let id = OpId(self.next_internal);
-        self.next_internal += 1;
-        self.routes.insert(id.0, machine);
-        let mut inner = Self::inner_ctx(ctx);
-        self.reg.on_invoke(id, RegOp::Read { reg: segment }, &mut inner);
-        self.pump(inner.take_effects(), ctx);
-    }
-
-    fn issue_write(
+    /// Issues one internal register operation on behalf of `machine`.
+    fn issue(
         &mut self,
         machine: u64,
-        seg: Segment<V>,
+        op: RegOp<usize, Segment<V>>,
         ctx: &mut Context<E::Msg, SnapResp<V>>,
     ) {
         let id = OpId(self.next_internal);
         self.next_internal += 1;
         self.routes.insert(id.0, machine);
-        let mut inner = Self::inner_ctx(ctx);
-        self.reg.on_invoke(id, RegOp::Write { reg: self.me.index(), value: seg }, &mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |reg, inner| reg.on_invoke(id, op, inner));
     }
 
     /// Reads the next segment of the machine's current collect.
@@ -226,17 +210,21 @@ where
             }
             _ => unreachable!("collect continued on a non-scanning machine"),
         };
-        self.issue_read(machine, next_seg, ctx);
+        self.issue(machine, RegOp::Read { reg: next_seg }, ctx);
     }
 
-    /// Routes effects of the embedded register protocol: internal
+    /// Runs one handler of the embedded register protocol through
+    /// [`Context::nested`] and routes what it emitted: internal
     /// completions drive the machines; network effects pass through.
-    fn pump(
+    fn run_inner(
         &mut self,
-        effects: Vec<Effect<E::Msg, RegResp<Segment<V>>>>,
         ctx: &mut Context<E::Msg, SnapResp<V>>,
+        handler: impl FnOnce(
+            &mut QuorumRegister<usize, Segment<V>, E>,
+            &mut Context<E::Msg, RegResp<Segment<V>>>,
+        ),
     ) {
-        for eff in effects {
+        for eff in ctx.nested(|inner| handler(&mut self.reg, inner)) {
             match eff {
                 Effect::Send { to, msg } => ctx.send(to, msg),
                 Effect::Broadcast { msg } => ctx.broadcast(msg),
@@ -281,7 +269,8 @@ where
                                 self.my_seq += 1;
                                 let seg = Segment { value, seq: self.my_seq, view };
                                 self.machines.insert(machine, Machine::UpdateWrite { op });
-                                self.issue_write(machine, seg, ctx);
+                                let write = RegOp::Write { reg: self.me.index(), value: seg };
+                                self.issue(machine, write, ctx);
                             }
                             Machine::ClientScan { op, scan } => {
                                 self.stats.collects += scan.collects;
@@ -311,9 +300,7 @@ where
     type Resp = SnapResp<V>;
 
     fn on_start(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner = Self::inner_ctx(ctx);
-        self.reg.on_start(&mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |reg, inner| reg.on_start(inner));
     }
 
     fn on_message(
@@ -322,15 +309,17 @@ where
         msg: Self::Msg,
         ctx: &mut Context<Self::Msg, Self::Resp>,
     ) {
-        let mut inner = Self::inner_ctx(ctx);
-        self.reg.on_message(from, msg, &mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |reg, inner| reg.on_message(from, msg, inner));
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        let mut inner = Self::inner_ctx(ctx);
-        self.reg.on_timer(id, &mut inner);
-        self.pump(inner.take_effects(), ctx);
+        self.run_inner(ctx, |reg, inner| reg.on_timer(id, inner));
+    }
+
+    /// Forwards the recovery to the embedded register, whose engine
+    /// re-arms its periodic push (and, under retries, its retry timer).
+    fn on_recover(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
+        self.run_inner(ctx, |reg, inner| reg.on_recover(inner));
     }
 
     fn on_invoke(&mut self, op: OpId, body: Self::Op, ctx: &mut Context<Self::Msg, Self::Resp>) {
@@ -382,6 +371,30 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gqs_core::majority_system;
+    use gqs_registers::{GeneralizedMsg, TICK_TIMER};
+    use gqs_simnet::SimTime;
+
+    /// Regression: the node used to inherit the default no-op
+    /// `on_recover`, so a recovered replica never pushed its state again
+    /// nor re-armed the push's tick.
+    #[test]
+    fn recovery_rearms_the_engines_push_and_tick() {
+        let qs = majority_system(3).unwrap();
+        let seg0 = Segment { value: 0u64, seq: 0, view: vec![0; 3] };
+        let engine =
+            GeneralizedQaf::new(qs.reads().clone(), qs.writes().clone(), RegMap::new(seg0), 20);
+        let mut node: GqsSnapshot<u64> = SnapshotNode::new(ProcessId(1), 3, engine);
+        let mut ctx = Context::new(ProcessId(1), 3, SimTime(500));
+        node.on_recover(&mut ctx);
+        assert!(matches!(
+            ctx.take_effects()[..],
+            [
+                Effect::Broadcast { msg: GeneralizedMsg::GetResp { clock: 1, .. } },
+                Effect::SetTimer { id: TICK_TIMER, after: 20 },
+            ]
+        ));
+    }
 
     #[test]
     fn scan_machine_direct_termination() {

@@ -6,9 +6,10 @@ use gqs_checker::spec::{Entry, SnapshotOp, SnapshotResp, SnapshotSpec};
 use gqs_checker::wait_freedom_report;
 use gqs_checker::wg::check_linearizable;
 use gqs_core::systems::figure1;
-use gqs_core::ProcessId;
-use gqs_simnet::{FailureSchedule, History, SimConfig, SimTime, Simulation, StopReason};
-use gqs_snapshots::{gqs_snapshot_nodes, SnapOp, SnapResp};
+use gqs_core::{majority_system, ProcessId};
+use gqs_registers::{GeneralizedQaf, RegMap};
+use gqs_simnet::{FailureSchedule, Flood, History, SimConfig, SimTime, Simulation, StopReason};
+use gqs_snapshots::{gqs_snapshot_nodes, Segment, SnapOp, SnapResp, SnapshotNode};
 
 type SnapHistory = History<SnapOp<u64>, SnapResp<u64>>;
 
@@ -161,4 +162,30 @@ fn snapshot_runs_are_deterministic() {
     };
     assert_eq!(run(8), run(8));
     assert_ne!(run(8), run(9));
+}
+
+/// Regression: `SnapshotNode` used to drop `on_recover`, so its Figure 3
+/// engine never re-armed the periodic push. Here p0 crashes and recovers,
+/// then p1 crashes for good, so the only live read quorum left for p2's
+/// scan is {p0, p2}: the scan completes only if p0 pushes again.
+#[test]
+fn a_recovered_replica_pushes_again_so_scans_through_it_complete() {
+    let qs = majority_system(3).unwrap();
+    let nodes = (0..3)
+        .map(|p| {
+            let seg0 = Segment { value: 0u64, seq: 0, view: vec![0; 3] };
+            let reads = qs.reads().clone();
+            let engine = GeneralizedQaf::new(reads, qs.writes().clone(), RegMap::new(seg0), 20);
+            Flood::new(SnapshotNode::new(ProcessId(p), 3, engine))
+        })
+        .collect();
+    let cfg = SimConfig { seed: 2, horizon: SimTime(60_000), ..SimConfig::default() };
+    let mut sim = Simulation::new(cfg, nodes);
+    let mut sched = FailureSchedule::none();
+    sched.crash(ProcessId(0), SimTime(1000)).recover(ProcessId(0), SimTime(2000));
+    sched.crash(ProcessId(1), SimTime(3000));
+    sim.apply_failures(&sched);
+    sim.invoke_at(SimTime(4000), ProcessId(2), SnapOp::Scan);
+    assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete, "p0 never pushed again");
+    assert_eq!(sim.history().ops()[0].resp(), Some(&SnapResp::View(vec![0, 0, 0])));
 }
