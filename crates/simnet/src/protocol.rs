@@ -266,8 +266,9 @@ impl<M, R> Context<M, R> {
     }
 
     /// Re-emits a trace marker verbatim — how a layer passes an
-    /// [`Effect::Trace`] from [`Context::nested`] through. Unconditional: the gating already happened when
-    /// the inner protocol emitted the marker.
+    /// [`Effect::Trace`] from [`Context::nested`] through. Unconditional:
+    /// the gating already happened when the inner protocol emitted the
+    /// marker.
     pub fn emit_trace(&mut self, kind: SpanKind, label: &'static str, id: u64) {
         self.effects.push(Effect::Trace { kind, label, id });
     }
