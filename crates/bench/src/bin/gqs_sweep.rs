@@ -15,6 +15,8 @@
 //! Output (JSON or CSV) contains no timing or environment data, so two
 //! runs with the same spec diff byte for byte; wall-clock goes to stderr.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use gqs_workloads::sweep::{

@@ -3,15 +3,25 @@
 //! Usage:
 //!   tables            # run all experiments
 //!   tables E5 E12     # run selected experiment ids
+//!
+//! An unknown id prints nothing on stdout, names itself and the known ids
+//! on stderr, and exits 2.
+
+#![forbid(unsafe_code)]
 
 use gqs_workloads::experiments::all_reports;
 
 fn main() {
-    let filter: Vec<String> = std::env::args().skip(1).map(|s| s.to_uppercase()).collect();
-    for report in all_reports() {
-        if filter.is_empty() || filter.iter().any(|f| f == report.id) {
-            println!("{report}");
-            println!();
-        }
+    let filter: Vec<String> = std::env::args().skip(1).collect();
+    let selects = |id: &str| filter.iter().any(|f| f.eq_ignore_ascii_case(id));
+    let reports = all_reports();
+    let known: Vec<&str> = reports.iter().map(|r| r.id).collect();
+    if let Some(bad) = filter.iter().find(|f| !known.iter().any(|id| f.eq_ignore_ascii_case(id))) {
+        eprintln!("tables: unknown experiment id {bad:?}; known ids: {}", known.join(" "));
+        std::process::exit(2);
+    }
+    for report in reports.into_iter().filter(|r| filter.is_empty() || selects(r.id)) {
+        println!("{report}");
+        println!();
     }
 }

@@ -106,7 +106,7 @@ pub fn example9_f_prime() -> (NetworkGraph, FailProneSystem) {
 ///
 /// Classical quorum-system literature (\[34\] in the paper) studies grids
 /// for their `O(√n)` quorum size; here they serve as a non-threshold
-/// baseline for the decision procedures and benches.
+/// baseline for the decision procedures.
 ///
 /// # Errors
 ///

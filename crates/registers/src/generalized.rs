@@ -150,7 +150,8 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
     ///
     /// `tick_interval` is the period of the line-12 state propagation, in
     /// simulator time units; smaller ticks mean lower operation latency
-    /// and more messages (the trade-off is measured in the benches).
+    /// and more messages (experiment E5's tick column, 5/50/200, measures
+    /// the trade-off).
     ///
     /// # Panics
     ///

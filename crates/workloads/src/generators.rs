@@ -273,9 +273,10 @@ pub fn trial_rng(seed: u64, i: usize) -> SplitMix64 {
 /// Generates `count` random `(graph, fail-prone system)` scenarios in
 /// parallel, one independent seeded stream per scenario.
 ///
-/// This is the batched entry point sweeps and benches share: scenario `i`
-/// of a given `(seed, ...)` parameterization is identical no matter the
-/// thread count or which other scenarios are generated.
+/// This is the batched entry point the benchmark's generator layer
+/// times: scenario `i` of a given `(seed, ...)` parameterization is
+/// identical no matter the thread count or which other scenarios are
+/// generated.
 #[allow(clippy::too_many_arguments)]
 pub fn random_scenarios(
     count: usize,

@@ -7,16 +7,11 @@
 //! * [`convert`] — simulator histories → checker inputs;
 //! * [`experiments`] — one driver per experiment of the `tables` binary
 //!   (E1–E12), each returning a printable [`ExperimentReport`];
-//! * [`par`] — deterministic fork-join helpers that spread the random
-//!   sweeps (E3, E11, E12) across cores;
+//! * [`par`] — the `GQS_THREADS` worker count and a deterministic
+//!   parallel index map for batched generation;
 //! * [`sweep`] — the streaming sweep engine: sharded scenario grids,
 //!   constant-memory incremental aggregation, scenario families;
-//! * [`table`] — the plain-text tables the `tables` binary prints;
-//! * [`tracemetrics`] — the trace-plane load model: [`LoadSink`]
-//!   combines per-process/per-channel-class message counters with a
-//!   latency histogram, fed entirely by simulator trace events.
-//!
-//! [`LoadSink`]: tracemetrics::LoadSink
+//! * [`table`] — the plain-text tables the `tables` binary prints.
 //!
 //! The `gqs-bench` crate's `tables` binary simply runs
 //! [`experiments::all_reports`] and prints them.
@@ -55,7 +50,6 @@ pub mod generators;
 pub mod par;
 pub mod sweep;
 pub mod table;
-pub mod tracemetrics;
 
 pub use experiments::{all_reports, ExperimentReport};
 pub use table::Table;

@@ -1,13 +1,14 @@
-//! Minimal deterministic fork-join helpers for the embarrassingly-parallel
-//! sweeps (E3, E11, E12 and batched generation).
+//! Minimal deterministic fork-join helpers: the worker-thread count every
+//! parallel path resolves, and a parallel index map for batched
+//! generation.
 //!
 //! The build environment cannot vendor `rayon`, so this module provides the
-//! tiny subset the sweeps need on top of [`std::thread::scope`]:
+//! tiny subset needed on top of [`std::thread::scope`]:
 //!
+//! * [`thread_count`] — the `GQS_THREADS` knob the sweep engine shares;
 //! * [`map`] — parallel index map: runs `f(0..count)` across worker
 //!   threads and returns the results **in index order**, so callers see
 //!   exactly the sequence a serial loop would produce.
-//! * [`run2`] — runs two independent closures concurrently.
 //!
 //! Determinism contract: `f` must derive all randomness from its index
 //! argument (e.g. `SplitMix64::new(mix(seed, i))`) — never from shared
@@ -29,8 +30,7 @@ fn threads() -> usize {
 /// environment: `GQS_THREADS` if set to a positive integer, otherwise
 /// `min(available_parallelism, 8)`.
 ///
-/// Exposed so other schedulers (the streaming sweep engine, benches) use
-/// the same knob as [`map`].
+/// Exposed so the streaming sweep engine uses the same knob as [`map`].
 pub fn thread_count() -> usize {
     threads()
 }
@@ -89,21 +89,6 @@ where
     slots.into_iter().map(|v| v.expect("every index claimed exactly once")).collect()
 }
 
-/// Runs two independent closures concurrently and returns both results.
-pub fn run2<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    thread::scope(|s| {
-        let hb = s.spawn(fb);
-        let a = fa();
-        (a, hb.join().expect("worker panicked"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,12 +126,5 @@ mod tests {
         for bad in ["0", "", "  ", "-2", "four", "2x", "1.5", "0x4"] {
             assert_eq!(threads_from(Some(bad)), default, "GQS_THREADS={bad:?}");
         }
-    }
-
-    #[test]
-    fn run2_returns_both() {
-        let (a, b) = run2(|| 1 + 1, || "x".to_string() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
     }
 }

@@ -53,7 +53,7 @@
 //! family × channel-failure rate, with [`SCENARIO_METRICS`] measured per
 //! trial (GQS/QS+ existence, the separation gap, witness size, residual
 //! SCC count — all deterministic, so whole reports diff cleanly).
-//! [`report_json`]/[`report_csv`] render machine-readable tables, and
+//! [`report_json_exec`]/[`report_csv`] render machine-readable tables, and
 //! [`parse_usize_list`]/[`parse_f64_list`] implement the CLI's grid
 //! grammar (`4..8`, `4..16:2`, `0.1,0.3`, single values).
 //!
@@ -2394,6 +2394,10 @@ pub fn report_csv(grid: &ScenarioGrid, report: &SweepReport) -> String {
 mod tests {
     use super::*;
 
+    fn with_threads(threads: usize, shard: Option<usize>) -> SweepOptions {
+        SweepOptions { threads: Some(threads), shard, ..Default::default() }
+    }
+
     #[test]
     fn sketch_tracks_quantiles_within_tolerance() {
         let mut sk = QuantileSketch::new();
@@ -2582,8 +2586,8 @@ mod tests {
             net,
         };
         let run = |net| {
-            ScenarioGrid { cells: vec![cell(net)], trials: 6, seed: 40 }
-                .run_latency(&SweepOptions::default())
+            let grid = ScenarioGrid { cells: vec![cell(net)], trials: 6, seed: 40 };
+            grid.run_mode(Mode::Latency, &Exec::Straight, &SweepOptions::default())
         };
         let uniform = run(NetworkFamily::Uniform);
         let constant = run(NetworkFamily::Constant);
@@ -2618,19 +2622,15 @@ mod tests {
             trials: 6,
             seed: 11,
         };
-        let report = grid.run_latency(&SweepOptions::default());
+        let report = grid.run_mode(Mode::Latency, &Exec::Straight, &SweepOptions::default());
         assert!(report.complete);
         assert_eq!(report.metrics, LATENCY_METRICS);
         assert_eq!(report.agg(0, "completed").mean(), 1.0, "all ops must complete");
         assert!(report.agg(0, "lat_mean").mean() > 0.0);
         assert!(report.agg(0, "msgs_per_op").mean() > 0.0);
         // The determinism contract holds in latency mode too.
-        let single = grid.run_latency(&SweepOptions { threads: Some(1), ..Default::default() });
-        let many = grid.run_latency(&SweepOptions {
-            threads: Some(3),
-            shard: Some(2),
-            ..Default::default()
-        });
+        let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, None));
+        let many = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(3, Some(2)));
         assert_eq!(single, many);
         assert_eq!(single, report);
     }
@@ -2667,7 +2667,7 @@ mod tests {
         // The windowed completions add up to the straight run's
         // completion count, and the base metrics are untouched by the
         // windowing: bucketing is pure observation.
-        let straight = grid.run_latency(&SweepOptions::default());
+        let straight = grid.run_mode(Mode::Latency, &Exec::Straight, &SweepOptions::default());
         let ops_per_trial: f64 = (0..nb).map(|k| report.agg(0, &format!("tl_ops{k}")).mean()).sum();
         let expect = straight.agg(0, "completed").mean() * LATENCY_OPS as f64;
         assert!((ops_per_trial - expect).abs() < 1e-9, "{ops_per_trial} vs {expect}");
@@ -2795,7 +2795,7 @@ mod tests {
             trials: 2,
             seed: 29,
         };
-        let report = grid.run_scale(&SweepOptions::default());
+        let report = grid.run_mode(Mode::Scale, &Exec::Straight, &SweepOptions::default());
         assert!(report.complete);
         assert_eq!(report.metrics, SCALE_METRICS);
         for c in 0..grid.cells.len() {
@@ -2808,12 +2808,8 @@ mod tests {
         // Rumors cross a ring's diameter (n/2 hops) far slower than a
         // grid's (≈ √n hops).
         assert!(report.agg(0, "spread").mean() > report.agg(1, "spread").mean());
-        let single = grid.run_scale(&SweepOptions { threads: Some(1), ..Default::default() });
-        let many = grid.run_scale(&SweepOptions {
-            threads: Some(3),
-            shard: Some(1),
-            ..Default::default()
-        });
+        let single = grid.run_mode(Mode::Scale, &Exec::Straight, &with_threads(1, None));
+        let many = grid.run_mode(Mode::Scale, &Exec::Straight, &with_threads(3, Some(1)));
         assert_eq!(single, many);
         assert_eq!(single, report);
     }
@@ -2863,10 +2859,13 @@ mod tests {
             schedule: ScheduleFamily::Static,
             net: NetworkFamily::Uniform,
         };
-        let grid = |family| ScenarioGrid { cells: vec![cell(family)], trials: 8, seed: 5 };
-        let complete = grid(TopologyFamily::Complete).run_latency(&SweepOptions::default());
-        let ring = grid(TopologyFamily::Ring).run_latency(&SweepOptions::default());
-        let star = grid(TopologyFamily::Star).run_latency(&SweepOptions::default());
+        let run = |family| {
+            let grid = ScenarioGrid { cells: vec![cell(family)], trials: 8, seed: 5 };
+            grid.run_mode(Mode::Latency, &Exec::Straight, &SweepOptions::default())
+        };
+        let complete = run(TopologyFamily::Complete);
+        let ring = run(TopologyFamily::Ring);
+        let star = run(TopologyFamily::Star);
         assert_eq!(complete.agg(0, "completed").mean(), 1.0);
         assert_eq!(ring.agg(0, "completed").mean(), 1.0, "ring minus one process stays connected");
         assert!(
@@ -2903,7 +2902,7 @@ mod tests {
         assert_eq!(report.agg(0, "gqs").count(), 8);
         // gap implies gqs, cell by cell.
         assert!(report.agg(0, "gap").sum() <= report.agg(0, "gqs").sum());
-        let json = report_json(&grid, &report);
+        let json = report_json_exec(&grid, &report, &Exec::Straight);
         assert!(json.contains("\"schema\": \"gqs_sweep/v1\""));
         assert!(json.contains("two-cliques-bridge"));
         assert!(json.contains("\"schedule\": \"static\""));
@@ -2967,8 +2966,8 @@ mod tests {
             net: NetworkFamily::Uniform,
         };
         let run = |schedule| {
-            ScenarioGrid { cells: vec![cell(schedule)], trials: 8, seed: 21 }
-                .run_latency(&SweepOptions::default())
+            let grid = ScenarioGrid { cells: vec![cell(schedule)], trials: 8, seed: 21 };
+            grid.run_mode(Mode::Latency, &Exec::Straight, &SweepOptions::default())
         };
         let stat = run(ScheduleFamily::Static);
         let outage = run(ScheduleFamily::RegionOutage);
@@ -2994,7 +2993,7 @@ mod tests {
             trials: 6,
             seed: 19,
         };
-        let report = grid.run_consensus(&SweepOptions::default());
+        let report = grid.run_mode(Mode::Consensus, &Exec::Straight, &SweepOptions::default());
         assert!(report.complete);
         assert_eq!(report.metrics, CONSENSUS_METRICS);
         // Rotating f0 crashes one of four processes; the other three
@@ -3007,16 +3006,8 @@ mod tests {
         // Thread-invariance at fixed sharding (the engine contract; the
         // f64 sums of real-valued metrics only reassociate identically
         // when the shard boundaries are the same).
-        let single = grid.run_consensus(&SweepOptions {
-            threads: Some(1),
-            shard: Some(2),
-            ..Default::default()
-        });
-        let many = grid.run_consensus(&SweepOptions {
-            threads: Some(3),
-            shard: Some(2),
-            ..Default::default()
-        });
+        let single = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1, Some(2)));
+        let many = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(3, Some(2)));
         assert_eq!(single, many);
     }
 
@@ -3039,7 +3030,7 @@ mod tests {
             trials: 6,
             seed: 19,
         };
-        let report = grid.run_consensus(&SweepOptions::default());
+        let report = grid.run_mode(Mode::Consensus, &Exec::Straight, &SweepOptions::default());
         assert_eq!(report.agg(0, "decided").mean(), 1.0, "restarts heal: everyone decides");
     }
 
@@ -3061,7 +3052,7 @@ mod tests {
             net: NetworkFamily::Uniform,
         };
         let grid = ScenarioGrid { cells: vec![cell], trials: 8, seed: 21 };
-        let report = grid.run_availability(&SweepOptions::default());
+        let report = grid.run_mode(Mode::Availability, &Exec::Straight, &SweepOptions::default());
         assert!(report.complete);
         assert_eq!(report.metrics, AVAILABILITY_METRICS);
         assert_eq!(report.agg(0, "completed").mean(), 1.0, "retries heal the outage");
@@ -3075,16 +3066,8 @@ mod tests {
             "healing through an outage costs retransmissions"
         );
         // Determinism contract: bit-identical for any thread count.
-        let single = grid.run_availability(&SweepOptions {
-            threads: Some(1),
-            shard: Some(2),
-            ..Default::default()
-        });
-        let many = grid.run_availability(&SweepOptions {
-            threads: Some(3),
-            shard: Some(2),
-            ..Default::default()
-        });
+        let single = grid.run_mode(Mode::Availability, &Exec::Straight, &with_threads(1, Some(2)));
+        let many = grid.run_mode(Mode::Availability, &Exec::Straight, &with_threads(3, Some(2)));
         assert_eq!(single, many);
     }
 
@@ -3109,8 +3092,8 @@ mod tests {
         let fork = BranchSpec { at: 600, branches: 3, mode: BranchMode::Fork };
         let straight = BranchSpec { mode: BranchMode::Straight, ..fork };
 
-        let f = grid.run_consensus_branched(&SweepOptions::default(), &fork);
-        let s = grid.run_consensus_branched(&SweepOptions::default(), &straight);
+        let f = grid.run_mode(Mode::Consensus, &Exec::Branched(fork), &SweepOptions::default());
+        let s = grid.run_mode(Mode::Consensus, &Exec::Branched(straight), &SweepOptions::default());
         assert_eq!(f, s, "consensus: fork must equal the straight-line reference");
         // Row accounting: `trials` still counts trials; every branch
         // contributes one observation per metric.
@@ -3127,14 +3110,9 @@ mod tests {
 
         // Thread-invariance survives branching (rows fold in (trial, row)
         // order inside fixed shards).
-        let single = grid.run_consensus_branched(
-            &SweepOptions { threads: Some(1), shard: Some(2), ..Default::default() },
-            &fork,
-        );
-        let many = grid.run_consensus_branched(
-            &SweepOptions { threads: Some(3), shard: Some(2), ..Default::default() },
-            &fork,
-        );
+        let single =
+            grid.run_mode(Mode::Consensus, &Exec::Branched(fork), &with_threads(1, Some(2)));
+        let many = grid.run_mode(Mode::Consensus, &Exec::Branched(fork), &with_threads(3, Some(2)));
         assert_eq!(single, many);
     }
 
@@ -3158,13 +3136,11 @@ mod tests {
             seed: 3,
         };
         let spec = BranchSpec { at: 500, branches: 2, mode: BranchMode::Fork };
-        let report = grid.run_consensus_branched(&SweepOptions::default(), &spec);
-        assert_eq!(
-            report_json(&grid, &report),
-            report_json_branched(&grid, &report, None),
-            "report_json is the unbranched special case"
-        );
-        let json = report_json_branched(&grid, &report, Some(&spec));
+        let exec = Exec::Branched(spec);
+        let report = grid.run_mode(Mode::Consensus, &exec, &SweepOptions::default());
+        let plain = report_json_exec(&grid, &report, &Exec::Straight);
+        assert!(!plain.contains("branch"), "an unbranched render has no branch fields");
+        let json = report_json_exec(&grid, &report, &exec);
         assert!(json.contains("\"branch_at\": 500,\n"));
         assert!(json.contains("\"branches\": 2,\n"));
         assert!(!json.to_lowercase().contains("mode"), "branch mode must not leak into JSON");
@@ -3185,13 +3161,16 @@ mod tests {
             schedule: ScheduleFamily::Static,
             net: NetworkFamily::Uniform,
         };
-        let grid = |loss| ScenarioGrid { cells: vec![cell(loss)], trials: 8, seed: 33 };
-        let lossy = grid(0.3).run_availability(&SweepOptions::default());
+        let run = |mode, loss| {
+            let grid = ScenarioGrid { cells: vec![cell(loss)], trials: 8, seed: 33 };
+            grid.run_mode(mode, &Exec::Straight, &SweepOptions::default())
+        };
+        let lossy = run(Mode::Availability, 0.3);
         assert_eq!(lossy.agg(0, "completed").mean(), 1.0, "retries absorb 30% loss");
         assert!(lossy.agg(0, "retransmits_per_op").mean() > 0.0);
         // At loss = 0 the reliability layer is pure overhead-free
         // insurance: nothing is ever retransmitted.
-        let clean = grid(0.0).run_availability(&SweepOptions::default());
+        let clean = run(Mode::Availability, 0.0);
         assert_eq!(clean.agg(0, "completed").mean(), 1.0);
         assert_eq!(
             clean.agg(0, "retransmits_per_op").mean(),
@@ -3199,7 +3178,7 @@ mod tests {
             "no loss, no outage => no retransmissions"
         );
         // And the plain stack genuinely suffers on the same lossy cells.
-        let plain = grid(0.3).run_latency(&SweepOptions::default());
+        let plain = run(Mode::Latency, 0.3);
         assert!(
             plain.agg(0, "completed").mean() < 1.0,
             "plain ABD must lose ops at 30% loss, got {}",

@@ -18,8 +18,8 @@
 //! counts, so numbers are comparable machine to machine.
 
 use gqs::workloads::sweep::{
-    NetworkFamily, PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily, SweepOptions,
-    TopologyFamily,
+    Exec, Mode, NetworkFamily, PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily,
+    SweepOptions, TopologyFamily,
 };
 use gqs::workloads::Table;
 
@@ -88,7 +88,7 @@ fn main() {
         trials: 32,
         seed: 2025,
     };
-    let report = grid.run_latency(&SweepOptions::default());
+    let report = grid.run_mode(Mode::Latency, &Exec::Straight, &SweepOptions::default());
     let mut t = Table::new(["topology (n=6)", "completed %", "mean latency", "p90 lat", "msgs/op"]);
     for (i, cell) in grid.cells.iter().enumerate() {
         t.row([
