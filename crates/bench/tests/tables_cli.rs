@@ -5,18 +5,37 @@
 
 use std::process::{Command, Output};
 
+const GOLDEN: &str = include_str!("../golden/tables.txt");
+
 fn tables(threads: &str, args: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_tables"));
     cmd.env("GQS_THREADS", threads).args(args).output().expect("tables runs")
 }
 
+/// Experiment `id`'s block of the golden: its header line up to the next
+/// experiment's header (or the end).
+fn golden_block(id: &str) -> &'static str {
+    let start = GOLDEN.find(&format!("== {id}: ")).expect("id is in the golden");
+    let len = GOLDEN[start + 1..].find("\n== ").map_or(GOLDEN.len() - start, |next| next + 2);
+    &GOLDEN[start..start + len]
+}
+
 #[test]
 fn tables_match_golden_for_any_thread_count() {
-    let golden = include_bytes!("../golden/tables.txt");
     for threads in ["1", "8"] {
         let out = tables(threads, &[]);
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        assert!(out.stdout == golden, "GQS_THREADS={threads} drifted from golden/tables.txt");
+        assert!(out.stdout == GOLDEN.as_bytes(), "GQS_THREADS={threads} drifted from golden");
+    }
+}
+
+#[test]
+fn selected_experiments_match_their_golden_blocks() {
+    let expected = format!("{}{}", golden_block("E1"), golden_block("E12"));
+    for threads in ["1", "8"] {
+        let out = tables(threads, &["E1", "e12"]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "GQS_THREADS={threads}");
     }
 }
 

@@ -42,9 +42,29 @@ pub mod synchronizer;
 pub use protocol::{ConsensusMsg, ConsensusNode, Phase, ProposalMode};
 pub use synchronizer::{leader_of, view_overlaps, ViewSynchronizer, VIEW_TIMER};
 
-use gqs_core::{majority_system, GeneralizedQuorumSystem, ProcessId};
+use gqs_core::{majority_system, GeneralizedQuorumSystem, ProcessId, QuorumFamily};
 use gqs_simnet::{Flood, SimTime};
 use std::fmt::Debug;
+
+/// One flooding-wrapped consensus node per process `0..n`, all over the
+/// same read and write quorum families.
+fn flooded_nodes<V>(
+    n: usize,
+    reads: &QuorumFamily,
+    writes: &QuorumFamily,
+    c: u64,
+    mode: ProposalMode,
+) -> Vec<Flood<ConsensusNode<V>>>
+where
+    V: Clone + Debug + PartialEq,
+{
+    (0..n)
+        .map(|p| {
+            let node = ConsensusNode::new(ProcessId(p), n, reads.clone(), writes.clone(), c, mode);
+            Flood::new(node)
+        })
+        .collect()
+}
 
 /// Builds one flooding-wrapped consensus node per process of a
 /// generalized quorum system, with view duration constant `C`.
@@ -56,19 +76,7 @@ pub fn gqs_consensus_nodes<V>(
 where
     V: Clone + Debug + PartialEq,
 {
-    let n = gqs.graph().len();
-    (0..n)
-        .map(|p| {
-            Flood::new(ConsensusNode::new(
-                ProcessId(p),
-                n,
-                gqs.reads().clone(),
-                gqs.writes().clone(),
-                c,
-                mode,
-            ))
-        })
-        .collect()
+    flooded_nodes(gqs.graph().len(), gqs.reads(), gqs.writes(), c, mode)
 }
 
 /// Builds one flooding-wrapped consensus node per process using the
@@ -88,18 +96,7 @@ where
     V: Clone + Debug + PartialEq,
 {
     let qs = majority_system(n).expect("majority system exists for n >= 1");
-    (0..n)
-        .map(|p| {
-            Flood::new(ConsensusNode::new(
-                ProcessId(p),
-                n,
-                qs.reads().clone(),
-                qs.writes().clone(),
-                c,
-                mode,
-            ))
-        })
-        .collect()
+    flooded_nodes(n, qs.reads(), qs.writes(), c, mode)
 }
 
 /// A value-agnostic decision probe for harnesses that only need liveness

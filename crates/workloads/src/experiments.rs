@@ -1,9 +1,11 @@
 //! The experiment drivers behind the `tables` binary: one function per
-//! experiment (E1–E12).
+//! experiment (E1–E12), listed with its id in [`EXPERIMENTS`].
 //!
 //! Each driver is deterministic (fixed seeds), runs in seconds, and
 //! returns an [`ExperimentReport`] whose table is what the `tables`
-//! binary prints.
+//! binary prints. Every simulated row of E4–E12 is built by one private
+//! driver, which applies the row's failure pattern at time zero and then
+//! invokes its operations.
 
 use std::fmt;
 
@@ -18,13 +20,14 @@ use gqs_core::finder::{
 };
 use gqs_core::systems::{example9_f_prime, figure1};
 use gqs_core::{
-    majority_system, FailProneSystem, GeneralizedQuorumSystem, NetworkGraph, ProcessId,
+    majority_system, FailProneSystem, FailurePattern, GeneralizedQuorumSystem, NetworkGraph,
+    ProcessId,
 };
 use gqs_lattice::{gqs_lattice_nodes, JoinSemilattice, Propose, SetLattice};
-use gqs_registers::{abd_register_nodes, gqs_register_nodes, RegOp};
+use gqs_registers::{abd_register_nodes, gqs_register_nodes, GqsRegister, RegOp};
 use gqs_simnet::{
-    DelayModel, FailureSchedule, Flood, SimConfig, SimTime, Simulation, SplitMix64, StopReason,
-    Topology,
+    DelayModel, FailureSchedule, Flood, Protocol, SimConfig, SimTime, Simulation, SplitMix64,
+    StopReason, Topology,
 };
 use gqs_snapshots::{gqs_snapshot_nodes, SnapOp};
 
@@ -68,29 +71,67 @@ impl fmt::Display for ExperimentReport {
     }
 }
 
+/// An experiment driver.
+type Driver = fn() -> ExperimentReport;
+
+/// Every experiment in print order: its id, as the `tables` binary takes
+/// it and as its report carries it, and its driver.
+pub const EXPERIMENTS: &[(&str, Driver)] = &[
+    ("E1", e1_figure1),
+    ("E2", e2_example9),
+    ("E3", e3_u_f),
+    ("E4", e4_classical_qaf),
+    ("E5", e5_generalized_qaf),
+    ("E6", e6_register_linearizability),
+    ("E7", e7_dependency_graph),
+    ("E8", e8_snapshot_and_lattice),
+    ("E9", e9_consensus_latency),
+    ("E10", e10_view_overlap),
+    ("E11", e11_gqs_vs_qs_plus),
+    ("E12", e12_separation),
+];
+
 /// Runs every experiment, in order.
 pub fn all_reports() -> Vec<ExperimentReport> {
-    vec![
-        e1_figure1(),
-        e2_example9(),
-        e3_u_f(),
-        e4_classical_qaf(),
-        e5_generalized_qaf(),
-        e6_register_linearizability(),
-        e7_dependency_graph(),
-        e8_snapshot_and_lattice(),
-        e9_consensus_latency(),
-        e10_view_overlap(),
-        e11_gqs_vs_qs_plus(),
-        e12_separation(),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
+}
+
+/// The one simulation driver of E4–E12: builds the simulation, applies
+/// `pattern`'s failures at time zero, then invokes `ops` in order. The
+/// caller runs it.
+fn simulation<P: Protocol>(
+    cfg: SimConfig,
+    nodes: Vec<P>,
+    pattern: Option<&FailurePattern>,
+    ops: impl IntoIterator<Item = (SimTime, ProcessId, P::Op)>,
+) -> Simulation<P> {
+    let mut sim = Simulation::new(cfg, nodes);
+    if let Some(f) = pattern {
+        sim.apply_failures(&FailureSchedule::from_pattern_at(f, SimTime(0)));
+    }
+    for (at, p, op) in ops {
+        sim.invoke_at(at, p, op);
+    }
+    sim
+}
+
+/// The latency of every completed operation of `sim`.
+fn latencies<P: Protocol>(sim: &Simulation<P>) -> Vec<f64> {
+    sim.history().ops().iter().filter_map(|r| r.latency()).map(|l| l as f64).collect()
+}
+
+/// Two (possibly equal) members of `U_f` for pattern `i` of `gqs`, to
+/// invoke operations at.
+fn u_pair(gqs: &GeneralizedQuorumSystem, i: usize) -> (ProcessId, ProcessId) {
+    let u: Vec<ProcessId> = gqs.u_f(i).iter().collect();
+    (u[0], *u.get(1).unwrap_or(&u[0]))
 }
 
 /// A deterministic non-complete-topology probe shared by the simulation
 /// experiments (E4–E10): the family's graph, a rotating crash-only
 /// fail-prone system over it (pattern `i` crashes process `i`, no channel
 /// failures — the topology itself supplies the sparseness), and the GQS
-/// the finder returns for the pair, when one exists.
+/// the finder returns for the pair.
 ///
 /// Simulations run with [`Topology::Graph`] so only the family's channels
 /// exist, and protocols ride on [`Flood`] — the paper's §5 transitivity
@@ -100,15 +141,20 @@ struct SparseProbe {
     label: &'static str,
     graph: NetworkGraph,
     fail_prone: FailProneSystem,
-    gqs: Option<GeneralizedQuorumSystem>,
+    gqs: GeneralizedQuorumSystem,
 }
 
 impl SparseProbe {
+    /// # Panics
+    ///
+    /// Panics if the family admits no GQS under rotating crashes.
     fn new(label: &'static str, graph: NetworkGraph) -> Self {
         // p_chan = 0 makes the generator deterministic: the only failures
         // are the rotating crashes.
         let fail_prone = rotating_fail_prone(&graph, 0.0, &mut SplitMix64::new(1));
-        let gqs = find_gqs(&graph, &fail_prone).map(|w| w.system);
+        let gqs = find_gqs(&graph, &fail_prone)
+            .unwrap_or_else(|| panic!("{label} must admit a GQS under rotating crashes"))
+            .system;
         SparseProbe { label, graph, fail_prone, gqs }
     }
 
@@ -117,10 +163,9 @@ impl SparseProbe {
         Topology::from(self.graph.clone())
     }
 
-    /// Two (possibly equal) members of `U_f(0)` to invoke operations at.
-    fn u_f0_members(&self) -> (ProcessId, ProcessId) {
-        let u: Vec<ProcessId> = self.gqs.as_ref().expect("probe has a GQS").u_f(0).iter().collect();
-        (u[0], *u.get(1).unwrap_or(&u[0]))
+    /// Pattern f1: process 0 crashed.
+    fn f1(&self) -> &FailurePattern {
+        self.fail_prone.pattern(0)
     }
 }
 
@@ -244,57 +289,12 @@ pub fn e3_u_f() -> ExperimentReport {
 pub fn e4_classical_qaf() -> ExperimentReport {
     let mut t =
         Table::new(["topology", "n", "k", "ops", "mean latency", "msgs/op", "all complete"]);
-    let run_abd = |label: &str, n: usize, topology: Topology, flood: bool, t: &mut Table| {
-        let k = (n - 1) / 2;
+    let abd = |n: usize| {
         let qs = majority_system(n).unwrap();
-        let cfg = SimConfig { seed: n as u64, topology, ..SimConfig::default() };
-        let ops = 20u64;
-        let schedule: Vec<(SimTime, ProcessId, RegOp<u8, u64>)> = (0..ops)
-            .map(|i| {
-                let p = ProcessId((i % n as u64) as usize);
-                let op = if i % 2 == 0 {
-                    RegOp::Write { reg: 0, value: i }
-                } else {
-                    RegOp::Read { reg: 0 }
-                };
-                (SimTime(1 + i * 400), p, op)
-            })
-            .collect();
-        let bare = abd_register_nodes::<u8, u64>(n, qs.reads().clone(), qs.writes().clone(), 0);
-        // The flooded and direct variants have different node types, so
-        // the run is duplicated behind the flag.
-        let (reason, lat, delivered) = if flood {
-            let nodes: Vec<Flood<_>> = bare.into_iter().map(Flood::new).collect();
-            let mut sim = Simulation::new(cfg, nodes);
-            for (at, p, op) in schedule {
-                sim.invoke_at(at, p, op);
-            }
-            let reason = sim.run_until_ops_complete();
-            let lat: Vec<f64> =
-                sim.history().ops().iter().filter_map(|r| r.latency()).map(|l| l as f64).collect();
-            (reason, lat, sim.stats().delivered)
-        } else {
-            let mut sim = Simulation::new(cfg, bare);
-            for (at, p, op) in schedule {
-                sim.invoke_at(at, p, op);
-            }
-            let reason = sim.run_until_ops_complete();
-            let lat: Vec<f64> =
-                sim.history().ops().iter().filter_map(|r| r.latency()).map(|l| l as f64).collect();
-            (reason, lat, sim.stats().delivered)
-        };
-        t.row([
-            label.to_string(),
-            n.to_string(),
-            k.to_string(),
-            ops.to_string(),
-            format!("{:.0}", mean(&lat)),
-            format!("{:.1}", delivered as f64 / ops as f64),
-            yes_no(reason == StopReason::OpsComplete),
-        ]);
+        abd_register_nodes::<u8, u64>(n, qs.reads().clone(), qs.writes().clone(), 0)
     };
     for n in [3usize, 5, 7] {
-        run_abd("complete", n, Topology::Complete, false, &mut t);
+        abd_row(&mut t, "complete", Topology::Complete, abd(n));
     }
     // The sparse families (failure-free here): the same protocol rides on
     // Flood, so quorum access pays the graph's hop structure in latency
@@ -307,8 +307,8 @@ pub fn e4_classical_qaf() -> ExperimentReport {
         ("bridge(6)", two_cliques_bridge(6)),
         ("star(5)", star(5)),
     ] {
-        let n = g.len();
-        run_abd(label, n, Topology::from(g), true, &mut t);
+        let nodes: Vec<_> = abd(g.len()).into_iter().map(Flood::new).collect();
+        abd_row(&mut t, label, Topology::from(g), nodes);
     }
     ExperimentReport {
         id: "E4",
@@ -322,104 +322,87 @@ pub fn e4_classical_qaf() -> ExperimentReport {
     }
 }
 
+/// One E4 row: twenty alternating writes and reads, round-robin over the
+/// `n = nodes.len()` ABD replicas (bare or flooded) on `topology`.
+fn abd_row<P: Protocol<Op = RegOp<u8, u64>>>(
+    t: &mut Table,
+    label: &str,
+    topology: Topology,
+    nodes: Vec<P>,
+) {
+    let n = nodes.len();
+    let ops = 20u64;
+    let cfg = SimConfig { seed: n as u64, topology, ..SimConfig::default() };
+    let schedule = (0..ops).map(|i| {
+        let op =
+            if i % 2 == 0 { RegOp::Write { reg: 0, value: i } } else { RegOp::Read { reg: 0 } };
+        (SimTime(1 + i * 400), ProcessId((i % n as u64) as usize), op)
+    });
+    let mut sim = simulation(cfg, nodes, None, schedule);
+    let reason = sim.run_until_ops_complete();
+    t.row([
+        label.to_string(),
+        n.to_string(),
+        ((n - 1) / 2).to_string(),
+        ops.to_string(),
+        format!("{:.0}", mean(&latencies(&sim))),
+        format!("{:.1}", sim.stats().delivered as f64 / ops as f64),
+        yes_no(reason == StopReason::OpsComplete),
+    ]);
+}
+
 /// E5 — Figure 3: the generalized engine over Figure 1, per pattern, plus
 /// the tick-interval ablation.
 pub fn e5_generalized_qaf() -> ExperimentReport {
     let fig = figure1();
     let mut t =
         Table::new(["pattern", "tick", "write lat", "read lat", "msgs/op", "wait-free in U_f"]);
-    for i in 0..4 {
-        let u: Vec<ProcessId> = fig.gqs.u_f(i).iter().collect();
-        let (wl, rl, mo, wf) = run_gqs_register_probe(&fig, i, 20, 300 + i as u64, u[0], u[1]);
+    let mut row = |label: String, tick: u64, (wl, rl, mo, wf): (f64, f64, f64, bool)| {
         t.row([
-            format!("f{}", i + 1),
-            "20".to_string(),
-            format!("{wl:.0}"),
-            format!("{rl:.0}"),
-            format!("{mo:.0}"),
-            yes_no(wf),
-        ]);
-    }
-    // Tick ablation under f1: latency/message trade-off.
-    for tick in [5u64, 50, 200] {
-        let u: Vec<ProcessId> = fig.gqs.u_f(0).iter().collect();
-        let (wl, rl, mo, wf) = run_gqs_register_probe(&fig, 0, tick, 999, u[0], u[1]);
-        t.row([
-            "f1 (ablation)".to_string(),
+            label,
             tick.to_string(),
             format!("{wl:.0}"),
             format!("{rl:.0}"),
             format!("{mo:.0}"),
             yes_no(wf),
         ]);
+    };
+    let cfg = |seed: u64, topology: Topology| SimConfig {
+        seed,
+        topology,
+        horizon: SimTime(100_000),
+        ..SimConfig::default()
+    };
+    let fig_probe = |i: usize, tick: u64, seed: u64| {
+        let nodes = gqs_register_nodes::<u8, u64>(&fig.gqs, 0, tick);
+        let pattern = Some(fig.fail_prone.pattern(i));
+        register_probe(cfg(seed, Topology::Complete), nodes, pattern, u_pair(&fig.gqs, i))
+    };
+    for i in 0..4 {
+        row(format!("f{}", i + 1), 20, fig_probe(i, 20, 300 + i as u64));
+    }
+    // Tick ablation under f1: latency/message trade-off.
+    for tick in [5u64, 50, 200] {
+        row("f1 (ablation)".to_string(), tick, fig_probe(0, tick, 999));
     }
     // Non-complete topologies: the same engine over each probe family's
     // found GQS, with pattern f1 (crash of process 0) striking at time
     // zero and the simulator restricted to the family's channels.
     for probe in sparse_probes() {
-        let (p0, p1) = probe.u_f0_members();
-        let (wl, rl, mo, wf) = run_register_probe(
-            probe.gqs.as_ref().unwrap(),
-            probe.topology(),
-            probe.fail_prone.pattern(0),
-            20,
-            777,
-            p0,
-            p1,
-        );
-        t.row([
-            format!("{} f1", probe.label),
-            "20".to_string(),
-            format!("{wl:.0}"),
-            format!("{rl:.0}"),
-            format!("{mo:.0}"),
-            yes_no(wf),
-        ]);
+        let nodes = gqs_register_nodes::<u8, u64>(&probe.gqs, 0, 20);
+        let members = u_pair(&probe.gqs, 0);
+        let probed = register_probe(cfg(777, probe.topology()), nodes, Some(probe.f1()), members);
+        row(format!("{} f1", probe.label), 20, probed);
     }
     // Flooding ablation: on a healthy complete graph the generalized
     // engine can run over direct channels, where a broadcast costs n
     // deliveries and a reply 1; flooded, each is one envelope of n²
     // deliveries on a complete graph — the transitivity overhead.
-    {
-        let fig2 = figure1();
-        let nodes: Vec<gqs_registers::GqsRegister<u8, u64>> = (0..4)
-            .map(|p| {
-                gqs_registers::QuorumRegister::new(
-                    ProcessId(p),
-                    gqs_registers::GeneralizedQaf::new(
-                        fig2.gqs.reads().clone(),
-                        fig2.gqs.writes().clone(),
-                        gqs_registers::RegMap::new(0),
-                        20,
-                    ),
-                )
-            })
-            .collect();
-        let cfg = SimConfig { seed: 555, horizon: SimTime(100_000), ..SimConfig::default() };
-        let mut sim = Simulation::new(cfg, nodes);
-        sim.invoke_at(SimTime(10), ProcessId(0), RegOp::Write { reg: 0, value: 1 });
-        sim.invoke_at(SimTime(5_000), ProcessId(1), RegOp::Read { reg: 0 });
-        sim.invoke_at(SimTime(10_000), ProcessId(1), RegOp::Write { reg: 0, value: 2 });
-        sim.invoke_at(SimTime(15_000), ProcessId(0), RegOp::Read { reg: 0 });
-        let reason = sim.run_until_ops_complete();
-        let (mut wl, mut rl) = (Vec::new(), Vec::new());
-        for r in sim.history().ops() {
-            if let Some(l) = r.latency() {
-                match r.op {
-                    RegOp::Write { .. } => wl.push(l as f64),
-                    RegOp::Read { .. } => rl.push(l as f64),
-                }
-            }
-        }
-        t.row([
-            "healthy, no flooding".to_string(),
-            "20".to_string(),
-            format!("{:.0}", mean(&wl)),
-            format!("{:.0}", mean(&rl)),
-            format!("{:.0}", sim.stats().delivered as f64 / 4.0),
-            yes_no(reason == StopReason::OpsComplete),
-        ]);
-    }
+    let direct: Vec<_> =
+        gqs_register_nodes::<u8, u64>(&fig.gqs, 0, 20).iter().map(|f| f.inner().clone()).collect();
+    let members = (ProcessId(0), ProcessId(1));
+    let probed = register_probe(cfg(555, Topology::Complete), direct, None, members);
+    row("healthy, no flooding".to_string(), 20, probed);
     ExperimentReport {
         id: "E5",
         title: "Figure 3: generalized quorum access functions over Figure 1",
@@ -432,49 +415,25 @@ pub fn e5_generalized_qaf() -> ExperimentReport {
     }
 }
 
-fn run_gqs_register_probe(
-    fig: &gqs_core::systems::Figure1,
-    pattern: usize,
-    tick: u64,
-    seed: u64,
-    p0: ProcessId,
-    p1: ProcessId,
+/// The four-op write/read probe behind E5: `p0` writes, `p1` reads,
+/// `p1` writes, `p0` reads. Returns (mean write latency, mean read
+/// latency, msgs/op, wait-free).
+fn register_probe<P: Protocol<Op = RegOp<u8, u64>>>(
+    cfg: SimConfig,
+    nodes: Vec<P>,
+    pattern: Option<&FailurePattern>,
+    (p0, p1): (ProcessId, ProcessId),
 ) -> (f64, f64, f64, bool) {
-    run_register_probe(
-        &fig.gqs,
-        Topology::Complete,
-        fig.fail_prone.pattern(pattern),
-        tick,
-        seed,
-        p0,
-        p1,
-    )
-}
-
-/// The four-op write/read probe behind E5: runs the generalized register
-/// over `gqs` on `topology` with `pattern`'s failures at time zero, and
-/// returns (mean write latency, mean read latency, msgs/op, wait-free).
-fn run_register_probe(
-    gqs: &GeneralizedQuorumSystem,
-    topology: Topology,
-    pattern: &gqs_core::FailurePattern,
-    tick: u64,
-    seed: u64,
-    p0: ProcessId,
-    p1: ProcessId,
-) -> (f64, f64, f64, bool) {
-    let nodes = gqs_register_nodes::<u8, u64>(gqs, 0, tick);
-    let cfg = SimConfig { seed, topology, horizon: SimTime(100_000), ..SimConfig::default() };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&FailureSchedule::from_pattern_at(pattern, SimTime(0)));
-    sim.invoke_at(SimTime(10), p0, RegOp::Write { reg: 0, value: 1 });
-    sim.invoke_at(SimTime(5_000), p1, RegOp::Read { reg: 0 });
-    sim.invoke_at(SimTime(10_000), p1, RegOp::Write { reg: 0, value: 2 });
-    sim.invoke_at(SimTime(15_000), p0, RegOp::Read { reg: 0 });
+    let ops = [
+        (SimTime(10), p0, RegOp::Write { reg: 0, value: 1 }),
+        (SimTime(5_000), p1, RegOp::Read { reg: 0 }),
+        (SimTime(10_000), p1, RegOp::Write { reg: 0, value: 2 }),
+        (SimTime(15_000), p0, RegOp::Read { reg: 0 }),
+    ];
+    let mut sim = simulation(cfg, nodes, pattern, ops);
     let reason = sim.run_until_ops_complete();
-    let h = sim.history();
     let (mut wl, mut rl) = (Vec::new(), Vec::new());
-    for r in h.ops() {
+    for r in sim.history().ops() {
         if let Some(l) = r.latency() {
             match r.op {
                 RegOp::Write { .. } => wl.push(l as f64),
@@ -486,59 +445,90 @@ fn run_register_probe(
     (mean(&wl), mean(&rl), mo, reason == StopReason::OpsComplete)
 }
 
+/// A flooded Figure 4 register, as E6, E7 and E12 run it.
+type RegisterSim = Simulation<Flood<GqsRegister<u8, u64>>>;
+
+/// Where E6 and E7 run a register workload: the GQS, the simulator
+/// topology and the failure pattern struck at time zero.
+type Target<'a> = (&'a GeneralizedQuorumSystem, Topology, &'a FailurePattern);
+
+/// A seeded six-op read/write workload at two `U_f1` members of `gqs`, on
+/// `topology` with `pattern`'s failures at time zero, run until its ops
+/// complete or the horizon passes.
+fn register_workload(
+    gqs: &GeneralizedQuorumSystem,
+    topology: Topology,
+    pattern: &FailurePattern,
+    seed: u64,
+) -> RegisterSim {
+    let (p0, p1) = u_pair(gqs, 0);
+    let cfg = SimConfig {
+        seed: 7_000 + seed,
+        topology,
+        horizon: SimTime(80_000),
+        ..SimConfig::default()
+    };
+    let mut rng = SplitMix64::new(seed);
+    let ops = (0..6u64).map(move |k| {
+        let who = if rng.range(0, 1) == 0 { p0 } else { p1 };
+        let at = SimTime(10 + rng.range(0, 6_000));
+        let op = if rng.chance(0.5) {
+            RegOp::Write { reg: 0, value: seed * 10 + k }
+        } else {
+            RegOp::Read { reg: 0 }
+        };
+        (at, who, op)
+    });
+    let mut sim = simulation(cfg, gqs_register_nodes(gqs, 0, 20), Some(pattern), ops);
+    sim.run_until_ops_complete();
+    sim
+}
+
+/// E6's and E7's rows: `runs` register workloads (seeds `first..`) over
+/// `gqs`, streamed through the sweep engine; counts the runs that set
+/// each of `score`'s two flags. The workloads derive all randomness from
+/// their seed, so the engine's per-trial RNG goes unused.
+fn workload_flags(
+    runs: usize,
+    first: u64,
+    (gqs, topology, pattern): Target<'_>,
+    score: impl Fn(&RegisterSim) -> (bool, bool) + Sync,
+) -> (u64, u64) {
+    let spec = SweepSpec { cells: &[()], trials: runs, seed: 0, metrics: &["first", "second"] };
+    let report = sweep::run(&spec, &SweepOptions::default(), |_, trial, _rng| {
+        let sim = register_workload(gqs, topology.clone(), pattern, first + trial as u64);
+        let (a, b) = score(&sim);
+        vec![a as u64 as f64, b as u64 as f64]
+    });
+    (report.agg(0, "first").sum() as u64, report.agg(0, "second").sum() as u64)
+}
+
 /// E6 — Figure 4 / Theorem 1: randomized concurrent workloads, all
 /// checked linearizable by the black-box Wing–Gong checker — on Figure 1
 /// and on every sparse probe family.
 pub fn e6_register_linearizability() -> ExperimentReport {
     let fig = figure1();
     let mut t = Table::new(["system", "runs", "linearizable", "wait-free in U_f1"]);
-    // The run closures derive all randomness from the workload seed they
-    // are handed, so the engine's per-trial RNG goes unused here.
-    let mut sweep_rows =
-        |label: String, seeds: usize, run: &(dyn Fn(u64) -> (bool, bool) + Sync)| {
-            let spec = SweepSpec {
-                cells: &[()],
-                trials: seeds,
-                seed: 0,
-                metrics: &["linearizable", "wait_free"],
-            };
-            let report = sweep::run(&spec, &SweepOptions::default(), |_, trial, _rng| {
-                let (lin, wf) = run(trial as u64);
-                vec![lin as u64 as f64, wf as u64 as f64]
-            });
-            let checked = report.agg(0, "linearizable").count();
-            let passed = report.agg(0, "linearizable").sum() as u64;
-            let wait_free = report.agg(0, "wait_free").sum() as u64;
-            t.row([
-                label,
-                seeds.to_string(),
-                format!("{passed}/{checked}"),
-                format!("{wait_free}/{checked}"),
-            ]);
-        };
-    sweep_rows("Figure 1 (complete)".to_string(), 20, &|seed| {
-        let sim = run_random_register_workload(&fig, seed);
-        let entries = convert::register_entries(sim.history(), 0);
-        let lin = check_linearizable(&RegisterSpec::new(0u64), &entries).is_ok();
-        let wf = wait_freedom_report(sim.history(), fig.gqs.u_f(0)).is_wait_free();
-        (lin, wf)
-    });
-    for probe in &sparse_probes() {
-        sweep_rows(probe.label.to_string(), 10, &|seed| {
-            let gqs = probe.gqs.as_ref().unwrap();
-            let sim = run_register_workload_on(
-                gqs,
-                probe.topology(),
-                probe.fail_prone.pattern(0),
-                probe.u_f0_members(),
-                // Offset the sparse rows onto their own workload seeds.
-                50 + seed,
-            );
+    let mut row = |label: &str, runs: usize, first: u64, target: Target<'_>| {
+        let gqs = target.0;
+        let (lin, wf) = workload_flags(runs, first, target, |sim| {
             let entries = convert::register_entries(sim.history(), 0);
-            let lin = check_linearizable(&RegisterSpec::new(0u64), &entries).is_ok();
-            let wf = wait_freedom_report(sim.history(), gqs.u_f(0)).is_wait_free();
-            (lin, wf)
+            (
+                check_linearizable(&RegisterSpec::new(0u64), &entries).is_ok(),
+                wait_freedom_report(sim.history(), gqs.u_f(0)).is_wait_free(),
+            )
         });
+        t.row([
+            label.to_string(),
+            runs.to_string(),
+            format!("{lin}/{runs}"),
+            format!("{wf}/{runs}"),
+        ]);
+    };
+    row("Figure 1 (complete)", 20, 0, (&fig.gqs, Topology::Complete, fig.fail_prone.pattern(0)));
+    for probe in &sparse_probes() {
+        // Offset the sparse rows onto their own workload seeds.
+        row(probe.label, 10, 50, (&probe.gqs, probe.topology(), probe.f1()));
     }
     ExperimentReport {
         id: "E6",
@@ -549,58 +539,12 @@ pub fn e6_register_linearizability() -> ExperimentReport {
     }
 }
 
-fn run_random_register_workload(
-    fig: &gqs_core::systems::Figure1,
-    seed: u64,
-) -> Simulation<Flood<gqs_registers::GqsRegister<u8, u64>>> {
-    let u: Vec<ProcessId> = fig.gqs.u_f(0).iter().collect();
-    run_register_workload_on(
-        &fig.gqs,
-        Topology::Complete,
-        fig.fail_prone.pattern(0),
-        (u[0], u[1]),
-        seed,
-    )
-}
-
-/// A seeded six-op read/write workload at two `U_f(0)` members, over an
-/// arbitrary GQS, topology and failure pattern (applied at time zero).
-fn run_register_workload_on(
-    gqs: &GeneralizedQuorumSystem,
-    topology: Topology,
-    pattern: &gqs_core::FailurePattern,
-    invokers: (ProcessId, ProcessId),
-    seed: u64,
-) -> Simulation<Flood<gqs_registers::GqsRegister<u8, u64>>> {
-    let nodes = gqs_register_nodes::<u8, u64>(gqs, 0, 20);
-    let cfg = SimConfig {
-        seed: 7_000 + seed,
-        topology,
-        horizon: SimTime(80_000),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&FailureSchedule::from_pattern_at(pattern, SimTime(0)));
-    let mut rng = SplitMix64::new(seed);
-    for k in 0..6u64 {
-        let who = if rng.range(0, 1) == 0 { invokers.0 } else { invokers.1 };
-        let t = SimTime(10 + rng.range(0, 6_000));
-        if rng.chance(0.5) {
-            sim.invoke_at(t, who, RegOp::Write { reg: 0, value: seed * 10 + k });
-        } else {
-            sim.invoke_at(t, who, RegOp::Read { reg: 0 });
-        }
-    }
-    sim.run_until_ops_complete();
-    sim
-}
-
 /// E7 — §B: the dependency-graph checker accepts every protocol run and
 /// rejects corrupted variants.
 pub fn e7_dependency_graph() -> ExperimentReport {
     let fig = figure1();
     let mut t = Table::new(["system", "runs", "accepted", "corrupted variants rejected"]);
-    let score = |sim: &Simulation<Flood<gqs_registers::GqsRegister<u8, u64>>>| {
+    let score = |sim: &RegisterSim| {
         if !sim.history().all_complete() {
             // §B covers complete executions; a pending run scores nothing.
             return (false, false);
@@ -619,40 +563,18 @@ pub fn e7_dependency_graph() -> ExperimentReport {
         }
         (accepted, mutated && check_dependency_graph(&bad, &0).is_err())
     };
-    let mut rows = |label: String, runs: usize, run: &(dyn Fn(u64) -> (bool, bool) + Sync)| {
-        let spec = SweepSpec {
-            cells: &[()],
-            trials: runs,
-            seed: 0,
-            metrics: &["accepted", "rejected_corrupt"],
-        };
-        let report = sweep::run(&spec, &SweepOptions::default(), |_, trial, _rng| {
-            let (accepted, rejected) = run(trial as u64);
-            vec![accepted as u64 as f64, rejected as u64 as f64]
-        });
-        let accepted = report.agg(0, "accepted").sum() as u64;
-        let rejected_corrupt = report.agg(0, "rejected_corrupt").sum() as u64;
+    let mut row = |label: &str, runs: usize, first: u64, target: Target<'_>| {
+        let (accepted, rejected) = workload_flags(runs, first, target, score);
         t.row([
-            label,
+            label.to_string(),
             runs.to_string(),
             format!("{accepted}/{runs}"),
-            format!("{rejected_corrupt}"),
+            rejected.to_string(),
         ]);
     };
-    rows("Figure 1 (complete)".to_string(), 10, &|trial| {
-        score(&run_random_register_workload(&fig, 100 + trial))
-    });
-    let probes = sparse_probes();
-    for probe in &probes {
-        rows(probe.label.to_string(), 6, &|trial| {
-            score(&run_register_workload_on(
-                probe.gqs.as_ref().unwrap(),
-                probe.topology(),
-                probe.fail_prone.pattern(0),
-                probe.u_f0_members(),
-                200 + trial,
-            ))
-        });
+    row("Figure 1 (complete)", 10, 100, (&fig.gqs, Topology::Complete, fig.fail_prone.pattern(0)));
+    for probe in &sparse_probes() {
+        row(probe.label, 6, 200, (&probe.gqs, probe.topology(), probe.f1()));
     }
     ExperimentReport {
         id: "E7",
@@ -670,90 +592,64 @@ pub fn e8_snapshot_and_lattice() -> ExperimentReport {
     let probes = sparse_probes();
     let mut t = Table::new(["object", "contention", "mean latency", "rounds/collects", "safe"]);
     // Snapshot runs: Figure 1 at low/high contention, then one per sparse
-    // probe family (writer and scanner at U_f(0) members).
-    let snapshot_row = |contention: String,
-                        gqs: &GeneralizedQuorumSystem,
-                        topology: Topology,
-                        pattern: &gqs_core::FailurePattern,
-                        writers: &[ProcessId],
-                        scanner: ProcessId,
-                        t: &mut Table| {
+    // probe family (writer and scanner at U_f(0) members). The first
+    // writer also scans.
+    let mut snapshot_row = |contention: String,
+                            gqs: &GeneralizedQuorumSystem,
+                            topology: Topology,
+                            pattern: &FailurePattern,
+                            writers: &[ProcessId]| {
         let n = gqs.graph().len();
-        let nodes = gqs_snapshot_nodes::<u64>(gqs, 0, 20);
         let cfg =
             SimConfig { seed: 21, topology, horizon: SimTime(500_000), ..SimConfig::default() };
-        let mut sim = Simulation::new(cfg, nodes);
-        sim.apply_failures(&FailureSchedule::from_pattern_at(pattern, SimTime(0)));
-        for (w, p) in writers.iter().enumerate() {
-            sim.invoke_at(SimTime(10 + w as u64), *p, SnapOp::Update(w as u64 + 1));
-        }
-        sim.invoke_at(SimTime(15), scanner, SnapOp::Scan);
+        let ops = writers
+            .iter()
+            .enumerate()
+            .map(|(w, p)| (SimTime(10 + w as u64), *p, SnapOp::Update(w as u64 + 1)))
+            .chain([(SimTime(15), writers[0], SnapOp::Scan)]);
+        let mut sim = simulation(cfg, gqs_snapshot_nodes::<u64>(gqs, 0, 20), Some(pattern), ops);
         let reason = sim.run_until_ops_complete();
         let entries = convert::snapshot_entries(sim.history());
         let safe = check_linearizable(&gqs_checker::SnapshotSpec::new(vec![0u64; n]), &entries)
             .is_ok()
             && reason == StopReason::OpsComplete;
-        let lat: Vec<f64> =
-            sim.history().ops().iter().filter_map(|r| r.latency()).map(|l| l as f64).collect();
-        let collects: u64 =
-            (0..n).map(|p| sim.node(ProcessId(p)).inner().scan_stats().collects).sum();
-        let scans: u64 = (0..n)
-            .map(|p| {
-                let s = sim.node(ProcessId(p)).inner().scan_stats();
-                s.direct + s.borrowed
-            })
-            .sum();
+        let stats: Vec<_> = (0..n).map(|p| sim.node(ProcessId(p)).inner().scan_stats()).collect();
+        let collects: u64 = stats.iter().map(|s| s.collects).sum();
+        let scans: u64 = stats.iter().map(|s| s.direct + s.borrowed).sum();
         t.row([
             "snapshot".to_string(),
             contention,
-            format!("{:.0}", mean(&lat)),
+            format!("{:.0}", mean(&latencies(&sim))),
             format!("{:.1} collects/scan", collects as f64 / scans.max(1) as f64),
             yes_no(safe),
         ]);
     };
+    let f1 = fig.fail_prone.pattern(0);
     for (label, writers) in [("1 writer", 1usize), ("2 writers", 2)] {
         let ws: Vec<ProcessId> = (0..writers).map(ProcessId).collect();
-        snapshot_row(
-            label.to_string(),
-            &fig.gqs,
-            Topology::Complete,
-            fig.fail_prone.pattern(0),
-            &ws,
-            ProcessId(0),
-            &mut t,
-        );
+        snapshot_row(label.to_string(), &fig.gqs, Topology::Complete, f1, &ws);
     }
     for probe in &probes {
-        let (p0, p1) = probe.u_f0_members();
-        snapshot_row(
-            format!("{} f1", probe.label),
-            probe.gqs.as_ref().unwrap(),
-            probe.topology(),
-            probe.fail_prone.pattern(0),
-            &[p0, p1],
-            p0,
-            &mut t,
-        );
+        let (p0, p1) = u_pair(&probe.gqs, 0);
+        let label = format!("{} f1", probe.label);
+        snapshot_row(label, &probe.gqs, probe.topology(), probe.f1(), &[p0, p1]);
     }
     // Lattice agreement: Figure 1 at two contention levels, then one run
     // per sparse probe (two proposers from U_f(0)).
-    let lattice_row = |label: String,
-                       gqs: &GeneralizedQuorumSystem,
-                       topology: Topology,
-                       pattern: Option<&gqs_core::FailurePattern>,
-                       proposers: &[ProcessId],
-                       t: &mut Table| {
+    let mut lattice_row = |label: String,
+                           gqs: &GeneralizedQuorumSystem,
+                           topology: Topology,
+                           pattern: Option<&FailurePattern>,
+                           proposers: &[ProcessId]| {
         let n = gqs.graph().len();
-        let nodes = gqs_lattice_nodes::<SetLattice<u64>>(gqs, 20);
         let cfg =
             SimConfig { seed: 23, topology, horizon: SimTime(1_500_000), ..SimConfig::default() };
-        let mut sim = Simulation::new(cfg, nodes);
-        if let Some(f) = pattern {
-            sim.apply_failures(&FailureSchedule::from_pattern_at(f, SimTime(0)));
-        }
-        for (i, p) in proposers.iter().enumerate() {
-            sim.invoke_at(SimTime(10 + i as u64), *p, Propose(SetLattice::singleton(i as u64)));
-        }
+        let ops = proposers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (SimTime(10 + i as u64), *p, Propose(SetLattice::singleton(i as u64))));
+        let nodes = gqs_lattice_nodes::<SetLattice<u64>>(gqs, 20);
+        let mut sim = simulation(cfg, nodes, pattern, ops);
         let reason = sim.run_until_ops_complete();
         let outs = convert::lattice_outcomes(sim.history());
         let safe = check_lattice_agreement(
@@ -763,44 +659,23 @@ pub fn e8_snapshot_and_lattice() -> ExperimentReport {
         )
         .is_ok()
             && reason == StopReason::OpsComplete;
-        let lat: Vec<f64> =
-            sim.history().ops().iter().filter_map(|r| r.latency()).map(|l| l as f64).collect();
         let max_rounds: u64 =
             (0..n).map(|p| sim.node(ProcessId(p)).inner().rounds()).max().unwrap_or(0);
         t.row([
             "lattice agr.".to_string(),
             label,
-            format!("{:.0}", mean(&lat)),
+            format!("{:.0}", mean(&latencies(&sim))),
             format!("≤{max_rounds} rounds"),
             yes_no(safe),
         ]);
     };
-    lattice_row(
-        "2 proposers (f1)".to_string(),
-        &fig.gqs,
-        Topology::Complete,
-        Some(fig.fail_prone.pattern(0)),
-        &[ProcessId(0), ProcessId(1)],
-        &mut t,
-    );
-    lattice_row(
-        "4 proposers".to_string(),
-        &fig.gqs,
-        Topology::Complete,
-        None,
-        &[ProcessId(0), ProcessId(1), ProcessId(2), ProcessId(3)],
-        &mut t,
-    );
+    let all: Vec<ProcessId> = (0..4).map(ProcessId).collect();
+    lattice_row("2 proposers (f1)".to_string(), &fig.gqs, Topology::Complete, Some(f1), &all[..2]);
+    lattice_row("4 proposers".to_string(), &fig.gqs, Topology::Complete, None, &all);
     for probe in &probes {
-        let (p0, p1) = probe.u_f0_members();
-        lattice_row(
-            format!("{} f1, 2 proposers", probe.label),
-            probe.gqs.as_ref().unwrap(),
-            probe.topology(),
-            Some(probe.fail_prone.pattern(0)),
-            &[p0, p1],
-            &mut t,
-        );
+        let (p0, p1) = u_pair(&probe.gqs, 0);
+        let label = format!("{} f1, 2 proposers", probe.label);
+        lattice_row(label, &probe.gqs, probe.topology(), Some(probe.f1()), &[p0, p1]);
     }
     ExperimentReport {
         id: "E8",
@@ -817,15 +692,14 @@ pub fn e9_consensus_latency() -> ExperimentReport {
     let fig = figure1();
     let mut t =
         Table::new(["topology", "C", "delta", "decided", "decision view", "latency after GST"]);
-    let consensus_row = |label: &str,
-                         gqs: &GeneralizedQuorumSystem,
-                         topology: Topology,
-                         pattern: &gqs_core::FailurePattern,
-                         proposer: ProcessId,
-                         c: u64,
-                         delta: u64,
-                         t: &mut Table| {
-        let nodes = gqs_consensus_nodes::<u64>(gqs, c, ProposalMode::Push);
+    // The proposer is the first U_f1 member.
+    let mut consensus_row = |label: &str,
+                             gqs: &GeneralizedQuorumSystem,
+                             topology: Topology,
+                             pattern: &FailurePattern,
+                             c: u64,
+                             delta: u64| {
+        let proposer = u_pair(gqs, 0).0;
         let cfg = SimConfig {
             seed: c + delta,
             topology,
@@ -833,17 +707,11 @@ pub fn e9_consensus_latency() -> ExperimentReport {
             horizon: SimTime(3_000_000),
             ..SimConfig::default()
         };
-        let mut sim = Simulation::new(cfg, nodes);
-        sim.apply_failures(&FailureSchedule::from_pattern_at(pattern, SimTime(0)));
-        sim.invoke_at(SimTime(10), proposer, 7u64);
-        let reason = sim.run_until_ops_complete();
-        let decided = reason == StopReason::OpsComplete;
-        let (view, when) = sim
-            .node(proposer)
-            .inner()
-            .decision()
-            .map(|(_, v, t)| (*v, t.ticks()))
-            .unwrap_or((0, 0));
+        let nodes = gqs_consensus_nodes::<u64>(gqs, c, ProposalMode::Push);
+        let mut sim = simulation(cfg, nodes, Some(pattern), [(SimTime(10), proposer, 7u64)]);
+        let decided = sim.run_until_ops_complete() == StopReason::OpsComplete;
+        let decision = sim.node(proposer).inner().decision();
+        let (view, when) = decision.map(|(_, v, t)| (*v, t.ticks())).unwrap_or((0, 0));
         t.row([
             label.to_string(),
             c.to_string(),
@@ -853,36 +721,18 @@ pub fn e9_consensus_latency() -> ExperimentReport {
             format!("{}", when.saturating_sub(1_500)),
         ]);
     };
+    let f1 = fig.fail_prone.pattern(0);
     for c in [50u64, 150, 400] {
         for delta in [5u64, 20] {
-            consensus_row(
-                "complete (fig1)",
-                &fig.gqs,
-                Topology::Complete,
-                fig.fail_prone.pattern(0),
-                ProcessId(0),
-                c,
-                delta,
-                &mut t,
-            );
+            consensus_row("complete (fig1)", &fig.gqs, Topology::Complete, f1, c, delta);
         }
     }
     // Sparse topologies: same protocol, the probe family's GQS, flooding
     // over the family's channels only. Decisions now also pay the
     // graph's hop structure per round.
     for probe in &sparse_probes() {
-        let (p0, _) = probe.u_f0_members();
         for delta in [5u64, 20] {
-            consensus_row(
-                probe.label,
-                probe.gqs.as_ref().unwrap(),
-                probe.topology(),
-                probe.fail_prone.pattern(0),
-                p0,
-                150,
-                delta,
-                &mut t,
-            );
+            consensus_row(probe.label, &probe.gqs, probe.topology(), probe.f1(), 150, delta);
         }
     }
     ExperimentReport {
@@ -904,13 +754,10 @@ pub fn e9_consensus_latency() -> ExperimentReport {
 pub fn e10_view_overlap() -> ExperimentReport {
     let fig = figure1();
     let mut t = Table::new(["topology", "view", "overlap of correct processes"]);
-    let mut notes = Vec::new();
-    let overlap_rows = |label: &str,
-                        gqs: &GeneralizedQuorumSystem,
-                        topology: Topology,
-                        pattern: &gqs_core::FailurePattern,
-                        t: &mut Table| {
-        let nodes = gqs_consensus_nodes::<u64>(gqs, 50, ProposalMode::Push);
+    let mut overlap_rows = |label: &str,
+                            gqs: &GeneralizedQuorumSystem,
+                            topology: Topology,
+                            pattern: &FailurePattern| {
         let cfg = SimConfig {
             seed: 3,
             topology,
@@ -919,12 +766,11 @@ pub fn e10_view_overlap() -> ExperimentReport {
             horizon: SimTime(80_000),
             ..SimConfig::default()
         };
-        let mut sim = Simulation::new(cfg, nodes);
-        sim.apply_failures(&FailureSchedule::from_pattern_at(pattern, SimTime(0)));
+        let nodes = gqs_consensus_nodes::<u64>(gqs, 50, ProposalMode::Push);
+        let mut sim = simulation(cfg, nodes, Some(pattern), []);
         sim.run();
-        let correct: Vec<ProcessId> = pattern.correct().iter().collect();
         let logs: Vec<&[(u64, SimTime)]> =
-            correct.iter().map(|p| sim.node(*p).inner().view_entries()).collect();
+            pattern.correct().iter().map(|p| sim.node(p).inner().view_entries()).collect();
         let overlaps = view_overlaps(&logs, 50);
         for (v, o) in overlaps.iter().filter(|(v, _)| v % 5 == 1 || *v == overlaps.len() as u64) {
             t.row([label.to_string(), v.to_string(), o.to_string()]);
@@ -932,35 +778,26 @@ pub fn e10_view_overlap() -> ExperimentReport {
         overlaps.last().map(|(_, o)| *o).unwrap_or(0)
             > overlaps.first().map(|(_, o)| *o).unwrap_or(0)
     };
-    let growing = overlap_rows(
-        "complete (fig1)",
-        &fig.gqs,
-        Topology::Complete,
-        fig.fail_prone.pattern(0),
-        &mut t,
-    );
-    notes.push(format!(
-        "clocks drift up to 3x before GST=5000; overlap grows monotonically afterwards: {}",
-        yes_no(growing)
-    ));
+    let growing =
+        overlap_rows("complete (fig1)", &fig.gqs, Topology::Complete, fig.fail_prone.pattern(0));
     let ring_probe = SparseProbe::new("ring(5)", ring(5));
-    let ring_growing = overlap_rows(
-        ring_probe.label,
-        ring_probe.gqs.as_ref().unwrap(),
-        ring_probe.topology(),
-        ring_probe.fail_prone.pattern(0),
-        &mut t,
-    );
-    notes.push(format!(
-        "on ring(5) under f1 (4 correct processes, sparse channels) overlaps still grow: {}",
-        yes_no(ring_growing)
-    ));
+    let ring_growing =
+        overlap_rows(ring_probe.label, &ring_probe.gqs, ring_probe.topology(), ring_probe.f1());
     ExperimentReport {
         id: "E10",
         title: "Proposition 2: growing timeouts force growing view overlaps",
         claim: "for every duration d there is a view after which all correct processes overlap in every view for at least d — independent of the communication graph",
         table: t,
-        notes,
+        notes: vec![
+            format!(
+                "clocks drift up to 3x before GST=5000; overlap grows monotonically afterwards: {}",
+                yes_no(growing)
+            ),
+            format!(
+                "on ring(5) under f1 (4 correct processes, sparse channels) overlaps still grow: {}",
+                yes_no(ring_growing)
+            ),
+        ],
     }
 }
 
@@ -1047,6 +884,7 @@ pub fn e11_gqs_vs_qs_plus() -> ExperimentReport {
 /// E12 — the headline separation on Figure 1's f1, all four protocols.
 pub fn e12_separation() -> ExperimentReport {
     let fig = figure1();
+    let f1 = fig.fail_prone.pattern(0);
     let mut t = Table::new(["protocol", "quorum access", "terminates under f1", "safe"]);
 
     // The four protocol probes form a 4-cell grid (one trial each): the
@@ -1057,19 +895,14 @@ pub fn e12_separation() -> ExperimentReport {
     // pull-Paxos genuinely never decides anywhere (and the decision-relay
     // healing path has nothing to relay). Push decides for any seed.
     let consensus_probe = |mode: ProposalMode| {
-        let nodes = gqs_consensus_nodes::<u64>(&fig.gqs, 150, mode);
         let cfg = SimConfig {
             seed: 1,
             delay: DelayModel::PartialSynchrony { pre_min: 1, pre_max: 60, gst: 400, delta: 5 },
             horizon: SimTime(if mode == ProposalMode::Push { 3_000_000 } else { 400_000 }),
             ..SimConfig::default()
         };
-        let mut sim = Simulation::new(cfg, nodes);
-        sim.apply_failures(&FailureSchedule::from_pattern_at(
-            fig.fail_prone.pattern(0),
-            SimTime(0),
-        ));
-        sim.invoke_at(SimTime(10), ProcessId(0), 7u64);
+        let nodes = gqs_consensus_nodes::<u64>(&fig.gqs, 150, mode);
+        let mut sim = simulation(cfg, nodes, Some(f1), [(SimTime(10), ProcessId(0), 7u64)]);
         sim.run_until_ops_complete();
         let outs = convert::consensus_outcomes(sim.history());
         (sim.history().all_complete(), check_consensus(&outs).is_ok())
@@ -1090,7 +923,7 @@ pub fn e12_separation() -> ExperimentReport {
     let report = sweep::run(&spec, &opts, |&probe, _, _rng| {
         let (terminates, safe) = match probe {
             0 => {
-                let sim = run_random_register_workload(&fig, 1);
+                let sim = register_workload(&fig.gqs, Topology::Complete, f1, 1);
                 let entries = convert::register_entries(sim.history(), 0);
                 (
                     sim.history().all_complete(),
@@ -1098,22 +931,13 @@ pub fn e12_separation() -> ExperimentReport {
                 )
             }
             1 => {
-                let nodes: Vec<Flood<_>> = abd_register_nodes::<u8, u64>(
-                    4,
-                    fig.gqs.reads().clone(),
-                    fig.gqs.writes().clone(),
-                    0,
-                )
-                .into_iter()
-                .map(Flood::new)
-                .collect();
+                let (reads, writes) = (fig.gqs.reads().clone(), fig.gqs.writes().clone());
+                let abd = abd_register_nodes::<u8, u64>(4, reads, writes, 0);
+                let nodes: Vec<_> = abd.into_iter().map(Flood::new).collect();
                 let cfg = SimConfig { seed: 5, horizon: SimTime(30_000), ..SimConfig::default() };
-                let mut sim = Simulation::new(cfg, nodes);
-                sim.apply_failures(&FailureSchedule::from_pattern_at(
-                    fig.fail_prone.pattern(0),
-                    SimTime(0),
-                ));
-                sim.invoke_at(SimTime(10), ProcessId(0), RegOp::Write { reg: 0, value: 1 });
+                let write = RegOp::Write { reg: 0, value: 1 };
+                let mut sim =
+                    simulation(cfg, nodes, Some(f1), [(SimTime(10), ProcessId(0), write)]);
                 sim.run();
                 // ABD stalls rather than misbehaves; "safe" is reported as
                 // a fixed string below.
@@ -1216,10 +1040,10 @@ mod tests {
 
     #[test]
     fn sparse_probes_admit_gqs() {
+        // `SparseProbe::new` panics unless the family admits a GQS.
         for p in sparse_probes() {
-            assert!(p.gqs.is_some(), "{} must admit a GQS under rotating crashes", p.label);
-            let (a, b) = p.u_f0_members();
-            let correct = p.fail_prone.pattern(0).correct();
+            let (a, b) = u_pair(&p.gqs, 0);
+            let correct = p.f1().correct();
             assert!(correct.contains(a) && correct.contains(b));
         }
     }

@@ -13,8 +13,9 @@
 //!   constant-memory incremental aggregation, scenario families;
 //! * [`table`] — the plain-text tables the `tables` binary prints.
 //!
-//! The `gqs-bench` crate's `tables` binary simply runs
-//! [`experiments::all_reports`] and prints them.
+//! [`experiments::EXPERIMENTS`] lists each experiment's id and driver.
+//! The `gqs-bench` crate's `tables` binary reads it and runs only the
+//! experiments it prints; [`experiments::all_reports`] runs them all.
 //!
 //! ## Sweeps
 //!

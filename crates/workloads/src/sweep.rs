@@ -195,7 +195,7 @@ impl QuantileSketch {
         if self.count == 0 {
             return 0.0;
         }
-        // Same nearest-rank convention as `table::stats::percentile`.
+        // Nearest rank: the value at rank round(q · (count − 1)), 0-based.
         let rank = (q * (self.count - 1) as f64).round() as u64;
         let mut seen = 0u64;
         // Most negative first: negative buckets from large magnitude down.

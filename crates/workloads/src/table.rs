@@ -61,7 +61,6 @@ impl Table {
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -88,7 +87,6 @@ impl fmt::Display for Table {
         for row in &self.rows {
             write_row(f, row)?;
         }
-        let _ = cols;
         Ok(())
     }
 }
@@ -103,27 +101,11 @@ pub mod stats {
             xs.iter().sum::<f64>() / xs.len() as f64
         }
     }
-
-    /// The `p`-th percentile (nearest-rank); 0 for an empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 100.0`.
-    pub fn percentile(xs: &[f64], p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        if xs.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in measurements"));
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        sorted[rank]
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::stats::{mean, percentile};
+    use super::stats::mean;
     use super::*;
 
     #[test]
@@ -149,14 +131,5 @@ mod tests {
     fn stats_helpers() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 50.0), 3.0);
-        assert_eq!(percentile(&[5.0], 99.0), 5.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn percentile_range_checked() {
-        percentile(&[1.0], 101.0);
     }
 }
