@@ -41,6 +41,21 @@ const GOLDENS: &[(&str, &str)] = &[
         "--mode availability --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
          --loss 0.1 --schedule region-outage --trials 4 --seed 17 --format json",
     ),
+    // Every schedule family, lossless and lossy, on the same WAN: the
+    // availability row pins the latency-mode timing of each fault script,
+    // the consensus row the consensus-mode timing.
+    (
+        "tiny_schedules.json",
+        "--mode availability --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
+         --loss 0,0.1 --schedule static,region-outage,flapping-link,hub-crash,rolling-restart \
+         --trials 4 --seed 23 --format json",
+    ),
+    (
+        "tiny_schedules_consensus.json",
+        "--mode consensus --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 \
+         --loss 0,0.1 --schedule static,region-outage,flapping-link,hub-crash,rolling-restart \
+         --trials 4 --seed 23 --format json",
+    ),
     // The consensus WAN forked at t = 2000 into three reseeded branches
     // per trial (fork replay: checkpoint once, restore per branch).
     (
@@ -158,6 +173,24 @@ fn tiny_availability_grid_matches_golden_aggregate() {
             "\"loss\": 0.1",
         ],
     );
+}
+
+const SCHEDULES: [&str; 5] = [
+    "\"schedule\": \"static\"",
+    "\"schedule\": \"region-outage\"",
+    "\"schedule\": \"flapping-link\"",
+    "\"schedule\": \"hub-crash\"",
+    "\"schedule\": \"rolling-restart\"",
+];
+
+#[test]
+fn tiny_schedules_grid_matches_golden_aggregate() {
+    assert_matches_golden("tiny_schedules.json", &SCHEDULES);
+}
+
+#[test]
+fn tiny_schedules_consensus_grid_matches_golden_aggregate() {
+    assert_matches_golden("tiny_schedules_consensus.json", &SCHEDULES);
 }
 
 /// Forked branches match the golden, and so does re-running each branch
