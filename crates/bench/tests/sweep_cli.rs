@@ -42,7 +42,7 @@ const GOLDENS: &[(&str, &str)] = &[
          --loss 0.1 --schedule region-outage --trials 4 --seed 17 --format json",
     ),
     // Every schedule family, lossless and lossy, on the same WAN: the
-    // availability row pins the latency-mode timing of each fault script,
+    // availability row pins the latency-mode timing of each fault schedule,
     // the consensus row the consensus-mode timing.
     (
         "tiny_schedules.json",

@@ -1,35 +1,23 @@
-//! # Dynamic fault scripts for the GQS simulator
+//! # Fault shapes for the GQS simulator
 //!
 //! The paper's reliability bounds are stated against *static* fail-prone
 //! systems — a pattern strikes and stays. Its partial-synchrony model
 //! (§7), though, is exactly the setting where faults arrive, persist and
-//! *heal* over time. This crate is the bridge: a declarative,
-//! deterministic **fault-script engine** whose scripts compile down to
-//! the simulator's [`gqs_simnet::FailureSchedule`] (which since the
-//! interval-fault extension supports channel heals and process
-//! recoveries).
-//!
-//! ## The event vocabulary
-//!
-//! A [`FaultScript`] is a timeline of typed events ([`FaultEvent`]):
-//!
-//! | event | meaning |
-//! |---|---|
-//! | `CutDown { channels, at }` | every listed channel starts dropping sends at `at` |
-//! | `CutHeal { channels, at }` | every listed channel delivers sends again from `at` on |
-//! | `Crash { process, at }` | the process stops taking steps at `at` |
-//! | `Recover { process, at }` | a crashed process rejoins at `at` (state intact, pre-crash timers cancelled, [`gqs_simnet::Protocol::on_recover`] delivered) |
+//! *heal* over time. The simulator's one fault timeline is
+//! [`gqs_simnet::FailureSchedule`]: crashes, channel disconnections, heals
+//! and recoveries, each at a time. This crate adds WAN-like multi-region
+//! topologies ([`regions`]) and the scenario shapes that fill a schedule.
 //!
 //! A send during a down interval `[t1, t2)` drops (counted in
 //! `NetStats::dropped_disconnected`); a send at or after the heal is
 //! delivered, and post-GST delivery bounds apply to it as to any other
-//! message. Scripts are plain data — [`Clone`], [`PartialEq`],
-//! inspectable — so the same script drives a simulation, a sweep cell and
-//! a test assertion.
+//! message. A recovered process keeps its state, its pre-crash timers stay
+//! cancelled, and [`gqs_simnet::Protocol::on_recover`] runs at the
+//! recovery instant.
 //!
 //! ## Scenario families
 //!
-//! [`scenarios`] compiles high-level families into scripts:
+//! [`scenarios`] builds high-level families as schedules:
 //!
 //! * [`scenarios::region_outage`] / [`scenarios::staggered_region_outages`]
 //!   — disconnect an entire inter-region cut of a WAN-like multi-region
@@ -52,11 +40,10 @@
 //! // A 3-region WAN, 4 processes per region.
 //! let (graph, layout) = regions::regions(3, 4);
 //! // Region 1 is cut off during [500, 1500), then heals.
-//! let script = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(1500));
-//! assert!(!script.is_empty());
-//! // Compile to simulator events:
-//! let schedule = script.to_schedule();
+//! let schedule = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(1500));
+//! assert!(!schedule.is_empty());
 //! assert_eq!(schedule.disconnects().len(), schedule.heals().len());
+//! // A simulation takes it with `sim.apply_failures(&schedule)`.
 //! ```
 
 #![warn(missing_docs)]
@@ -64,10 +51,8 @@
 
 pub mod regions;
 pub mod scenarios;
-pub mod script;
 
 pub use regions::{wan_graph, RegionLayout};
 pub use scenarios::{
     flapping_link, hub_crash, region_outage, rolling_restart, staggered_region_outages,
 };
-pub use script::{FaultEvent, FaultScript};

@@ -1,5 +1,5 @@
 //! WAN-like multi-region topologies and the region bookkeeping fault
-//! scripts need.
+//! schedules need.
 //!
 //! A [`RegionLayout`] partitions the process universe into contiguous
 //! regions (data centers); [`wan_graph`] realizes the classic WAN shape —

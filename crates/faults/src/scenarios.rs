@@ -1,15 +1,14 @@
-//! Scenario-family combinators: high-level fault shapes compiled to
-//! [`FaultScript`] timelines.
+//! Scenario-family combinators: high-level fault shapes built as
+//! [`FailureSchedule`] timelines.
 //!
 //! Each combinator is a pure function of its parameters — no RNG — so the
 //! sweep engine can derive per-trial variety from the trial seed while
-//! the script itself stays reproducible and inspectable.
+//! the schedule itself stays reproducible and inspectable.
 
 use gqs_core::{Channel, NetworkGraph, ProcessId};
-use gqs_simnet::SimTime;
+use gqs_simnet::{FailureSchedule, SimTime};
 
 use crate::regions::RegionLayout;
-use crate::script::FaultScript;
 
 /// Disconnects region `region`'s entire inter-region cut (both
 /// directions) during `[from, until)`, then heals it. Inside the window
@@ -26,12 +25,9 @@ pub fn region_outage(
     region: usize,
     from: SimTime,
     until: SimTime,
-) -> FaultScript {
-    let mut s = FaultScript::new();
-    let cut = layout.cut(g, region);
-    if !cut.is_empty() {
-        s.down_window(cut, from, until);
-    }
+) -> FailureSchedule {
+    let mut s = FailureSchedule::none();
+    s.down_window(&layout.cut(g, region), from, until);
     s
 }
 
@@ -49,9 +45,9 @@ pub fn staggered_region_outages(
     start: SimTime,
     outage: u64,
     stagger: u64,
-) -> FaultScript {
+) -> FailureSchedule {
     assert!(outage > 0, "outages need a duration");
-    let mut s = FaultScript::new();
+    let mut s = FailureSchedule::none();
     for i in 0..layout.regions() {
         let from = start + i as u64 * stagger;
         s.merge(region_outage(layout, g, i, from, from + outage));
@@ -73,12 +69,12 @@ pub fn flapping_link(
     down: u64,
     up: u64,
     until: SimTime,
-) -> FaultScript {
+) -> FailureSchedule {
     assert!(down > 0 && up > 0, "flap phases need durations");
-    let mut s = FaultScript::new();
+    let mut s = FailureSchedule::none();
     let mut at = from;
     while at < until {
-        s.down_window(channels.iter().copied(), at, at + down);
+        s.down_window(channels, at, at + down);
         at = at + down + up;
     }
     s
@@ -91,8 +87,8 @@ pub fn flapping_link(
 /// # Panics
 ///
 /// Panics if `recover_at <= at`.
-pub fn hub_crash(hub: ProcessId, at: SimTime, recover_at: Option<SimTime>) -> FaultScript {
-    let mut s = FaultScript::new();
+pub fn hub_crash(hub: ProcessId, at: SimTime, recover_at: Option<SimTime>) -> FailureSchedule {
+    let mut s = FailureSchedule::none();
     match recover_at {
         Some(until) => s.crash_window(hub, at, until),
         None => s.crash(hub, at),
@@ -108,9 +104,9 @@ pub fn hub_crash(hub: ProcessId, at: SimTime, recover_at: Option<SimTime>) -> Fa
 /// # Panics
 ///
 /// Panics if `downtime == 0`.
-pub fn rolling_restart(n: usize, start: SimTime, downtime: u64, gap: u64) -> FaultScript {
+pub fn rolling_restart(n: usize, start: SimTime, downtime: u64, gap: u64) -> FailureSchedule {
     assert!(downtime > 0, "restarts need a downtime");
-    let mut s = FaultScript::new();
+    let mut s = FailureSchedule::none();
     for i in 0..n {
         let from = start + i as u64 * (downtime + gap);
         s.crash_window(ProcessId(i), from, from + downtime);
@@ -122,24 +118,23 @@ pub fn rolling_restart(n: usize, start: SimTime, downtime: u64, gap: u64) -> Fau
 mod tests {
     use super::*;
     use crate::regions::regions;
-    use crate::script::FaultEvent;
     use gqs_core::chan;
+
+    fn times<T>(events: &[(T, SimTime)]) -> Vec<SimTime> {
+        events.iter().map(|&(_, at)| at).collect()
+    }
 
     #[test]
     fn region_outage_cuts_exactly_the_boundary() {
         let (g, l) = regions(3, 3);
         let s = region_outage(&l, &g, 1, SimTime(100), SimTime(200));
-        assert_eq!(s.len(), 2, "one CutDown + one CutHeal");
-        let FaultEvent::CutDown { channels, at } = &s.events()[0] else {
-            panic!("expected CutDown first");
-        };
-        assert_eq!(*at, SimTime(100));
-        assert_eq!(channels.len(), 4);
+        assert_eq!(times(s.disconnects()), vec![SimTime(100); 4]);
+        assert_eq!(times(s.heals()), vec![SimTime(200); 4]);
         let inside = l.members(1);
-        for ch in channels {
+        for &(ch, _) in s.disconnects() {
             assert!(inside.contains(ch.from) != inside.contains(ch.to));
         }
-        assert_eq!(s.end(), SimTime(200));
+        assert!(s.crashes().is_empty() && s.recovers().is_empty());
     }
 
     #[test]
@@ -152,16 +147,14 @@ mod tests {
     fn staggered_outages_roll_across_regions() {
         let (g, l) = regions(3, 3);
         let s = staggered_region_outages(&l, &g, SimTime(100), 50, 200);
-        // 3 regions x (down + heal).
-        assert_eq!(s.len(), 6);
-        let downs: Vec<SimTime> = s
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::CutDown { .. }))
-            .map(FaultEvent::at)
-            .collect();
-        assert_eq!(downs, vec![SimTime(100), SimTime(300), SimTime(500)]);
-        assert_eq!(s.end(), SimTime(550));
+        let downs = times(s.disconnects());
+        let heals = times(s.heals());
+        let mut opens = downs.clone();
+        opens.dedup();
+        assert_eq!(opens, vec![SimTime(100), SimTime(300), SimTime(500)]);
+        assert_eq!(heals.len(), downs.len(), "every outage heals");
+        assert!(downs.iter().zip(&heals).all(|(&d, &h)| h == d + 50));
+        assert_eq!(heals.iter().max(), Some(&SimTime(550)));
     }
 
     #[test]
@@ -169,34 +162,33 @@ mod tests {
         let chs = [chan!(0, 1), chan!(1, 0)];
         let s = flapping_link(&chs, SimTime(10), 5, 15, SimTime(50));
         // Down intervals open at 10, 30 (50 is not < 50): 2 windows.
-        assert_eq!(s.len(), 4);
-        let times: Vec<SimTime> = s.events().iter().map(FaultEvent::at).collect();
-        assert_eq!(times, vec![SimTime(10), SimTime(15), SimTime(30), SimTime(35)]);
-        let heals = s.events().iter().filter(|e| matches!(e, FaultEvent::CutHeal { .. })).count();
-        assert_eq!(heals, 2, "every flap heals");
+        assert_eq!(
+            times(s.disconnects()),
+            vec![SimTime(10), SimTime(10), SimTime(30), SimTime(30)]
+        );
+        assert_eq!(times(s.heals()), vec![SimTime(15), SimTime(15), SimTime(35), SimTime(35)]);
+        assert_eq!(s.heals().len(), s.disconnects().len(), "every flap heals");
     }
 
     #[test]
     fn hub_crash_with_and_without_recovery() {
         let perm = hub_crash(ProcessId(0), SimTime(5), None);
-        assert_eq!(perm.len(), 1);
+        assert_eq!(perm.crashes(), &[(ProcessId(0), SimTime(5))]);
+        assert!(perm.recovers().is_empty());
         let transient = hub_crash(ProcessId(0), SimTime(5), Some(SimTime(9)));
-        assert_eq!(transient.len(), 2);
-        assert!(matches!(transient.events()[1], FaultEvent::Recover { at: SimTime(9), .. }));
+        assert_eq!(transient.crashes(), &[(ProcessId(0), SimTime(5))]);
+        assert_eq!(transient.recovers(), &[(ProcessId(0), SimTime(9))]);
     }
 
     #[test]
     fn rolling_restart_is_one_window_per_process() {
         let s = rolling_restart(4, SimTime(10), 20, 5);
-        assert_eq!(s.len(), 8);
+        assert_eq!(s.crashes().len(), 4);
+        assert_eq!(s.recovers().len(), 4);
         // Windows are disjoint with gap > 0: process 1 crashes after
         // process 0 recovered.
-        assert!(
-            matches!(s.events()[1], FaultEvent::Recover { process: ProcessId(0), at } if at == SimTime(30))
-        );
-        assert!(
-            matches!(s.events()[2], FaultEvent::Crash { process: ProcessId(1), at } if at == SimTime(35))
-        );
-        assert_eq!(s.end(), SimTime(10 + 3 * 25 + 20));
+        assert_eq!(s.recovers()[0], (ProcessId(0), SimTime(30)));
+        assert_eq!(s.crashes()[1], (ProcessId(1), SimTime(35)));
+        assert_eq!(s.recovers()[3], (ProcessId(3), SimTime(10 + 3 * 25 + 20)));
     }
 }

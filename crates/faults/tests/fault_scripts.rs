@@ -1,4 +1,4 @@
-//! End-to-end fault-script runs: scripts compiled by `gqs_faults` drive
+//! End-to-end fault-schedule runs: schedules built by `gqs_faults` drive
 //! the simulator, and the availability story they promise — blocked
 //! during the outage, restored after the heal — actually happens.
 //!
@@ -9,11 +9,11 @@
 //! layer's doing, not a test-local retry loop.
 
 use gqs_core::{majority_system, ProcessId};
-use gqs_faults::{regions, scenarios, FaultScript};
+use gqs_faults::{regions, scenarios};
 use gqs_registers::{abd_register_nodes, reliable_abd_register_nodes, AbdRegister, RegOp};
 use gqs_simnet::{
-    Context, Flood, OpId, Protocol, Reliable, SimConfig, SimTime, Simulation, StopReason, TimerId,
-    Topology,
+    Context, FailureSchedule, Flood, OpId, Protocol, Reliable, SimConfig, SimTime, Simulation,
+    StopReason, TimerId, Topology,
 };
 
 /// Fire-and-forget request/response: sends each request exactly once and
@@ -84,8 +84,7 @@ fn region_outage_blocks_cross_region_traffic_until_heal() {
     let (mut sim, layout) = wan_sim(3, 3);
     let graph = regions::regions(3, 3).0;
     // Region 1 dark during [500, 3000).
-    let script = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000));
-    script.apply(&mut sim);
+    sim.apply_failures(&scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000)));
     let in_r0 = ProcessId(0);
     let in_r1 = layout.gateway(1);
     // Before the outage: cross-region op completes promptly.
@@ -114,7 +113,7 @@ fn region_outage_blocks_cross_region_traffic_until_heal() {
 fn intra_region_traffic_survives_the_outage() {
     let (mut sim, layout) = wan_sim(3, 3);
     let graph = regions::regions(3, 3).0;
-    scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000)).apply(&mut sim);
+    sim.apply_failures(&scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000)));
     // Both endpoints inside the dark region: the island stays healthy.
     let a = layout.gateway(1);
     let b = ProcessId(a.index() + 1);
@@ -127,9 +126,9 @@ fn intra_region_traffic_survives_the_outage() {
 #[test]
 fn rolling_restart_leaves_everyone_alive_and_responsive() {
     let (mut sim, _layout) = wan_sim(2, 3);
-    let script = scenarios::rolling_restart(6, SimTime(100), 200, 50);
-    let end = script.end();
-    script.apply(&mut sim);
+    let schedule = scenarios::rolling_restart(6, SimTime(100), 200, 50);
+    let end = schedule.recovers().iter().map(|&(_, at)| at).max().expect("six restarts");
+    sim.apply_failures(&schedule);
     // An op invoked after the whole roll completes normally.
     sim.invoke_at(end + 100, ProcessId(0), ProcessId(5));
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
@@ -152,7 +151,7 @@ fn hub_crash_blacks_out_spokes_until_recovery() {
         ..SimConfig::default()
     };
     let mut sim: Simulation<ReliableStack> = Simulation::new(cfg, reliable_nodes(4));
-    scenarios::hub_crash(ProcessId(0), SimTime(200), Some(SimTime(2000))).apply(&mut sim);
+    sim.apply_failures(&scenarios::hub_crash(ProcessId(0), SimTime(200), Some(SimTime(2000))));
     // Spoke-to-spoke traffic during the hub's downtime stalls, then heals.
     sim.invoke_at(SimTime(500), ProcessId(1), ProcessId(2));
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
@@ -165,8 +164,8 @@ fn equal_scripts_produce_identical_traces() {
     let build = || {
         let (mut sim, layout) = wan_sim(3, 2);
         let graph = regions::regions(3, 2).0;
-        let mut script = FaultScript::new();
-        script
+        let mut schedule = FailureSchedule::none();
+        schedule
             .merge(scenarios::staggered_region_outages(&layout, &graph, SimTime(300), 400, 600))
             .merge(scenarios::flapping_link(
                 &layout.cut(&graph, 0),
@@ -175,13 +174,13 @@ fn equal_scripts_produce_identical_traces() {
                 100,
                 SimTime(3000),
             ));
-        script.apply(&mut sim);
+        sim.apply_failures(&schedule);
         sim.invoke_at(SimTime(50), ProcessId(0), ProcessId(5));
         sim.invoke_at(SimTime(700), ProcessId(2), ProcessId(0));
         sim.run();
         (sim.stats(), sim.now())
     };
-    assert_eq!(build(), build(), "same script + same seed = same trace");
+    assert_eq!(build(), build(), "same schedule + same seed = same trace");
 }
 
 /// The regression the self-healing register stack exists for: a write
@@ -200,7 +199,7 @@ fn abd_write_during_region_outage_needs_the_retrying_stack() {
         horizon: SimTime(100_000),
         ..SimConfig::default()
     };
-    let script = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000));
+    let outage = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000));
     // The invoker sits inside the dark region: its 3-process island
     // cannot form a majority quorum of 5, so nothing completes before
     // the heal.
@@ -214,7 +213,7 @@ fn abd_write_during_region_outage_needs_the_retrying_stack() {
             .map(Flood::new)
             .collect();
     let mut sim = Simulation::new(cfg.clone(), plain);
-    script.apply(&mut sim);
+    sim.apply_failures(&outage);
     sim.invoke_at(SimTime(1000), invoker, RegOp::Write { reg: 0u8, value: 7u64 });
     let reason = sim.run_until_ops_complete();
     assert_ne!(reason, StopReason::OpsComplete, "plain ABD must not complete, got {reason:?}");
@@ -232,7 +231,7 @@ fn abd_write_during_region_outage_needs_the_retrying_stack() {
             .map(Flood::new)
             .collect();
     let mut sim = Simulation::new(cfg, retrying);
-    script.apply(&mut sim);
+    sim.apply_failures(&outage);
     sim.invoke_at(SimTime(1000), invoker, RegOp::Write { reg: 0u8, value: 7u64 });
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
     let done = sim.history().ops()[0].completed_at().expect("the retrying write completes");

@@ -226,9 +226,14 @@ impl Default for SimConfig {
 /// does in one particular execution. Beyond the paper's permanent faults,
 /// a schedule may also contain **heals** (a disconnected channel resumes
 /// delivering messages sent from the heal time on) and **recoveries** (a
-/// crashed process rejoins; see [`crate::Protocol::on_recover`]). The
-/// `gqs_faults` crate compiles declarative fault scripts — region outages,
-/// flapping links, rolling restarts — down to this type.
+/// crashed process rejoins; see [`crate::Protocol::on_recover`]).
+///
+/// Events are kept per kind, each kind in insertion order, and
+/// [`Simulation::apply_failures`] schedules them kind by kind. The window
+/// builders ([`down_window`](Self::down_window),
+/// [`crash_window`](Self::crash_window)) and [`merge`](Self::merge) are
+/// what the `gqs_faults` scenario shapes — region outages, flapping
+/// links, rolling restarts — are built from.
 #[derive(Clone, Debug, Default)]
 pub struct FailureSchedule {
     crashes: Vec<(ProcessId, SimTime)>,
@@ -295,6 +300,53 @@ impl FailureSchedule {
     pub fn recover(&mut self, p: ProcessId, at: SimTime) -> &mut Self {
         self.recovers.push((p, at));
         self
+    }
+
+    /// Disconnects every channel in `channels` at `from` and heals it at
+    /// `until`: a down window `[from, until)` (an empty slice adds nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`until <= from`).
+    pub fn down_window(
+        &mut self,
+        channels: &[Channel],
+        from: SimTime,
+        until: SimTime,
+    ) -> &mut Self {
+        assert!(from < until, "empty down window [{from:?}, {until:?})");
+        self.disconnects.extend(channels.iter().map(|&ch| (ch, from)));
+        self.heals.extend(channels.iter().map(|&ch| (ch, until)));
+        self
+    }
+
+    /// Crashes `p` at `from` and recovers it at `until`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`until <= from`).
+    pub fn crash_window(&mut self, p: ProcessId, from: SimTime, until: SimTime) -> &mut Self {
+        assert!(from < until, "empty crash window [{from:?}, {until:?})");
+        self.crash(p, from).recover(p, until)
+    }
+
+    /// Appends each of `other`'s events after this schedule's events of
+    /// the same kind (timelines compose; relative order only matters for
+    /// same-instant events).
+    pub fn merge(&mut self, other: FailureSchedule) -> &mut Self {
+        self.crashes.extend(other.crashes);
+        self.disconnects.extend(other.disconnects);
+        self.heals.extend(other.heals);
+        self.recovers.extend(other.recovers);
+        self
+    }
+
+    /// Returns a copy of the schedule. Kept only for the benchmark's staged
+    /// trials (`benchmark/src/staged.rs`), which call it on what
+    /// `ScheduleFamily::script` returns; nothing else may call it.
+    #[doc(hidden)]
+    pub fn to_schedule(&self) -> FailureSchedule {
+        self.clone()
     }
 
     /// Scheduled crashes.
@@ -1887,6 +1939,72 @@ mod tests {
             fingerprint(&sim)
         };
         assert_eq!(pattern_free(false), pattern_free(true));
+    }
+
+    #[test]
+    fn down_window_disconnects_then_heals_keeping_per_kind_order() {
+        let (a, b, c) = (
+            Channel::new(ProcessId(0), ProcessId(1)),
+            Channel::new(ProcessId(1), ProcessId(0)),
+            Channel::new(ProcessId(1), ProcessId(2)),
+        );
+        let mut sched = FailureSchedule::none();
+        sched.down_window(&[a, b], SimTime(10), SimTime(20));
+        sched.down_window(&[c], SimTime(5), SimTime(8));
+        assert_eq!(sched.disconnects(), &[(a, SimTime(10)), (b, SimTime(10)), (c, SimTime(5))]);
+        assert_eq!(sched.heals(), &[(a, SimTime(20)), (b, SimTime(20)), (c, SimTime(8))]);
+        assert!(sched.crashes().is_empty() && sched.recovers().is_empty());
+        sched.down_window(&[], SimTime(30), SimTime(40));
+        assert_eq!(sched.disconnects().len(), 3, "an empty slice adds nothing");
+        assert_eq!(sched.heals().len(), 3);
+    }
+
+    #[test]
+    fn crash_window_crashes_then_recovers() {
+        let mut sched = FailureSchedule::none();
+        sched.crash_window(ProcessId(2), SimTime(7), SimTime(11));
+        sched.crash_window(ProcessId(0), SimTime(1), SimTime(3));
+        assert_eq!(sched.crashes(), &[(ProcessId(2), SimTime(7)), (ProcessId(0), SimTime(1))]);
+        assert_eq!(sched.recovers(), &[(ProcessId(2), SimTime(11)), (ProcessId(0), SimTime(3))]);
+        assert!(sched.disconnects().is_empty() && sched.heals().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "empty down window")]
+    fn empty_down_window_is_rejected() {
+        let ch = Channel::new(ProcessId(0), ProcessId(1));
+        FailureSchedule::none().down_window(&[ch], SimTime(5), SimTime(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty crash window")]
+    fn empty_crash_window_is_rejected() {
+        FailureSchedule::none().crash_window(ProcessId(0), SimTime(9), SimTime(4));
+    }
+
+    #[test]
+    fn merge_concatenates_each_kind() {
+        let (a, b) =
+            (Channel::new(ProcessId(0), ProcessId(1)), Channel::new(ProcessId(1), ProcessId(0)));
+        let mut first = FailureSchedule::none();
+        first.crash_window(ProcessId(0), SimTime(1), SimTime(2)).down_window(
+            &[a],
+            SimTime(3),
+            SimTime(4),
+        );
+        let mut second = FailureSchedule::none();
+        second.down_window(&[b], SimTime(0), SimTime(9)).crash(ProcessId(1), SimTime(5));
+        first.merge(second);
+        assert_eq!(first.crashes(), &[(ProcessId(0), SimTime(1)), (ProcessId(1), SimTime(5))]);
+        assert_eq!(first.disconnects(), &[(a, SimTime(3)), (b, SimTime(0))]);
+        assert_eq!(first.heals(), &[(a, SimTime(4)), (b, SimTime(9))]);
+        assert_eq!(first.recovers(), &[(ProcessId(0), SimTime(2))]);
+        first.merge(FailureSchedule::none());
+        assert_eq!(
+            first.crashes().len() + first.disconnects().len(),
+            4,
+            "merging nothing adds nothing"
+        );
     }
 
     #[test]

@@ -80,7 +80,7 @@ use std::thread;
 use gqs_consensus::{majority_consensus_nodes, ConsensusNode, ProposalMode};
 use gqs_core::finder::{find_gqs, qs_plus_exists};
 use gqs_core::{majority_system, FailProneSystem, FailurePattern, NetworkGraph, ProcessId};
-use gqs_faults::{scenarios, FaultScript, RegionLayout};
+use gqs_faults::{scenarios, RegionLayout};
 use gqs_registers::{
     abd_register_nodes, reliable_abd_register_nodes, sampled_abd_nodes, AbdRegister, RegOp, ScaleOp,
 };
@@ -830,8 +830,8 @@ impl PatternFamily {
 ///
 /// [`ScheduleFamily::Static`] is the paper's lower-bound adversary and
 /// the historical behaviour — the first drawn pattern strikes whole at
-/// time zero and never heals. The dynamic families compile
-/// [`gqs_faults`] scenario scripts instead: the drawn pattern's *channel*
+/// time zero and never heals. The dynamic families build
+/// [`gqs_faults`] scenario schedules instead: the drawn pattern's *channel*
 /// failures still apply from time zero as static background noise
 /// (nothing at `p_chan = 0`), but its crashes are replaced by the
 /// schedule's own timeline, so recovery stories are not masked by
@@ -902,10 +902,9 @@ impl ScheduleFamily {
         }
     }
 
-    /// Compiles the family into the fault script one trial applies: the
-    /// static pattern strike for [`ScheduleFamily::Static`], otherwise the
-    /// pattern's channel noise plus the family's dynamic timeline over the
-    /// cell's topology.
+    /// The fault schedule one trial applies: the static pattern strike for
+    /// [`ScheduleFamily::Static`], otherwise the pattern's channel noise
+    /// plus the family's dynamic timeline over the cell's topology.
     pub fn script(
         self,
         family: TopologyFamily,
@@ -913,13 +912,15 @@ impl ScheduleFamily {
         g: &NetworkGraph,
         pattern: &FailurePattern,
         t: &ScheduleTiming,
-    ) -> FaultScript {
+    ) -> FailureSchedule {
         if self == ScheduleFamily::Static {
-            return FaultScript::from_pattern_at(pattern, SimTime::ZERO);
+            return FailureSchedule::from_pattern_at(pattern, SimTime::ZERO);
         }
-        let mut s = FaultScript::new();
+        let mut s = FailureSchedule::none();
         // Background noise: the pattern's channel failures, permanent.
-        s.cut_down(pattern.channels(), SimTime::ZERO);
+        for ch in pattern.channels() {
+            s.disconnect(ch, SimTime::ZERO);
+        }
         let layout = family.region_layout(n);
         match self {
             ScheduleFamily::Static => unreachable!("handled above"),
@@ -1241,7 +1242,7 @@ fn prepare<M: Simulated>(cell: &ScenarioCell, rng: &mut SplitMix64) -> Option<Pr
     if invokers.is_empty() {
         return None;
     }
-    let schedule = cell.schedule.script(cell.family, cell.n, &g, pattern, &M::TIMING).to_schedule();
+    let schedule = cell.schedule.script(cell.family, cell.n, &g, pattern, &M::TIMING);
     let (nodes, ops) = M::build(cell.n, &invokers);
     let delay = M::delay();
     let cfg = SimConfig {
@@ -1549,9 +1550,8 @@ impl Simulated for Availability {
 /// Runs one availability trial: the same topology/fail-prone draw and
 /// fault schedule as [`latency_trial`], but driving the *self-healing*
 /// register stack — [`gqs_registers::reliable_abd_register_nodes`], whose
-/// classical engine retransmits unanswered quorum requests every
-/// a fixed interval (150 ticks, with replica-side duplicate suppression)
-/// — over channels that drop each message with probability `cell.loss`.
+/// classical engine rebroadcasts unanswered quorum requests every 150
+/// ticks, with replica-side duplicate suppression — over channels that drop each message with probability `cell.loss`.
 /// Operations are invoked open-loop on the latency-mode cadence, so an op
 /// that lands inside an outage window simply waits out the fault and
 /// completes after the heal with **no client-side retry**; the trial

@@ -21,7 +21,7 @@
 //! | [`snapshots`] | `gqs-snapshots` | Afek et al. snapshots over the registers |
 //! | [`lattice`] | `gqs-lattice` | single-shot lattice agreement over the snapshots |
 //! | [`consensus`] | `gqs-consensus` | Figure 6 consensus + view synchronizer + pull-Paxos baseline |
-//! | [`faults`] | `gqs-faults` | declarative fault scripts: region outages, flapping links, hub crashes, rolling restarts |
+//! | [`faults`] | `gqs-faults` | WAN-like regions and fault-schedule shapes: region outages, flapping links, hub crashes, rolling restarts |
 //! | [`checker`] | `gqs-checker` | Wing–Gong and §B dependency-graph linearizability, object safety |
 //! | [`workloads`] | `gqs-workloads` | generators, experiment drivers E1–E12, tables |
 //!
