@@ -64,18 +64,48 @@ pub struct FloodMsg<M> {
 pub struct Flood<P: Protocol> {
     inner: P,
     next_seq: u64,
-    /// Envelopes already relayed. A `BTreeSet` rather than a hash set so
-    /// the state has one canonical representation: checkpoint oracles
-    /// compare node state byte-for-byte via `Debug`, and per-instance
-    /// hasher seeds would make identical sets format differently.
-    seen: BTreeSet<(ProcessId, u64)>,
+    /// Envelopes already relayed, one record per origin indexed by
+    /// `origin.index()`. It grows on first sight of an origin, because
+    /// `new` does not know `n`.
+    seen: Vec<Seen>,
     relayed: u64,
+}
+
+/// The envelopes of one origin that a process has relayed. An origin
+/// numbers its envelopes densely from 0, so every seq below `next` has
+/// arrived except the ones in `missing`. An in-order arrival costs O(1),
+/// and memory is one record per origin plus the envelopes that have not
+/// reached this process: a permanent cut leaves its gaps behind, but
+/// later traffic does not add to them.
+///
+/// `missing` is a `BTreeSet` rather than a hash set so the state has one
+/// canonical representation: checkpoint oracles compare node state
+/// byte-for-byte via `Debug`, and per-instance hasher seeds would make
+/// identical sets format differently.
+#[derive(Clone, Debug, Default)]
+struct Seen {
+    next: u64,
+    missing: BTreeSet<u64>,
+}
+
+impl Seen {
+    /// Records `seq`; true on its first arrival, exactly as
+    /// `BTreeSet::insert` would answer for the set of every seq so far.
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq >= self.next {
+            self.missing.extend(self.next..seq);
+            self.next = seq + 1;
+            true
+        } else {
+            self.missing.remove(&seq)
+        }
+    }
 }
 
 impl<P: Protocol> Flood<P> {
     /// Wraps `inner` in a flooding layer.
     pub fn new(inner: P) -> Self {
-        Flood { inner, next_seq: 0, seen: BTreeSet::new(), relayed: 0 }
+        Flood { inner, next_seq: 0, seen: Vec::new(), relayed: 0 }
     }
 
     /// The wrapped protocol (for assertions on its state).
@@ -91,6 +121,12 @@ impl<P: Protocol> Flood<P> {
     /// Number of envelopes this process has relayed (forwarding cost).
     pub fn relayed(&self) -> u64 {
         self.relayed
+    }
+
+    /// The dedup state: one record per origin seen so far.
+    #[cfg(test)]
+    fn dedup_footprint(&self) -> &[Seen] {
+        &self.seen
     }
 
     /// Runs one handler of the wrapped protocol through
@@ -143,7 +179,11 @@ impl<P: Protocol> Protocol for Flood<P> {
         env: Self::Msg,
         ctx: &mut Context<Self::Msg, Self::Resp>,
     ) {
-        if !self.seen.insert((env.origin, env.seq)) {
+        let origin = env.origin.index();
+        if origin >= self.seen.len() {
+            self.seen.resize_with(origin + 1, Seen::default);
+        }
+        if !self.seen[origin].insert(env.seq) {
             return; // already relayed and (if addressed to us) delivered
         }
         // Relay to everyone else first so forwarding continues even if the
@@ -173,7 +213,7 @@ impl<P: Protocol> Protocol for Flood<P> {
     }
 
     fn on_recover(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
-        // The dedup set survives the crash on purpose: envelopes relayed
+        // The dedup state survives the crash on purpose: envelopes relayed
         // before the crash are not re-delivered to the inner protocol.
         self.run_inner(ctx, |p, inner| p.on_recover(inner));
     }
@@ -182,6 +222,7 @@ impl<P: Protocol> Protocol for Flood<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
     use crate::sim::{FailureSchedule, SimConfig, Simulation, StopReason};
     use crate::time::SimTime;
     use gqs_core::Channel;
@@ -523,5 +564,211 @@ mod tests {
         sim.run_until_ops_complete();
         let total: u64 = (0..3).map(|p| sim.node(ProcessId(p)).relayed()).sum();
         assert!(total >= 2, "every process should relay each envelope once");
+    }
+
+    /// `Seen::insert` answers exactly what the set of every seq so far
+    /// would, on the arrival orders of one origin's envelopes: in order,
+    /// shuffled within windows, duplicated, after large jumps, and with
+    /// seq 0 last.
+    #[test]
+    fn seen_agrees_with_a_set_of_every_seq() {
+        fn shuffle(v: &mut [u64], rng: &mut SplitMix64) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.range(0, i as u64) as usize);
+            }
+        }
+        let mut rng = SplitMix64::new(0x5EE7);
+        for _ in 0..20 {
+            let in_order: Vec<u64> = (0..200).collect();
+            let mut windows = in_order.clone();
+            let mut at = 0;
+            while at < windows.len() {
+                let end = (at + rng.range(2, 16) as usize).min(windows.len());
+                shuffle(&mut windows[at..end], &mut rng);
+                at = end;
+            }
+            let mut duplicates = Vec::new();
+            for (i, &seq) in windows.iter().enumerate() {
+                duplicates.push(seq);
+                match rng.range(0, 2) {
+                    0 => duplicates.push(seq),
+                    1 => duplicates.push(windows[rng.range(0, i as u64) as usize]),
+                    _ => {}
+                }
+            }
+            let mut jumps = Vec::new();
+            let mut top = 0;
+            for _ in 0..50 {
+                top += rng.range(1, 1000);
+                jumps.push(top);
+            }
+            jumps.extend((0..300).map(|_| rng.range(0, top)));
+            let mut zero_last: Vec<u64> = (1..200).collect();
+            shuffle(&mut zero_last, &mut rng);
+            zero_last.push(0);
+            for stream in [in_order, windows, duplicates, jumps, zero_last] {
+                let mut seen = Seen::default();
+                let mut every = BTreeSet::new();
+                for seq in stream {
+                    assert_eq!(seen.insert(seq), every.insert(seq), "seq {seq}");
+                    assert_eq!(seen.missing.len() as u64, seen.next - every.len() as u64);
+                    assert!(every.iter().all(|s| !seen.missing.contains(s)));
+                }
+            }
+        }
+    }
+
+    /// Broadcasts `0, 1, 2, …` every 10 ticks, `rounds` times, and records
+    /// who it heard what from. Its k-th broadcast is its k-th envelope, so
+    /// a payload is the envelope's seq.
+    #[derive(Clone, Debug)]
+    struct Beacon {
+        rounds: u64,
+        sent: u64,
+        heard: BTreeSet<(usize, u64)>,
+    }
+
+    impl Protocol for Beacon {
+        type Msg = u64;
+        type Op = ();
+        type Resp = ();
+
+        fn on_start(&mut self, ctx: &mut Context<u64, ()>) {
+            ctx.set_timer(TimerId(0), 10);
+        }
+
+        fn on_message(&mut self, from: ProcessId, k: u64, _ctx: &mut Context<u64, ()>) {
+            self.heard.insert((from.index(), k));
+        }
+
+        fn on_timer(&mut self, _id: TimerId, ctx: &mut Context<u64, ()>) {
+            if self.sent < self.rounds {
+                ctx.broadcast(self.sent);
+                self.sent += 1;
+                ctx.set_timer(TimerId(0), 10);
+            }
+        }
+
+        fn on_invoke(&mut self, op: OpId, _: (), ctx: &mut Context<u64, ()>) {
+            ctx.complete(op, ());
+        }
+    }
+
+    fn beacons(n: usize, rounds: u64, cfg: SimConfig) -> Simulation<Flood<Beacon>> {
+        let beacon = Beacon { rounds, sent: 0, heard: BTreeSet::new() };
+        Simulation::new(cfg, (0..n).map(|_| Flood::new(beacon.clone())).collect())
+    }
+
+    /// Each origin's seqs that `p` has recorded as missing.
+    fn missing(sim: &Simulation<Flood<Beacon>>, p: usize) -> Vec<BTreeSet<u64>> {
+        let footprint = sim.node(ProcessId(p)).dedup_footprint();
+        footprint.iter().map(|s| s.missing.clone()).collect()
+    }
+
+    /// On a healthy complete graph the dedup state stays one record per
+    /// origin with no gaps, however long the run: it does not grow with
+    /// the envelopes relayed.
+    #[test]
+    fn healthy_dedup_state_is_one_gapless_record_per_origin() {
+        let n = 5;
+        let mut sim = beacons(n, 300, SimConfig::default());
+        for t in (100..=3_100).step_by(100) {
+            sim.run_until(SimTime(t));
+            for p in 0..n {
+                assert!(missing(&sim, p).iter().all(BTreeSet::is_empty), "p{p} at {t}");
+            }
+        }
+        assert_eq!(sim.run(), StopReason::Quiescent);
+        for p in 0..n {
+            let footprint = sim.node(ProcessId(p)).dedup_footprint();
+            assert_eq!(footprint.len(), n);
+            assert!(footprint.iter().all(|s| s.next == 300 && s.missing.is_empty()));
+            assert_eq!(sim.node(ProcessId(p)).inner().heard.len(), n * 300);
+        }
+    }
+
+    /// A down window `[from, until)` on the channels from each of `froms`
+    /// into process 3.
+    fn cut_into_3(froms: &[usize], from: u64, until: u64) -> FailureSchedule {
+        let channels: Vec<Channel> =
+            froms.iter().map(|&p| Channel::new(ProcessId(p), ProcessId(3))).collect();
+        let mut sched = FailureSchedule::none();
+        sched.down_window(&channels, SimTime(from), SimTime(until));
+        sched
+    }
+
+    /// A down window that cuts a process off leaves in its dedup state
+    /// exactly the envelopes that never reached it — those whose whole
+    /// flood fell inside the window — and the traffic after the heal adds
+    /// nothing.
+    #[test]
+    fn a_healed_cut_leaves_exactly_the_unreachable_envelopes() {
+        let mut sim = beacons(4, 300, SimConfig::default());
+        sim.apply_failures(&cut_into_3(&[0, 1, 2], 500, 1_500));
+        // Past the heal plus the longest delay: the window's gaps are final.
+        sim.run_until(SimTime(1_520));
+        let after_heal = missing(&sim, 3);
+        assert_eq!(sim.run(), StopReason::Quiescent);
+        assert_eq!(missing(&sim, 3), after_heal, "post-heal traffic left new gaps");
+        let heard = &sim.node(ProcessId(3)).inner().heard;
+        for (origin, gaps) in after_heal.iter().enumerate() {
+            let never_heard: BTreeSet<u64> =
+                (0..300).filter(|&k| !heard.contains(&(origin, k))).collect();
+            assert_eq!(gaps, &never_heard, "origin {origin}");
+            assert_eq!(sim.node(ProcessId(3)).dedup_footprint()[origin].next, 300);
+            if origin == 3 {
+                assert!(gaps.is_empty(), "a process always hears itself");
+                continue;
+            }
+            // Seq k is sent at 10(k + 1). Sent before the window, it goes
+            // straight through; sent 10 ticks or more before the heal, every
+            // relay of it falls inside the window too.
+            for k in 0..300u64 {
+                let sent = 10 * (k + 1);
+                if (500..1_490).contains(&sent) {
+                    assert!(gaps.contains(&k), "origin {origin} seq {k}");
+                }
+                if !(500..1_500).contains(&sent) {
+                    assert!(!gaps.contains(&k), "origin {origin} seq {k}");
+                }
+            }
+        }
+        for p in 0..3 {
+            assert!(missing(&sim, p).iter().all(BTreeSet::is_empty), "p{p} was never cut off");
+        }
+    }
+
+    /// A checkpoint taken inside a down window while gaps are open restores
+    /// them: the continuation lands on the straight run's state byte for
+    /// byte. The first window cuts 3 off and leaves gaps; the second cuts
+    /// only 0 → 3, so 0's envelopes reach 3 by relay, some out of order.
+    #[test]
+    fn a_checkpoint_inside_a_down_window_restores_its_open_gaps() {
+        fn fingerprint(sim: &Simulation<Flood<Beacon>>) -> String {
+            let nodes: Vec<String> =
+                (0..sim.len()).map(|p| format!("{:?}", sim.node(ProcessId(p)))).collect();
+            format!("{:?}|{:?}|{:?}|{nodes:?}", sim.now(), sim.stats(), sim.rng())
+        }
+        let run = || {
+            let cfg = SimConfig { loss: 0.1, ..SimConfig::default() };
+            let mut sim = beacons(4, 300, cfg);
+            let mut sched = cut_into_3(&[0, 1, 2], 500, 1_000);
+            sched.merge(cut_into_3(&[0], 1_100, 2_000));
+            sim.apply_failures(&sched);
+            sim
+        };
+        let mut straight = run();
+        straight.run();
+        let expected = fingerprint(&straight);
+
+        let mut forked = run();
+        forked.run_until(SimTime(1_500));
+        assert!(missing(&forked, 3).iter().any(|gaps| !gaps.is_empty()), "no gap open at the cut");
+        let cp = forked.checkpoint();
+        forked.run();
+        assert_eq!(fingerprint(&forked), expected, "first continuation");
+        forked.restore(&cp);
+        forked.run();
+        assert_eq!(fingerprint(&forked), expected, "restored continuation");
     }
 }
