@@ -38,13 +38,14 @@ range `4..8` / `4..16:4` / `0.1..0.5:0.2` — float ranges need a step):
                          grid|two-cliques-bridge|regions|random
                                                              [default: complete]
     --n <LIST>           system sizes                        [default: 4]
-    --density <LIST>     edge probability, random family only [default: 0.6]
+    --density <LIST>     edge probability in [0, 1], random family only
+                                                             [default: 0.6]
     --regions <R>        region count, regions family only    [default: 3]
     --patterns <P>       pattern family: rotating|random|adversarial
                                                              [default: rotating]
     --pattern-count <K>  patterns per system (random/adversarial) [default: 3]
     --max-crashes <K>    max crashes per pattern (random)     [default: 1]
-    --p-chan <LIST>      channel-failure probabilities        [default: 0.2]
+    --p-chan <LIST>      channel-failure probabilities in [0, 1] [default: 0.2]
     --loss <LIST>        per-channel message-loss probabilities in [0, 1]
                          for the simulated modes (solvability collapses
                          the axis)                           [default: 0]
@@ -65,9 +66,11 @@ EXECUTION:
                          single-shot Figure-6 consensus: decided fraction,
                          views and time to decide, decision latency over
                          C x delta, msgs/op), availability (simulated
-                         self-healing ABD register with ack/retransmit/
-                         backoff delivery over lossy links: completion
-                         rate, stalled ops, time-to-heal, retransmits/op)
+                         self-healing ABD register: unanswered requests
+                         are rebroadcast every 150 ticks and replicas
+                         apply each write once; no acks, no backoff:
+                         completion rate, stalled ops, time-to-heal,
+                         retransmits/op)
                          or scale (flooded gossip over the implicit
                          topology + sampled-arc majority ABD; families
                          complete|ring|grid|regions only; collapses the
@@ -295,9 +298,11 @@ fn parse_args() -> Result<Args, String> {
     if args.schedules.is_empty() {
         return Err("--schedule needs at least one family".to_string());
     }
-    for &loss in &args.losses {
-        if !(0.0..=1.0).contains(&loss) {
-            return Err(format!("--loss values must be in [0, 1] (got {loss})"));
+    for (flag, values) in
+        [("--density", &args.densities), ("--p-chan", &args.p_chans), ("--loss", &args.losses)]
+    {
+        if let Some(v) = values.iter().find(|v| !(0.0..=1.0).contains(*v)) {
+            return Err(format!("{flag} values must be in [0, 1] (got {v})"));
         }
     }
     if !matches!(args.format.as_str(), "json" | "csv") {
@@ -469,7 +474,6 @@ fn main() {
     let opts = SweepOptions {
         threads: args.threads,
         shard: args.shard,
-        cancel: None,
         stall_log: Some(stall_log.clone()),
     };
     let start = Instant::now();

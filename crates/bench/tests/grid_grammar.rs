@@ -99,6 +99,29 @@ fn loss_axis_rejects_garbage_and_out_of_range_values() {
 }
 
 #[test]
+fn probability_axes_reject_non_finite_and_out_of_range_values() {
+    // Each of these used to run: the non-finite ones the whole sweep
+    // before a panic (exit 101) while rendering the cell header, the
+    // out-of-range ones to exit 0 with a meaningless probability.
+    assert_clean_error(&["--p-chan", "nan"], "non-finite number");
+    assert_clean_error(&["--p-chan", "inf"], "non-finite number");
+    assert_clean_error(&["--family", "random", "--density", "nan"], "non-finite number");
+    assert_clean_error(&["--p-chan", "-0.5"], "--p-chan values must be in [0, 1]");
+    assert_clean_error(&["--p-chan", "1.5"], "--p-chan values must be in [0, 1]");
+    assert_clean_error(
+        &["--family", "random", "--density", "1.5"],
+        "--density values must be in [0, 1]",
+    );
+    assert_clean_error(&["--density", "-0.1"], "--density values must be in [0, 1]");
+    // A non-finite range endpoint or step used to collapse silently into
+    // one cell.
+    assert_clean_error(&["--p-chan", "0.1..nan:0.1"], "non-finite bound");
+    assert_clean_error(&["--p-chan", "0..1:nan"], "non-finite step");
+    assert_clean_error(&["--p-chan", "0..inf:0.5"], "non-finite bound");
+    assert_clean_error(&["--n", "4..inf"], "non-finite bound");
+}
+
+#[test]
 fn availability_mode_flags_are_validated() {
     assert_clean_error(&["--mode", "availabilty"], "unknown mode");
     // A valid availability spec runs and reports its metrics.

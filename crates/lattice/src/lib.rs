@@ -39,10 +39,6 @@ use gqs_registers::{GeneralizedMsg, GeneralizedQaf, RegMap, VersionedWrite};
 use gqs_simnet::{Context, Effect, Flood, OpId, Protocol, TimerId};
 use gqs_snapshots::{Segment, SnapOp, SnapResp, SnapshotNode};
 
-/// Base of the internal op-id namespace for embedded snapshot operations
-/// (distinct from the snapshot layer's own internal register ids).
-pub const INTERNAL_OP_BASE: u64 = 1 << 62;
-
 /// Client operation: `propose(x)`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Propose<L>(pub L);
@@ -74,16 +70,15 @@ enum Step<L> {
 
 /// Lattice agreement at one process: the fix-point loop over an embedded
 /// snapshot object. Segments hold `Option<L>` (`None` = nothing proposed
-/// yet).
+/// yet). A proposal has one snapshot operation open at a time, and runs it
+/// under `OpId(machine)`.
 #[derive(Clone, Debug)]
 pub struct LatticeNode<L>
 where
     L: JoinSemilattice,
 {
     machines: BTreeMap<u64, Step<L>>,
-    routes: BTreeMap<u64, u64>,
     snap: SnapshotNode<Option<L>, SnapEngine<L>>,
-    next_internal: u64,
     next_machine: u64,
     rounds: u64,
 }
@@ -93,9 +88,7 @@ impl<L: JoinSemilattice> LatticeNode<L> {
     pub fn new(me: ProcessId, n: usize, engine: SnapEngine<L>) -> Self {
         LatticeNode {
             machines: BTreeMap::new(),
-            routes: BTreeMap::new(),
             snap: SnapshotNode::new(me, n, engine),
-            next_internal: INTERNAL_OP_BASE,
             next_machine: 0,
             rounds: 0,
         }
@@ -113,10 +106,7 @@ impl<L: JoinSemilattice> LatticeNode<L> {
     }
 
     fn issue(&mut self, machine: u64, op: SnapOp<Option<L>>, ctx: &mut Ctx<L>) {
-        let id = OpId(self.next_internal);
-        self.next_internal += 1;
-        self.routes.insert(id.0, machine);
-        self.run_inner(ctx, |snap, inner| snap.on_invoke(id, op, inner));
+        self.run_inner(ctx, |snap, inner| snap.on_invoke(OpId(machine), op, inner));
     }
 
     /// Runs one handler of the embedded snapshot object through
@@ -132,10 +122,7 @@ impl<L: JoinSemilattice> LatticeNode<L> {
                 Effect::Send { to, msg } => ctx.send(to, msg),
                 Effect::Broadcast { msg } => ctx.broadcast(msg),
                 Effect::SetTimer { id, after } => ctx.set_timer(id, after),
-                Effect::Complete { op, resp } => {
-                    let machine = self.routes.remove(&op.0).expect("unknown internal snapshot op");
-                    self.advance(machine, resp, ctx);
-                }
+                Effect::Complete { op, resp } => self.advance(op.0, resp, ctx),
                 Effect::NoteRetransmit { count } => ctx.note_retransmit(count),
                 Effect::Trace { kind, label, id } => ctx.emit_trace(kind, label, id),
             }

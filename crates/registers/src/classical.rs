@@ -13,30 +13,22 @@
 //! By default each request is broadcast exactly once, so a request lost to
 //! a down interval or the loss model stalls its invocation forever. With
 //! [`ClassicalQaf::with_retry`], unanswered `GET_REQ`/`SET_REQ`s are
-//! rebroadcast on a periodic [`RETRY_TIMER`] until the quorum responds —
-//! replicas suppress duplicate `SET_REQ` applications by `(requester,
-//! seq)` and re-ack instead, so retries never double-apply an update. A
-//! requester numbers its sets densely, apart from its gets, so a replica
-//! remembers them in one [`Seen`] record per requester: O(1) per request
-//! and no memory beyond the requests that never reached it.
-//! Retransmitted copies are accounted via
-//! [`gqs_simnet::Context::note_retransmit`].
+//! rebroadcast on a periodic [`crate::RETRY_TIMER`] until the quorum
+//! responds — replicas suppress duplicate `SET_REQ` applications by
+//! `(requester, seq)` and re-ack instead, so retries never double-apply an
+//! update. The request numbering, the retry timer and this dedup are
+//! shared with [`crate::GeneralizedQaf`]; a replica's memory of them is
+//! one [`gqs_simnet::Seen`] record per requester.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::marker::PhantomData;
 
 use gqs_core::{ProcessId, ProcessSet, QuorumFamily};
-use gqs_simnet::{Context, Seen, TimerId};
+use gqs_simnet::{Context, TimerId};
 
 use crate::qaf::{QafEvent, QuorumAccess};
+use crate::requests::{Request, Requests, Wait};
 use crate::update::Update;
-
-/// Timer id used by the retrying engines ([`ClassicalQaf::with_retry`],
-/// [`crate::GeneralizedQaf::with_retry`]) for request retransmission.
-/// Distinct from [`crate::generalized::TICK_TIMER`] and the consensus
-/// synchronizer's timer.
-pub const RETRY_TIMER: TimerId = TimerId(2);
 
 /// Wire messages of the classical engine (Figure 2).
 #[derive(Clone, Debug)]
@@ -67,63 +59,33 @@ pub enum ClassicalMsg<S, U> {
     },
 }
 
-#[derive(Clone, Debug)]
-struct PendingGet<S> {
-    seq: u64,
-    token: u64,
-    responses: BTreeMap<ProcessId, S>,
+impl<S, U> Request<U> for ClassicalMsg<S, U> {
+    fn get_req(seq: u64) -> Self {
+        ClassicalMsg::GetReq { seq }
+    }
+    fn set_req(seq: u64, update: U) -> Self {
+        ClassicalMsg::SetReq { seq, update }
+    }
 }
 
-#[derive(Clone, Debug)]
-struct PendingSet<U> {
-    seq: u64,
-    token: u64,
-    responded: ProcessSet,
-    /// Kept for retransmission under `with_retry`.
-    update: U,
-}
+/// An open get collects its responders' states, an open set its
+/// responders; both await replies until they complete.
+impl<S> Wait for BTreeMap<ProcessId, S> {}
+impl Wait for ProcessSet {}
 
 /// The Figure 2 engine at one process.
 #[derive(Clone, Debug)]
 pub struct ClassicalQaf<S, U> {
     state: S,
-    /// Seq of the last get started here; gets count from 1.
-    seq: u64,
-    /// Seq of the next set started here; sets count from 0, apart from the
-    /// gets, so that each requester's `SET_REQ` seqs are dense.
-    set_seq: u64,
     reads: QuorumFamily,
     writes: QuorumFamily,
-    gets: Vec<PendingGet<S>>,
-    sets: Vec<PendingSet<U>>,
-    /// Period of the request retransmission, if enabled.
-    retry_interval: Option<u64>,
-    /// Whether a [`RETRY_TIMER`] is currently armed (timers are one-shot
-    /// and cannot be cancelled, so arming is tracked to avoid storms).
-    retry_armed: bool,
-    /// The `SET_REQ`s already applied here, one record per requester
-    /// indexed by pid: retransmitted requests are re-acked, not
-    /// re-applied.
-    applied: Vec<Seen>,
-    _update: PhantomData<U>,
+    req: Requests<BTreeMap<ProcessId, S>, ProcessSet, U>,
 }
 
 impl<S: Clone + Debug, U: Update<S>> ClassicalQaf<S, U> {
     /// Creates the engine with the given quorum families and initial state.
     pub fn new(reads: QuorumFamily, writes: QuorumFamily, initial: S) -> Self {
-        ClassicalQaf {
-            state: initial,
-            seq: 0,
-            set_seq: 0,
-            reads,
-            writes,
-            gets: Vec::new(),
-            sets: Vec::new(),
-            retry_interval: None,
-            retry_armed: false,
-            applied: Vec::new(),
-            _update: PhantomData,
-        }
+        ClassicalQaf { state: initial, reads, writes, req: Requests::new() }
     }
 
     /// Enables periodic retransmission of unanswered requests every
@@ -134,38 +96,13 @@ impl<S: Clone + Debug, U: Update<S>> ClassicalQaf<S, U> {
     ///
     /// Panics if `interval == 0`.
     pub fn with_retry(mut self, interval: u64) -> Self {
-        assert!(interval > 0, "the retry period must be positive");
-        self.retry_interval = Some(interval);
+        self.req.retry_every(interval);
         self
     }
 
     /// Number of invocations still awaiting a quorum.
     pub fn pending(&self) -> usize {
-        self.gets.len() + self.sets.len()
-    }
-
-    /// Arms the retry timer if retries are enabled, work is pending and no
-    /// timer is already armed.
-    fn arm_retry<R>(&mut self, ctx: &mut Context<ClassicalMsg<S, U>, R>) {
-        if let Some(interval) = self.retry_interval {
-            if !self.retry_armed && self.pending() > 0 {
-                ctx.set_timer(RETRY_TIMER, interval);
-                self.retry_armed = true;
-            }
-        }
-    }
-
-    /// Rebroadcasts every unanswered request and accounts the copies.
-    fn retransmit_pending<R>(&mut self, ctx: &mut Context<ClassicalMsg<S, U>, R>) {
-        let copies = ctx.n() as u64;
-        for g in &self.gets {
-            ctx.broadcast(ClassicalMsg::GetReq { seq: g.seq });
-            ctx.note_retransmit(copies);
-        }
-        for s in &self.sets {
-            ctx.broadcast(ClassicalMsg::SetReq { seq: s.seq, update: s.update.clone() });
-            ctx.note_retransmit(copies);
-        }
+        self.req.pending()
     }
 }
 
@@ -175,41 +112,19 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for ClassicalQaf<S, U> {
     fn on_start<R>(&mut self, _ctx: &mut Context<Self::Msg, R>) {}
 
     fn on_timer<R>(&mut self, id: TimerId, ctx: &mut Context<Self::Msg, R>) {
-        if id == RETRY_TIMER && self.retry_interval.is_some() {
-            self.retry_armed = false;
-            self.retransmit_pending(ctx);
-            self.arm_retry(ctx);
-        }
+        self.req.on_timer(id, ctx);
     }
 
     fn on_recover<R>(&mut self, ctx: &mut Context<Self::Msg, R>) {
-        // The crash cancelled any armed retry timer; resume the pending
-        // requests immediately and re-arm.
-        self.retry_armed = false;
-        if self.retry_interval.is_some() {
-            self.retransmit_pending(ctx);
-            self.arm_retry(ctx);
-        }
+        self.req.resume(ctx);
     }
 
     fn start_get<R>(&mut self, token: u64, ctx: &mut Context<Self::Msg, R>) {
-        self.seq += 1;
-        self.gets.push(PendingGet { seq: self.seq, token, responses: BTreeMap::new() });
-        ctx.broadcast(ClassicalMsg::GetReq { seq: self.seq });
-        self.arm_retry(ctx);
+        self.req.start_get(token, BTreeMap::new(), ctx);
     }
 
     fn start_set<R>(&mut self, token: u64, update: U, ctx: &mut Context<Self::Msg, R>) {
-        let seq = self.set_seq;
-        self.set_seq += 1;
-        self.sets.push(PendingSet {
-            seq,
-            token,
-            responded: ProcessSet::new(),
-            update: update.clone(),
-        });
-        ctx.broadcast(ClassicalMsg::SetReq { seq, update });
-        self.arm_retry(ctx);
+        self.req.start_set(token, ProcessSet::new(), update, ctx);
     }
 
     fn on_message<R>(
@@ -224,13 +139,14 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for ClassicalQaf<S, U> {
                 ctx.send(from, ClassicalMsg::GetResp { seq, state: self.state.clone() });
             }
             ClassicalMsg::GetResp { seq, state } => {
-                if let Some(i) = self.gets.iter().position(|g| g.seq == seq) {
-                    self.gets[i].responses.insert(from, state);
-                    let have: ProcessSet = self.gets[i].responses.keys().copied().collect();
+                if let Some(i) = self.req.gets.iter().position(|g| g.seq == seq) {
+                    let responses = &mut self.req.gets[i].wait;
+                    responses.insert(from, state);
+                    let have: ProcessSet = responses.keys().copied().collect();
                     if let Some(quorum) = self.reads.satisfying_quorum(have) {
-                        let g = self.gets.swap_remove(i);
+                        let g = self.req.gets.swap_remove(i);
                         let states =
-                            g.responses.into_iter().filter(|(p, _)| quorum.contains(*p)).collect();
+                            g.wait.into_iter().filter(|(p, _)| quorum.contains(*p)).collect();
                         events.push(QafEvent::GetDone { token: g.token, states });
                     }
                 }
@@ -238,21 +154,19 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for ClassicalQaf<S, U> {
             ClassicalMsg::SetReq { seq, update } => {
                 // A retransmitted SET_REQ must not re-apply (updates are
                 // not idempotent); it is re-acked so a lost SET_RESP is
-                // recovered by the requester's next retry.
-                let requester = from.index();
-                if requester >= self.applied.len() {
-                    self.applied.resize_with(requester + 1, Seen::default);
-                }
-                if self.applied[requester].insert(seq) {
+                // recovered by the requester's next retry. SET_RESP carries
+                // no clock here, so the stamp goes unused.
+                self.req.apply_once(from, seq, 0, || {
                     self.state = update.apply(&self.state);
-                }
+                    0
+                });
                 ctx.send(from, ClassicalMsg::SetResp { seq });
             }
             ClassicalMsg::SetResp { seq } => {
-                if let Some(i) = self.sets.iter().position(|s| s.seq == seq) {
-                    self.sets[i].responded.insert(from);
-                    if self.writes.is_satisfied(self.sets[i].responded) {
-                        let s = self.sets.swap_remove(i);
+                if let Some(i) = self.req.sets.iter().position(|s| s.seq == seq) {
+                    self.req.sets[i].wait.insert(from);
+                    if self.writes.is_satisfied(self.req.sets[i].wait) {
+                        let s = self.req.sets.swap_remove(i);
                         events.push(QafEvent::SetDone { token: s.token });
                     }
                 }
@@ -270,8 +184,9 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for ClassicalQaf<S, U> {
 mod tests {
     use super::*;
     use crate::update::{RegMap, VersionedWrite};
+    use crate::RETRY_TIMER;
     use gqs_core::pset;
-    use gqs_simnet::SimTime;
+    use gqs_simnet::{Effect, SimTime};
 
     type S = RegMap<u8, u64>;
     type U = VersionedWrite<u8, u64>;
@@ -390,12 +305,12 @@ mod tests {
             for seq in [pair + 1, pair, pair + 1, pair] {
                 set(&mut e, 2, seq);
             }
-            assert_eq!(e.applied[2].gaps(), 0, "after seq {pair}");
+            assert_eq!(e.req.applied[2].seen.gaps(), 0, "after seq {pair}");
         }
         set(&mut e, 2, 150);
-        assert_eq!(e.applied[2].gaps(), 50, "100..150 have not arrived");
-        assert_eq!(e.applied.len(), 3);
-        assert_eq!(e.applied.iter().map(Seen::gaps).sum::<usize>(), 50);
+        assert_eq!(e.req.applied[2].seen.gaps(), 50, "100..150 have not arrived");
+        assert_eq!(e.req.applied.len(), 3);
+        assert_eq!(e.req.applied.iter().map(|a| a.seen.gaps()).sum::<usize>(), 50);
         assert_eq!(e.state().get(&0), (150, (151, 2)), "the newest version won");
     }
 
@@ -420,6 +335,30 @@ mod tests {
         let mut c = ctx(0);
         e.on_timer(RETRY_TIMER, &mut c);
         assert_eq!(c.effect_count(), 0, "nothing pending, nothing resent, no re-arm");
+    }
+
+    fn retry_timers_armed(c: &mut Context<ClassicalMsg<S, U>, ()>) -> usize {
+        let effects = c.take_effects();
+        effects.iter().filter(|e| matches!(e, Effect::SetTimer { id: RETRY_TIMER, .. })).count()
+    }
+
+    /// However many requests are open, one retry timer is armed, and each
+    /// firing resends them all and re-arms exactly one.
+    #[test]
+    fn one_retry_timer_however_many_requests_are_open() {
+        let mut e = majority_engine().with_retry(50);
+        let mut c = ctx(0);
+        e.start_get(1, &mut c);
+        e.start_get(2, &mut c);
+        e.start_set(3, VersionedWrite { reg: 0, value: 1, version: (1, 0) }, &mut c);
+        assert_eq!(retry_timers_armed(&mut c), 1);
+        for _ in 0..3 {
+            e.on_timer(RETRY_TIMER, &mut c);
+            assert_eq!(c.effect_count(), 3 * 2 + 1, "three resends, each noted, one re-arm");
+            assert_eq!(retry_timers_armed(&mut c), 1);
+        }
+        e.start_get(4, &mut c);
+        assert_eq!(retry_timers_armed(&mut c), 0, "the armed timer covers a new request");
     }
 
     #[test]

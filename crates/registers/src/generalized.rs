@@ -30,28 +30,27 @@
 //! (`CLOCK_REQ`, `SET_REQ`) are broadcast exactly once by default and can
 //! be lost to a down interval or the loss model. With
 //! [`GeneralizedQaf::with_retry`] they are rebroadcast on a periodic
-//! [`crate::classical::RETRY_TIMER`] until the quorum answers; replicas
-//! suppress duplicate `SET_REQ` applications by `(requester, seq)` and
-//! re-ack with the clock recorded at first application, preserving the
-//! line-21..24 semantics under retransmission.
+//! [`crate::RETRY_TIMER`] until the quorum answers; replicas suppress
+//! duplicate `SET_REQ` applications by `(requester, seq)` and re-ack with
+//! the clock recorded at first application, preserving the line-21..24
+//! semantics under retransmission. The numbering, retry timer and dedup
+//! are the ones [`crate::ClassicalQaf`] uses.
 //!
-//! A replica's memory of this stays bounded. A requester numbers its sets
-//! densely, apart from its clock requests, so the applied seqs fit one
-//! [`Seen`] record per requester, and the record keeps the clock of the
-//! latest one only. A copy of an older set, which can arrive only while
-//! its requester has several sets open, is re-acked with the current
-//! clock: the update is in the replica's state at every clock since its
-//! first application, so that clock acknowledges it as well, and `c_set`
-//! can only rise.
+//! A replica's memory of this stays bounded: one [`gqs_simnet::Seen`]
+//! record per requester, keeping the clock of its latest set only. A copy
+//! of an older set, which can arrive only while its requester has several
+//! sets open, is re-acked with the current clock: the update is in the
+//! replica's state at every clock since its first application, so that
+//! clock acknowledges it as well, and `c_set` can only rise.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use gqs_core::{ProcessId, ProcessSet, QuorumFamily};
-use gqs_simnet::{Context, Seen, TimerId};
+use gqs_simnet::{Context, TimerId};
 
-use crate::classical::RETRY_TIMER;
 use crate::qaf::{QafEvent, QuorumAccess};
+use crate::requests::{Request, Requests, Wait};
 use crate::update::Update;
 
 /// Timer id used by the engine for its periodic state propagation.
@@ -97,57 +96,50 @@ pub enum GeneralizedMsg<S, U> {
     },
 }
 
-#[derive(Clone, Debug)]
-enum GetStage {
-    /// Line 6: awaiting `CLOCK_RESP`s from a write quorum.
-    AwaitCutoff { clocks: BTreeMap<ProcessId, u64> },
-    /// Line 8: awaiting pushed states with clocks ≥ the cut-off.
-    AwaitStates { cutoff: u64 },
+impl<S, U> Request<U> for GeneralizedMsg<S, U> {
+    fn get_req(seq: u64) -> Self {
+        GeneralizedMsg::ClockReq { seq }
+    }
+    fn set_req(seq: u64, update: U) -> Self {
+        GeneralizedMsg::SetReq { seq, update }
+    }
 }
 
+/// The two stages of both functions: a write quorum's clocks fix a
+/// cut-off (`c_get`, lines 6-7; `c_set`, lines 18-19), then a read
+/// quorum's pushes must reach it (lines 8 and 20).
 #[derive(Clone, Debug)]
-enum SetStage {
-    /// Line 18: awaiting `SET_RESP`s from a write quorum.
-    AwaitAcks { clocks: BTreeMap<ProcessId, u64> },
-    /// Line 20: awaiting a read quorum's pushed clocks ≥ `c_set`.
-    AwaitReadClocks { c_set: u64 },
+enum Stage {
+    /// Awaiting `CLOCK_RESP`s (a get) or `SET_RESP`s (a set) from a write
+    /// quorum.
+    Clocks(BTreeMap<ProcessId, u64>),
+    /// Awaiting a read quorum's pushed clocks at or above the cut-off.
+    Pushes(u64),
 }
 
-#[derive(Clone, Debug)]
-struct PendingGet {
-    seq: u64,
-    token: u64,
-    stage: GetStage,
+impl Stage {
+    /// A `CLOCK_RESP` or `SET_RESP` from `from`: once a write quorum has
+    /// replied, the max of its clocks is the cut-off.
+    fn clock_reply(&mut self, writes: &QuorumFamily, from: ProcessId, clock: u64) {
+        let Stage::Clocks(clocks) = self else { return };
+        clocks.insert(from, clock);
+        if let Some(q) = writes.satisfying_quorum(clocks.keys().copied().collect()) {
+            let cutoff = q.iter().map(|p| clocks[&p]).max().expect("quorums are nonempty");
+            *self = Stage::Pushes(cutoff);
+        }
+    }
 }
 
-#[derive(Clone, Debug)]
-struct PendingSet<U> {
-    seq: u64,
-    token: u64,
-    stage: SetStage,
-    /// Kept for retransmission under `with_retry`.
-    update: U,
-}
-
-/// A replica's memory of one requester's `SET_REQ`s.
-#[derive(Clone, Debug, Default)]
-struct Applied {
-    /// The seqs applied here.
-    seen: Seen,
-    /// `(seq, clock)` of the latest one applied: the clock its first ack
-    /// carried, which a retransmitted copy is re-acked with.
-    last: (u64, u64),
+impl Wait for Stage {
+    fn awaits_replies(&self) -> bool {
+        matches!(self, Stage::Clocks(_))
+    }
 }
 
 /// The Figure 3 engine at one process.
 #[derive(Clone, Debug)]
 pub struct GeneralizedQaf<S, U> {
     state: S,
-    /// Seq of the last clock request started here; they count from 1.
-    seq: u64,
-    /// Seq of the next set started here; sets count from 0, apart from the
-    /// clock requests, so that each requester's `SET_REQ` seqs are dense.
-    set_seq: u64,
     clock: u64,
     reads: QuorumFamily,
     writes: QuorumFamily,
@@ -155,17 +147,8 @@ pub struct GeneralizedQaf<S, U> {
     /// Latest `(state, clock)` push seen from each process. Clocks are
     /// monotone per sender, so keeping the max-clock push loses nothing.
     latest: BTreeMap<ProcessId, (S, u64)>,
-    gets: Vec<PendingGet>,
-    sets: Vec<PendingSet<U>>,
     updates_applied: u64,
-    /// Period of the stage-1 request retransmission, if enabled.
-    retry_interval: Option<u64>,
-    /// Whether a [`RETRY_TIMER`] is currently armed.
-    retry_armed: bool,
-    /// What this replica remembers of each requester's `SET_REQ`s,
-    /// indexed by pid.
-    applied: Vec<Applied>,
-    _update: std::marker::PhantomData<U>,
+    req: Requests<Stage, Stage, U>,
 }
 
 impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
@@ -183,20 +166,13 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
         assert!(tick_interval > 0, "the periodic push needs a positive period");
         GeneralizedQaf {
             state: initial,
-            seq: 0,
-            set_seq: 0,
             clock: 0,
             reads,
             writes,
             tick_interval,
             latest: BTreeMap::new(),
-            gets: Vec::new(),
-            sets: Vec::new(),
             updates_applied: 0,
-            retry_interval: None,
-            retry_armed: false,
-            applied: Vec::new(),
-            _update: std::marker::PhantomData,
+            req: Requests::new(),
         }
     }
 
@@ -208,8 +184,7 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
     ///
     /// Panics if `interval == 0`.
     pub fn with_retry(mut self, interval: u64) -> Self {
-        assert!(interval > 0, "the retry period must be positive");
-        self.retry_interval = Some(interval);
+        self.req.retry_every(interval);
         self
     }
 
@@ -220,7 +195,7 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
 
     /// Number of invocations still in flight at this process.
     pub fn pending(&self) -> usize {
-        self.gets.len() + self.sets.len()
+        self.req.pending()
     }
 
     /// Number of `SET_REQ` updates this replica has applied.
@@ -228,82 +203,38 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
         self.updates_applied
     }
 
-    /// Processes with a cached push of clock at least `cutoff`.
-    fn processes_at_clock(&self, cutoff: u64) -> ProcessSet {
-        self.latest.iter().filter(|(_, (_, c))| *c >= cutoff).map(|(p, _)| *p).collect()
+    /// A read quorum whose cached pushes all reach the stage's cut-off,
+    /// if the stage has one.
+    fn pushed_quorum(&self, stage: &Stage) -> Option<ProcessSet> {
+        let Stage::Pushes(cutoff) = *stage else { return None };
+        let have = self.latest.iter().filter(|(_, (_, c))| *c >= cutoff).map(|(p, _)| *p);
+        self.reads.satisfying_quorum(have.collect())
     }
 
-    /// Tries to finish pending stage-2 waits against the push cache;
-    /// returns completions. Called after every cache change.
+    /// Tries to finish pending stage-2 waits against the push cache, gets
+    /// first; returns completions. Called after every cache change.
     fn drain_ready(&mut self) -> Vec<QafEvent<S>> {
         let mut events = Vec::new();
-        // quorum_get line 8: a read quorum entirely at clock >= cutoff.
         let mut i = 0;
-        while i < self.gets.len() {
-            let advance = match &self.gets[i].stage {
-                GetStage::AwaitStates { cutoff } => {
-                    let have = self.processes_at_clock(*cutoff);
-                    self.reads.satisfying_quorum(have)
-                }
-                GetStage::AwaitCutoff { .. } => None,
-            };
-            if let Some(quorum) = advance {
-                let g = self.gets.swap_remove(i);
+        while i < self.req.gets.len() {
+            if let Some(quorum) = self.pushed_quorum(&self.req.gets[i].wait) {
+                let g = self.req.gets.swap_remove(i);
                 let states = quorum.iter().map(|p| (p, self.latest[&p].0.clone())).collect();
                 events.push(QafEvent::GetDone { token: g.token, states });
             } else {
                 i += 1;
             }
         }
-        // quorum_set line 20: a read quorum's clocks reached c_set.
         let mut i = 0;
-        while i < self.sets.len() {
-            let done = match &self.sets[i].stage {
-                SetStage::AwaitReadClocks { c_set } => {
-                    let have = self.processes_at_clock(*c_set);
-                    self.reads.is_satisfied(have)
-                }
-                SetStage::AwaitAcks { .. } => false,
-            };
-            if done {
-                let s = self.sets.swap_remove(i);
+        while i < self.req.sets.len() {
+            if self.pushed_quorum(&self.req.sets[i].wait).is_some() {
+                let s = self.req.sets.swap_remove(i);
                 events.push(QafEvent::SetDone { token: s.token });
             } else {
                 i += 1;
             }
         }
         events
-    }
-
-    /// Arms the retry timer if retries are enabled, some invocation is
-    /// still in stage 1, and no timer is already armed.
-    fn arm_retry<R>(&mut self, ctx: &mut Context<GeneralizedMsg<S, U>, R>) {
-        let stage1 = self.gets.iter().any(|g| matches!(g.stage, GetStage::AwaitCutoff { .. }))
-            || self.sets.iter().any(|s| matches!(s.stage, SetStage::AwaitAcks { .. }));
-        if let Some(interval) = self.retry_interval {
-            if !self.retry_armed && stage1 {
-                ctx.set_timer(RETRY_TIMER, interval);
-                self.retry_armed = true;
-            }
-        }
-    }
-
-    /// Rebroadcasts every stage-1 request still awaiting its quorum (the
-    /// stage-2 waits are healed by the periodic push on its own timer).
-    fn retransmit_pending<R>(&mut self, ctx: &mut Context<GeneralizedMsg<S, U>, R>) {
-        let copies = ctx.n() as u64;
-        for g in &self.gets {
-            if matches!(g.stage, GetStage::AwaitCutoff { .. }) {
-                ctx.broadcast(GeneralizedMsg::ClockReq { seq: g.seq });
-                ctx.note_retransmit(copies);
-            }
-        }
-        for s in &self.sets {
-            if matches!(s.stage, SetStage::AwaitAcks { .. }) {
-                ctx.broadcast(GeneralizedMsg::SetReq { seq: s.seq, update: s.update.clone() });
-                ctx.note_retransmit(copies);
-            }
-        }
     }
 
     fn push_state<R>(&mut self, ctx: &mut Context<GeneralizedMsg<S, U>, R>) {
@@ -328,52 +259,29 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for GeneralizedQaf<S, U>
         if id == TICK_TIMER {
             self.push_state(ctx);
             ctx.set_timer(TICK_TIMER, self.tick_interval);
-        } else if id == RETRY_TIMER && self.retry_interval.is_some() {
-            self.retry_armed = false;
-            self.retransmit_pending(ctx);
-            self.arm_retry(ctx);
+        } else {
+            self.req.on_timer(id, ctx);
         }
     }
 
     fn on_recover<R>(&mut self, ctx: &mut Context<Self::Msg, R>) {
         // The crash cancelled the periodic propagation; without re-arming
         // it a recovered process would never push state again and every
-        // downstream read quorum through it would starve.
+        // downstream read quorum through it would starve. Likewise for
+        // the retry timer: pending stage-1 requests resume at once.
         self.push_state(ctx);
         ctx.set_timer(TICK_TIMER, self.tick_interval);
-        // Likewise for the retry timer: resume pending stage-1 requests
-        // immediately and re-arm.
-        self.retry_armed = false;
-        if self.retry_interval.is_some() {
-            self.retransmit_pending(ctx);
-            self.arm_retry(ctx);
-        }
+        self.req.resume(ctx);
     }
 
     fn start_get<R>(&mut self, token: u64, ctx: &mut Context<Self::Msg, R>) {
         // Lines 4-5: broadcast CLOCK_REQ.
-        self.seq += 1;
-        self.gets.push(PendingGet {
-            seq: self.seq,
-            token,
-            stage: GetStage::AwaitCutoff { clocks: BTreeMap::new() },
-        });
-        ctx.broadcast(GeneralizedMsg::ClockReq { seq: self.seq });
-        self.arm_retry(ctx);
+        self.req.start_get(token, Stage::Clocks(BTreeMap::new()), ctx);
     }
 
     fn start_set<R>(&mut self, token: u64, update: U, ctx: &mut Context<Self::Msg, R>) {
         // Lines 16-17: broadcast SET_REQ(u).
-        let seq = self.set_seq;
-        self.set_seq += 1;
-        self.sets.push(PendingSet {
-            seq,
-            token,
-            stage: SetStage::AwaitAcks { clocks: BTreeMap::new() },
-            update: update.clone(),
-        });
-        ctx.broadcast(GeneralizedMsg::SetReq { seq, update });
-        self.arm_retry(ctx);
+        self.req.start_set(token, Stage::Clocks(BTreeMap::new()), update, ctx);
     }
 
     fn on_message<R>(
@@ -386,22 +294,13 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for GeneralizedQaf<S, U>
             GeneralizedMsg::ClockReq { seq } => {
                 // Lines 10-11.
                 ctx.send(from, GeneralizedMsg::ClockResp { seq, clock: self.clock });
-                Vec::new()
+                return Vec::new();
             }
             GeneralizedMsg::ClockResp { seq, clock } => {
                 // Lines 6-7: cut-off = max clock over a write quorum.
-                if let Some(g) = self.gets.iter_mut().find(|g| g.seq == seq) {
-                    if let GetStage::AwaitCutoff { clocks } = &mut g.stage {
-                        clocks.insert(from, clock);
-                        let have: ProcessSet = clocks.keys().copied().collect();
-                        if let Some(q) = self.writes.satisfying_quorum(have) {
-                            let cutoff =
-                                q.iter().map(|p| clocks[&p]).max().expect("quorums are nonempty");
-                            g.stage = GetStage::AwaitStates { cutoff };
-                        }
-                    }
+                if let Some(g) = self.req.gets.iter_mut().find(|g| g.seq == seq) {
+                    g.wait.clock_reply(&self.writes, from, clock);
                 }
-                self.drain_ready()
             }
             GeneralizedMsg::GetResp { state, clock } => {
                 // Cache the freshest push per sender.
@@ -409,50 +308,29 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for GeneralizedQaf<S, U>
                 if !stale {
                     self.latest.insert(from, (state, clock));
                 }
-                self.drain_ready()
             }
             GeneralizedMsg::SetReq { seq, update } => {
                 // Lines 21-24: apply, bump clock, ack with the new clock.
                 // A retransmitted SET_REQ must not re-apply or re-bump; it
                 // is re-acked with the clock recorded at first application,
                 // so a lost SET_RESP costs nothing but a retry round.
-                let requester = from.index();
-                if requester >= self.applied.len() {
-                    self.applied.resize_with(requester + 1, Applied::default);
-                }
-                let applied = &mut self.applied[requester];
-                let clock = if applied.seen.insert(seq) {
+                let clock = self.req.apply_once(from, seq, self.clock, || {
                     self.state = update.apply(&self.state);
                     self.clock += 1;
                     self.updates_applied += 1;
-                    applied.last = (seq, self.clock);
                     self.clock
-                } else if applied.last.0 == seq {
-                    applied.last.1
-                } else {
-                    // An older set's copy: the current clock acknowledges
-                    // it as well (see the module docs).
-                    self.clock
-                };
+                });
                 ctx.send(from, GeneralizedMsg::SetResp { seq, clock });
-                Vec::new()
+                return Vec::new();
             }
             GeneralizedMsg::SetResp { seq, clock } => {
                 // Lines 18-19: c_set = max acked clock over a write quorum.
-                if let Some(s) = self.sets.iter_mut().find(|s| s.seq == seq) {
-                    if let SetStage::AwaitAcks { clocks } = &mut s.stage {
-                        clocks.insert(from, clock);
-                        let have: ProcessSet = clocks.keys().copied().collect();
-                        if let Some(q) = self.writes.satisfying_quorum(have) {
-                            let c_set =
-                                q.iter().map(|p| clocks[&p]).max().expect("quorums are nonempty");
-                            s.stage = SetStage::AwaitReadClocks { c_set };
-                        }
-                    }
+                if let Some(s) = self.req.sets.iter_mut().find(|s| s.seq == seq) {
+                    s.wait.clock_reply(&self.writes, from, clock);
                 }
-                self.drain_ready()
             }
         }
+        self.drain_ready()
     }
 
     fn state(&self) -> &S {
@@ -464,8 +342,9 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for GeneralizedQaf<S, U>
 mod tests {
     use super::*;
     use crate::update::{RegMap, VersionedWrite};
+    use crate::RETRY_TIMER;
     use gqs_core::pset;
-    use gqs_simnet::SimTime;
+    use gqs_simnet::{Effect, SimTime};
 
     type S = RegMap<u8, u64>;
     type U = VersionedWrite<u8, u64>;
@@ -621,10 +500,7 @@ mod tests {
         assert_eq!(e.clock(), 2, "the duplicate did not re-bump the clock");
         let acked = c.take_effects();
         assert!(
-            matches!(
-                acked[..],
-                [gqs_simnet::Effect::Send { msg: Msg::SetResp { seq: 5, clock: 1 }, .. }]
-            ),
+            matches!(acked[..], [Effect::Send { msg: Msg::SetResp { seq: 5, clock: 1 }, .. }]),
             "the re-ack carries the clock recorded at first application, got {acked:?}"
         );
     }
@@ -642,7 +518,7 @@ mod tests {
             let update = VersionedWrite { reg: 0, value: seq, version: (seq + 1, from as u64) };
             let _ = e.on_message(ProcessId(from), Msg::SetReq { seq, update }, &mut c);
             match c.take_effects()[..] {
-                [gqs_simnet::Effect::Send { msg: Msg::SetResp { clock, .. }, .. }] => clock,
+                [Effect::Send { msg: Msg::SetResp { clock, .. }, .. }] => clock,
                 ref other => panic!("expected one SET_RESP, got {other:?}"),
             }
         };
@@ -653,9 +529,9 @@ mod tests {
         assert_eq!(set(&mut e, 0, 99), 100, "the latest set's copy gets its recorded clock");
         assert_eq!(set(&mut e, 0, 50), 101, "an older set's copy gets the current clock");
         assert_eq!(e.updates_applied(), 101, "no copy was applied twice");
-        assert_eq!(e.applied.len(), 3);
-        assert_eq!(e.applied[0].last, (99, 100));
-        assert!(e.applied.iter().all(|a| a.seen.gaps() == 0));
+        assert_eq!(e.req.applied.len(), 3);
+        assert_eq!(e.req.applied[0].last, (99, 100));
+        assert!(e.req.applied.iter().all(|a| a.seen.gaps() == 0));
     }
 
     #[test]
@@ -675,6 +551,47 @@ mod tests {
         let mut c = ctx(0);
         e.on_timer(RETRY_TIMER, &mut c);
         assert_eq!(c.effect_count(), 0, "stage-2 waits ride the periodic push, not retries");
+    }
+
+    fn retry_timers_armed(c: &mut Context<Msg, ()>) -> usize {
+        let effects = c.take_effects();
+        effects.iter().filter(|e| matches!(e, Effect::SetTimer { id: RETRY_TIMER, .. })).count()
+    }
+
+    /// However many requests are open, one retry timer is armed, and each
+    /// firing resends them all and re-arms exactly one.
+    #[test]
+    fn one_retry_timer_however_many_requests_are_open() {
+        let mut e = engine().with_retry(50);
+        let mut c = ctx(0);
+        e.start_get(1, &mut c);
+        e.start_get(2, &mut c);
+        e.start_set(3, VersionedWrite { reg: 0, value: 1, version: (1, 0) }, &mut c);
+        assert_eq!(retry_timers_armed(&mut c), 1);
+        for _ in 0..3 {
+            e.on_timer(RETRY_TIMER, &mut c);
+            assert_eq!(c.effect_count(), 3 * 2 + 1, "three resends, each noted, one re-arm");
+            assert_eq!(retry_timers_armed(&mut c), 1);
+        }
+        e.start_set(4, VersionedWrite { reg: 0, value: 2, version: (2, 0) }, &mut c);
+        assert_eq!(retry_timers_armed(&mut c), 0, "the armed timer covers a new request");
+    }
+
+    #[test]
+    fn without_retry_the_timer_is_inert() {
+        let mut e = engine();
+        let mut c = ctx(0);
+        e.start_get(42, &mut c);
+        assert_eq!(c.effect_count(), 1, "no timer armed");
+        let mut c = ctx(0);
+        e.on_timer(RETRY_TIMER, &mut c);
+        assert_eq!(c.effect_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "retry period must be positive")]
+    fn zero_retry_interval_rejected() {
+        let _ = engine().with_retry(0);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! **duplicate suppression** — a retransmitted `SET_REQ` is recognized by
 //! `(requester, seq)` and re-**ack**ed instead of re-applied. An operation
 //! invoked during an outage then completes a bounded time after the heal
-//! with no client-side retry (see [`reliable_abd_register_nodes`]).
+//! with no client-side retry (see [`reliable_abd_register_nodes`]). The two
+//! engines share one implementation of the request numbering, the retry
+//! timer and the dedup; each keeps only its own Figure's messages.
 //!
 //! ## Example: the Figure 1 system
 //!
@@ -53,15 +55,17 @@ pub mod classical;
 pub mod generalized;
 pub mod qaf;
 pub mod register;
+mod requests;
 pub mod scale;
 pub mod update;
 
-pub use classical::{ClassicalMsg, ClassicalQaf, RETRY_TIMER};
+pub use classical::{ClassicalMsg, ClassicalQaf};
 pub use generalized::{GeneralizedMsg, GeneralizedQaf, TICK_TIMER};
 pub use qaf::{QafEvent, QuorumAccess};
 pub use register::{
     abd_register_nodes, gqs_register_nodes, reliable_abd_register_nodes, AbdRegister, GqsRegister,
     QuorumRegister, RegOp, RegResp,
 };
+pub use requests::RETRY_TIMER;
 pub use scale::{sampled_abd_nodes, SampledAbd, ScaleMsg, ScaleOp};
 pub use update::{RegMap, Update, Version, VersionedWrite, VERSION_ZERO};

@@ -158,10 +158,10 @@ pub struct NetStats {
     /// Messages dropped by the seeded per-channel loss model
     /// ([`crate::SimConfig::loss`]).
     pub dropped_lossy: u64,
-    /// Retransmissions reported by reliability layers via
-    /// [`crate::Effect::NoteRetransmit`]. Each retransmitted copy is also
-    /// counted in `sent`; this field isolates the overhead of the
-    /// ack/retransmit machinery.
+    /// Retransmitted copies reported via [`crate::Effect::NoteRetransmit`]
+    /// (by the quorum engines' request rebroadcasts under `with_retry`).
+    /// Each copy is also counted in `sent`; this field isolates the
+    /// overhead of retrying.
     pub retransmitted: u64,
     /// Timer events fired at live processes.
     pub timers_fired: u64,

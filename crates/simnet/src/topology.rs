@@ -32,8 +32,6 @@
 //! `ProcessSet`, so protocol pid-space is no longer bounded by the
 //! decision procedures' bitset universe.
 
-use std::sync::Arc;
-
 use gqs_core::{NetworkGraph, ProcessId};
 
 /// Coarse class of a channel, for region-aware delay/telemetry layers:
@@ -229,8 +227,8 @@ impl From<NetworkGraph> for Topology {
 ///
 /// Protocols that address peers through `Peers` (rather than a
 /// `ProcessSet`) scale to whatever the simulator supports. For implicit
-/// topologies adjacency is O(1) arithmetic; for an explicit graph the
-/// `Peers` shares it behind an [`Arc`], so cloning a `Peers` into every
+/// topologies adjacency is O(1) arithmetic; an explicit [`NetworkGraph`]
+/// shares its adjacency behind an `Arc`, so cloning a `Peers` into every
 /// handler context costs one reference count.
 ///
 /// # Examples
@@ -244,60 +242,39 @@ impl From<NetworkGraph> for Topology {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Peers {
-    kind: PeersKind,
-}
-
-#[derive(Clone, Debug)]
-enum PeersKind {
-    All { n: usize },
-    Ring { n: usize },
-    Grid { n: usize, cols: usize },
-    Regions { n: usize, regions: usize },
-    Graph(Arc<NetworkGraph>),
+    topology: Topology,
+    n: usize,
 }
 
 impl Peers {
     /// The complete view: everyone (but `me`) is an out-neighbour.
     pub fn all(n: usize) -> Self {
-        Peers { kind: PeersKind::All { n } }
+        Peers { topology: Topology::Complete, n }
     }
 
     /// The view matching `topology` for an `n`-process system.
     pub fn from_topology(topology: &Topology, n: usize) -> Self {
-        let kind = match topology {
-            Topology::Complete => PeersKind::All { n },
-            Topology::Graph(g) => PeersKind::Graph(Arc::new(g.clone())),
-            Topology::Ring { n } => PeersKind::Ring { n: *n },
-            Topology::Grid { n, cols } => PeersKind::Grid { n: *n, cols: *cols },
-            Topology::Regions { n, regions } => PeersKind::Regions { n: *n, regions: *regions },
-        };
-        Peers { kind }
+        Peers { topology: topology.clone(), n }
     }
 
     /// Number of processes in the system.
     pub fn n(&self) -> usize {
-        match &self.kind {
-            PeersKind::All { n }
-            | PeersKind::Ring { n }
-            | PeersKind::Grid { n, .. }
-            | PeersKind::Regions { n, .. } => *n,
-            PeersKind::Graph(g) => g.len(),
-        }
+        self.n
     }
 
     /// Calls `f` once per out-neighbour of `me` (never `me` itself), in a
     /// fixed deterministic order. Allocation-free for every topology.
     pub fn for_each_out(&self, me: ProcessId, mut f: impl FnMut(ProcessId)) {
         let v = me.index();
-        match &self.kind {
-            PeersKind::All { n } => {
-                for p in 0..*n {
+        match &self.topology {
+            Topology::Complete => {
+                for p in 0..self.n {
                     if p != v {
                         f(ProcessId(p));
                     }
                 }
             }
-            PeersKind::Ring { n } => {
+            Topology::Ring { n } => {
                 let n = *n;
                 if n >= 2 && v < n {
                     let next = (v + 1) % n;
@@ -308,7 +285,7 @@ impl Peers {
                     }
                 }
             }
-            PeersKind::Grid { n, cols } => {
+            Topology::Grid { n, cols } => {
                 let (n, cols) = (*n, *cols);
                 if v >= n {
                     return;
@@ -326,7 +303,7 @@ impl Peers {
                     f(ProcessId(v + cols)); // down
                 }
             }
-            PeersKind::Regions { n, regions } => {
+            Topology::Regions { n, regions } => {
                 let (n, r) = (*n, *regions);
                 if v >= n {
                     return;
@@ -348,7 +325,7 @@ impl Peers {
                     }
                 }
             }
-            PeersKind::Graph(g) => {
+            Topology::Graph(g) => {
                 for p in g.successors(me).iter() {
                     f(p);
                 }

@@ -131,7 +131,7 @@ pub enum TraceEvent {
         /// Destination (alive).
         to: ProcessId,
     },
-    /// A reliability layer retransmitted `count` envelopes (see
+    /// A protocol rebroadcast a request as `count` copies (see
     /// [`Effect::NoteRetransmit`](crate::Effect::NoteRetransmit)).
     Retransmit {
         /// Retransmit instant.

@@ -31,11 +31,6 @@ use gqs_registers::{
 };
 use gqs_simnet::{Context, Effect, Flood, OpId, Protocol, TimerId};
 
-/// Base of the internal operation-id namespace used for the embedded
-/// register operations (client ids assigned by the simulator count up from
-/// zero and can never reach this).
-pub const INTERNAL_OP_BASE: u64 = 1 << 63;
-
 /// One snapshot segment as stored in its register: the value, a
 /// per-writer sequence number, and the writer's embedded scan.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -136,7 +131,8 @@ enum Machine<V> {
 }
 
 /// The snapshot protocol at one process: the Afek et al. client algorithm
-/// layered over an embedded register protocol.
+/// layered over an embedded register protocol. A machine has at most one
+/// register operation open at a time, and runs it under `OpId(machine)`.
 ///
 /// Generic over the register's quorum access engine `E`; use
 /// [`GqsSnapshot`] for the paper's generalized setting.
@@ -150,9 +146,6 @@ where
     n: usize,
     reg: QuorumRegister<usize, Segment<V>, E>,
     machines: BTreeMap<u64, Machine<V>>,
-    /// Internal register OpId -> machine token.
-    routes: BTreeMap<u64, u64>,
-    next_internal: u64,
     next_machine: u64,
     my_seq: u64,
     stats: ScanStats,
@@ -171,8 +164,6 @@ where
             n,
             reg: QuorumRegister::new(me, engine),
             machines: BTreeMap::new(),
-            routes: BTreeMap::new(),
-            next_internal: INTERNAL_OP_BASE,
             next_machine: 0,
             my_seq: 0,
             stats: ScanStats::default(),
@@ -189,17 +180,14 @@ where
         &self.reg
     }
 
-    /// Issues one internal register operation on behalf of `machine`.
+    /// Issues `machine`'s next register operation.
     fn issue(
         &mut self,
         machine: u64,
         op: RegOp<usize, Segment<V>>,
         ctx: &mut Context<E::Msg, SnapResp<V>>,
     ) {
-        let id = OpId(self.next_internal);
-        self.next_internal += 1;
-        self.routes.insert(id.0, machine);
-        self.run_inner(ctx, |reg, inner| reg.on_invoke(id, op, inner));
+        self.run_inner(ctx, |reg, inner| reg.on_invoke(OpId(machine), op, inner));
     }
 
     /// Reads the next segment of the machine's current collect.
@@ -229,13 +217,7 @@ where
                 Effect::Send { to, msg } => ctx.send(to, msg),
                 Effect::Broadcast { msg } => ctx.broadcast(msg),
                 Effect::SetTimer { id, after } => ctx.set_timer(id, after),
-                Effect::Complete { op, resp } => {
-                    let machine = self
-                        .routes
-                        .remove(&op.0)
-                        .expect("register completion for an unknown internal op");
-                    self.advance(machine, resp, ctx);
-                }
+                Effect::Complete { op, resp } => self.advance(op.0, resp, ctx),
                 Effect::NoteRetransmit { count } => ctx.note_retransmit(count),
                 Effect::Trace { kind, label, id } => ctx.emit_trace(kind, label, id),
             }

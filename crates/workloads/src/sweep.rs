@@ -38,14 +38,6 @@
 //! * the quantile sketch is integer bucket counts — merge order cannot
 //!   perturb it at all.
 //!
-//! # Cancellation
-//!
-//! Pass a [`CancelToken`] in [`SweepOptions`]: workers re-check it before
-//! every trial, abandon their current shard, and stop claiming. The
-//! report then covers, per cell, the longest completed shard *prefix*
-//! (so even a cancelled run has well-defined semantics) and is marked
-//! incomplete.
-//!
 //! # The scenario grid
 //!
 //! [`ScenarioGrid`] is the concrete grid the `gqs_sweep` CLI exposes: a
@@ -348,10 +340,6 @@ impl Default for MetricAgg {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// Cooperative cancellation flag for a running sweep: set it from any
-/// thread and workers wind down at the next trial boundary.
-pub type CancelToken = Arc<AtomicBool>;
-
 /// A sweep specification: the grid cells, trials per cell, base seed, and
 /// metric names (one per element of every trial row).
 #[derive(Clone, Debug)]
@@ -376,8 +364,6 @@ pub struct SweepOptions {
     /// Trials per shard; `None` means 64. Smaller shards smooth load
     /// balancing, larger shards amortize channel traffic.
     pub shard: Option<usize>,
-    /// Cooperative cancellation flag, checked before every trial.
-    pub cancel: Option<CancelToken>,
     /// When set, simulated-mode runners append a [`Stall`] for every
     /// trial that hits its event cap ([`StopReason::EventCap`]), so the
     /// CLI can name the first stalled `(cell, trial)` and point at the
@@ -452,8 +438,7 @@ impl BranchSpec {
 /// Aggregates for one grid cell.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellAggregates {
-    /// Trials merged into this cell (the longest completed shard prefix;
-    /// equals the requested trial count iff the sweep ran to completion).
+    /// Trials merged into this cell.
     pub trials: u64,
     /// One aggregate per metric, in [`SweepSpec::metrics`] order.
     pub aggs: Vec<MetricAgg>,
@@ -466,8 +451,6 @@ pub struct SweepReport {
     pub metrics: Vec<String>,
     /// One entry per grid cell, in spec order.
     pub cells: Vec<CellAggregates>,
-    /// Whether every trial of every cell was merged (false iff cancelled).
-    pub complete: bool,
 }
 
 impl SweepReport {
@@ -534,9 +517,11 @@ where
     let shards_per_cell = spec.trials.div_ceil(shard);
     let total_shards = n_cells * shards_per_cell;
     let mut cells: Vec<CellAggregates> = (0..n_cells)
-        .map(|_| CellAggregates { trials: 0, aggs: vec![MetricAgg::new(); n_metrics] })
+        .map(|_| CellAggregates {
+            trials: spec.trials as u64,
+            aggs: vec![MetricAgg::new(); n_metrics],
+        })
         .collect();
-    let mut complete = true;
     if total_shards > 0 {
         let workers = resolve_threads(opts).min(total_shards).max(1);
         let next = AtomicUsize::new(0);
@@ -551,23 +536,18 @@ where
         // will never advance the merge frontier, so the others must stop
         // waiting on it for the scope to join and re-raise the panic.
         let aborted = AtomicBool::new(false);
-        let cancelled = || {
-            aborted.load(Ordering::Relaxed)
-                || opts.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
-        };
         let (tx, rx) = mpsc::channel::<(usize, Vec<MetricAgg>)>();
         let trial = &trial;
         let next = &next;
         let folded = &folded;
         let aborted = &aborted;
-        let cancelled = &cancelled;
         thread::scope(|s| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 s.spawn(move || {
                     let _abort_on_unwind = AbortOnUnwind(aborted);
                     loop {
-                        if cancelled() {
+                        if aborted.load(Ordering::Relaxed) {
                             break;
                         }
                         let sidx = next.fetch_add(1, Ordering::Relaxed);
@@ -575,7 +555,7 @@ where
                             break;
                         }
                         while sidx >= folded.load(Ordering::Acquire) + window {
-                            if cancelled() {
+                            if aborted.load(Ordering::Relaxed) {
                                 return;
                             }
                             thread::yield_now();
@@ -585,12 +565,7 @@ where
                         let lo = k * shard;
                         let hi = ((k + 1) * shard).min(spec.trials);
                         let mut partial = vec![MetricAgg::new(); n_metrics];
-                        let mut abandoned = false;
                         for t in lo..hi {
-                            if cancelled() {
-                                abandoned = true;
-                                break;
-                            }
                             let mut rng = trial_rng(spec.seed, c * spec.trials + t);
                             for row in trial(&spec.cells[c], t, &mut rng) {
                                 assert_eq!(row.len(), n_metrics, "trial row width mismatch");
@@ -599,12 +574,7 @@ where
                                 }
                             }
                         }
-                        if abandoned {
-                            break;
-                        }
-                        // The merger only hangs up on cancellation; dropping
-                        // the partial then is exactly right.
-                        let _ = tx.send((sidx, partial));
+                        tx.send((sidx, partial)).expect("the merger outlives the workers");
                     }
                 });
             }
@@ -625,15 +595,9 @@ where
                     folded.fetch_add(1, Ordering::Release);
                 }
             }
-            for (c, cell) in cells.iter_mut().enumerate() {
-                cell.trials = (next_shard[c] * shard).min(spec.trials) as u64;
-                if next_shard[c] < shards_per_cell {
-                    complete = false;
-                }
-            }
         });
     }
-    SweepReport { metrics: spec.metrics.iter().map(|m| m.to_string()).collect(), cells, complete }
+    SweepReport { metrics: spec.metrics.iter().map(|m| m.to_string()).collect(), cells }
 }
 
 fn resolve_threads(opts: &SweepOptions) -> usize {
@@ -1492,8 +1456,8 @@ pub fn consensus_branch_trial(
 ///   operation completes afterwards);
 /// * `retransmits_per_op` — retransmitted request copies
 ///   ([`gqs_simnet::NetStats::retransmitted`]) per invoked operation —
-///   the price of the reliability layer, which drops to 0 on loss-free,
-///   outage-free cells.
+///   the price of the engine's fixed-period request rebroadcasts, which
+///   drops to 0 on loss-free, outage-free cells.
 pub const AVAILABILITY_METRICS: &[&str] =
     &["completed", "stalled", "time_to_heal", "retransmits_per_op"];
 
@@ -2181,7 +2145,8 @@ pub fn parse_usize_list(s: &str) -> Result<Vec<usize>, String> {
 }
 
 /// Parses the CLI's float-list grammar: `"0.2"`, `"0.1,0.3,0.5"`,
-/// `"0.1..0.5:0.2"` (inclusive range with mandatory step).
+/// `"0.1..0.5:0.2"` (inclusive range with mandatory step). NaN and
+/// infinities are refused, as values, bounds and steps alike.
 pub fn parse_f64_list(s: &str) -> Result<Vec<f64>, String> {
     if let Some(((lo, hi), step)) = split_range(s)? {
         let step =
@@ -2200,9 +2165,17 @@ pub fn parse_f64_list(s: &str) -> Result<Vec<f64>, String> {
         let last = ((hi - lo) / step + 1e-9).floor() as usize;
         return Ok((0..=last).map(|i| (lo + i as f64 * step).min(hi)).collect());
     }
-    s.split(',')
-        .map(|p| p.trim().parse::<f64>().map_err(|e| format!("bad number {p:?}: {e}")))
-        .collect()
+    s.split(',').map(|p| parse_finite(p, "number")).collect()
+}
+
+/// Parses one float of the grid grammar, refusing NaN and infinities;
+/// `what` names it in the error.
+fn parse_finite(p: &str, what: &str) -> Result<f64, String> {
+    let v = p.trim().parse::<f64>().map_err(|e| format!("bad {what} {p:?}: {e}"))?;
+    if !v.is_finite() {
+        return Err(format!("non-finite {what} {p:?}"));
+    }
+    Ok(v)
 }
 
 /// Refuses a range of more than a million points (`steps` is
@@ -2222,13 +2195,10 @@ type ParsedRange = ((f64, f64), Option<f64>);
 fn split_range(s: &str) -> Result<Option<ParsedRange>, String> {
     let Some((lo, rest)) = s.split_once("..") else { return Ok(None) };
     let (hi, step) = match rest.split_once(':') {
-        Some((hi, step)) => {
-            (hi, Some(step.trim().parse::<f64>().map_err(|e| format!("bad step {step:?}: {e}"))?))
-        }
+        Some((hi, step)) => (hi, Some(parse_finite(step, "step")?)),
         None => (rest, None),
     };
-    let lo = lo.trim().parse::<f64>().map_err(|e| format!("bad bound {lo:?}: {e}"))?;
-    let hi = hi.trim().parse::<f64>().map_err(|e| format!("bad bound {hi:?}: {e}"))?;
+    let (lo, hi) = (parse_finite(lo, "bound")?, parse_finite(hi, "bound")?);
     if lo > hi {
         return Err(format!("reversed range {s:?} (bounds must satisfy lo <= hi)"));
     }
@@ -2299,7 +2269,7 @@ pub fn report_json_exec(grid: &ScenarioGrid, report: &SweepReport, exec: &Exec) 
             out.push_str(&format!("  \"branches\": {},\n", b.branches));
         }
     }
-    out.push_str(&format!("  \"complete\": {},\n", report.complete));
+    out.push_str("  \"complete\": true,\n");
     out.push_str("  \"metrics\": [");
     for (i, m) in report.metrics.iter().take(n_base).enumerate() {
         if i > 0 {
@@ -2459,10 +2429,9 @@ mod tests {
     fn engine_handles_empty_grids() {
         let spec = SweepSpec { cells: &[] as &[u32], trials: 100, seed: 1, metrics: &["x"] };
         let r = run(&spec, &SweepOptions::default(), |_, _, _| vec![0.0]);
-        assert!(r.complete && r.cells.is_empty());
+        assert!(r.cells.is_empty());
         let spec = SweepSpec { cells: &[1u32], trials: 0, seed: 1, metrics: &["x"] };
         let r = run(&spec, &SweepOptions::default(), |_, _, _| vec![0.0]);
-        assert!(r.complete);
         assert_eq!(r.cells[0].trials, 0);
         assert_eq!(r.agg(0, "x").count(), 0);
         assert_eq!(r.agg(0, "x").mean(), 0.0);
@@ -2484,16 +2453,6 @@ mod tests {
         // And it matches a hand-rolled serial loop over global indices.
         let expected: f64 = (0..10).map(|t| trial_rng(77, t).next_u64() as f64).sum();
         assert_eq!(a.agg(0, "draw").sum(), expected);
-    }
-
-    #[test]
-    fn pre_cancelled_sweep_reports_incomplete() {
-        let cancel: CancelToken = Arc::new(AtomicBool::new(true));
-        let spec = SweepSpec { cells: &[0u32], trials: 50, seed: 3, metrics: &["x"] };
-        let opts = SweepOptions { cancel: Some(cancel), ..Default::default() };
-        let r = run(&spec, &opts, |_, _, _| vec![1.0]);
-        assert!(!r.complete);
-        assert_eq!(r.cells[0].trials, 0);
     }
 
     #[test]
@@ -2623,7 +2582,6 @@ mod tests {
             seed: 11,
         };
         let report = grid.run_mode(Mode::Latency, &Exec::Straight, &SweepOptions::default());
-        assert!(report.complete);
         assert_eq!(report.metrics, LATENCY_METRICS);
         assert_eq!(report.agg(0, "completed").mean(), 1.0, "all ops must complete");
         assert!(report.agg(0, "lat_mean").mean() > 0.0);
@@ -2661,7 +2619,6 @@ mod tests {
         let bucket = LATENCY_HORIZON / 8;
         let timeline = Exec::Timeline(bucket);
         let report = grid.run_mode(Mode::Latency, &timeline, &SweepOptions::default());
-        assert!(report.complete);
         let nb = timeline_buckets(bucket, LATENCY_HORIZON);
         assert_eq!(report.metrics.len(), LATENCY_METRICS.len() + TIMELINE_SERIES.len() * nb);
         // The windowed completions add up to the straight run's
@@ -2796,7 +2753,6 @@ mod tests {
             seed: 29,
         };
         let report = grid.run_mode(Mode::Scale, &Exec::Straight, &SweepOptions::default());
-        assert!(report.complete);
         assert_eq!(report.metrics, SCALE_METRICS);
         for c in 0..grid.cells.len() {
             assert_eq!(report.agg(c, "reached").mean(), 1.0, "cell {c}: connected topology");
@@ -2898,7 +2854,6 @@ mod tests {
             seed: 1,
         };
         let report = grid.run(&SweepOptions::default());
-        assert!(report.complete);
         assert_eq!(report.agg(0, "gqs").count(), 8);
         // gap implies gqs, cell by cell.
         assert!(report.agg(0, "gap").sum() <= report.agg(0, "gqs").sum());
@@ -2994,7 +2949,6 @@ mod tests {
             seed: 19,
         };
         let report = grid.run_mode(Mode::Consensus, &Exec::Straight, &SweepOptions::default());
-        assert!(report.complete);
         assert_eq!(report.metrics, CONSENSUS_METRICS);
         // Rotating f0 crashes one of four processes; the other three
         // decide (majority quorums of 3 survive) and learn the decision.
@@ -3053,7 +3007,6 @@ mod tests {
         };
         let grid = ScenarioGrid { cells: vec![cell], trials: 8, seed: 21 };
         let report = grid.run_mode(Mode::Availability, &Exec::Straight, &SweepOptions::default());
-        assert!(report.complete);
         assert_eq!(report.metrics, AVAILABILITY_METRICS);
         assert_eq!(report.agg(0, "completed").mean(), 1.0, "retries heal the outage");
         assert_eq!(report.agg(0, "stalled").mean(), 0.0);
@@ -3150,7 +3103,7 @@ mod tests {
     fn availability_mode_absorbs_heavy_message_loss() {
         // 30% per-channel loss on a fault-free complete graph: the plain
         // latency stack loses quorum responses and stalls some trials; the
-        // reliability layer retransmits its way to full completion.
+        // retrying engine rebroadcasts its way to full completion.
         let cell = |loss| ScenarioCell {
             family: TopologyFamily::Complete,
             n: 4,
@@ -3168,7 +3121,7 @@ mod tests {
         let lossy = run(Mode::Availability, 0.3);
         assert_eq!(lossy.agg(0, "completed").mean(), 1.0, "retries absorb 30% loss");
         assert!(lossy.agg(0, "retransmits_per_op").mean() > 0.0);
-        // At loss = 0 the reliability layer is pure overhead-free
+        // At loss = 0 the retries are pure overhead-free
         // insurance: nothing is ever retransmitted.
         let clean = run(Mode::Availability, 0.0);
         assert_eq!(clean.agg(0, "completed").mean(), 1.0);

@@ -86,7 +86,6 @@ fn aggregates_identical_across_thread_counts_on_three_grid_shapes() {
     for (i, grid) in grids.iter().enumerate() {
         let single = run_grid(grid, 1, None);
         let eight = run_grid(grid, 8, None);
-        assert!(single.complete && eight.complete);
         assert_eq!(single, eight, "grid shape {i} diverged between 1 and 8 workers");
         // Shard size must be equally irrelevant.
         let odd_shards = run_grid(grid, 8, Some(7));
@@ -112,7 +111,6 @@ fn ten_thousand_trial_grid_is_bit_identical_across_thread_counts() {
     };
     let single = run_grid(&grid, 1, None);
     let eight = run_grid(&grid, 8, None);
-    assert!(single.complete);
     assert_eq!(single, eight);
     for c in 0..grid.cells.len() {
         assert_eq!(single.cells[c].trials, 2_000);
@@ -147,7 +145,6 @@ fn region_outage_latency_grid_is_bit_identical_across_thread_counts() {
     };
     let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, None));
     let eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8, None));
-    assert!(single.complete && eight.complete);
     assert_eq!(single, eight, "region-outage latency grid diverged between 1 and 8 workers");
     // Thread-invariance must hold for any fixed sharding (real-valued
     // metric sums only reassociate identically on equal shard layouts).
@@ -188,7 +185,6 @@ fn consensus_grid_is_bit_identical_across_thread_counts() {
     };
     let single = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1, None));
     let eight = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(8, None));
-    assert!(single.complete && eight.complete);
     assert_eq!(single, eight, "consensus grid diverged between 1 and 8 workers");
     let odd_one = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1, Some(5)));
     let odd_eight = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(8, Some(5)));
@@ -225,7 +221,6 @@ fn lognormal_latency_grid_is_bit_identical_across_thread_counts() {
     };
     let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, None));
     let eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8, None));
-    assert!(single.complete && eight.complete);
     assert_eq!(single, eight, "lognormal latency grid diverged between 1 and 8 workers");
     let odd_one = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, Some(7)));
     let odd_eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8, Some(7)));
