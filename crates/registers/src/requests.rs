@@ -80,8 +80,15 @@ pub(crate) struct Requests<G, W, U> {
 
 impl<G: Wait, W: Wait, U: Clone> Requests<G, W, U> {
     pub(crate) fn new() -> Self {
-        let (gets, sets, applied) = (Vec::new(), Vec::new(), Vec::new());
-        Requests { last_get: 0, next_set: 0, gets, sets, retry: None, armed: false, applied }
+        Requests {
+            last_get: 0,
+            next_set: 0,
+            gets: Vec::new(),
+            sets: Vec::new(),
+            retry: None,
+            armed: false,
+            applied: Vec::new(),
+        }
     }
 
     pub(crate) fn retry_every(&mut self, interval: u64) {

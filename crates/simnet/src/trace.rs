@@ -138,7 +138,7 @@ pub enum TraceEvent {
         at: SimTime,
         /// The retransmitting process.
         process: ProcessId,
-        /// Envelopes resent.
+        /// Copies resent.
         count: u64,
     },
     /// A one-shot timer was armed.
