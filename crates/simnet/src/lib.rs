@@ -31,11 +31,12 @@
 //!   (2²² ≈ 4.2M) processes — far past the `gqs_core::MAX_PROCESSES`
 //!   bound on *decision-structure* sizes — with O(channels) memory and no
 //!   per-event allocation in steady state (see [`Gossip`]), and
-//! * **checkpoint / fork replay**: [`Simulation::checkpoint`] captures
-//!   every mutable piece of a run — clock, event wheel, RNG position,
+//! * **checkpoint / fork replay**: a [`Simulation`] keeps every mutable
+//!   piece of a run — clock, event wheel, RNG position, start-up cursor,
 //!   liveness epochs, down intervals, statistics, op history, protocol
-//!   state (via the [`Protocol`] `Clone` snapshot contract) — as a
-//!   [`Checkpoint`], and [`Simulation::restore`] rewinds to it
+//!   state (via the [`Protocol`] `Clone` snapshot contract) — in one
+//!   state record, the [`Checkpoint`]. [`Simulation::checkpoint`] clones
+//!   that record and [`Simulation::restore`] puts a clone back, rewinding
 //!   bit-exactly; [`Simulation::reseed`] then branches seeded
 //!   continuations from the same instant (rare-event hunting,
 //!   warmup-amortized sweeps), and

@@ -205,11 +205,15 @@ impl NetModel {
         }
     }
 
-    pub(crate) fn validate(&self) {
+    /// Checks the model for a system of `n` processes: a region partition
+    /// must cover exactly those `n`, since [`RegionSpec::classify`] calls
+    /// every channel to a pid past its own `n` intra-region.
+    pub(crate) fn validate(&self, n: usize) {
         self.intra.dist.validate();
         self.gateway.dist.validate();
         if let Some(spec) = self.regions {
-            assert!(spec.regions >= 1, "a region partition has at least one region");
+            let fits = spec.n == n && (1..=n).contains(&spec.regions);
+            assert!(fits, "region partition {spec:?} does not fit a system of {n} processes");
         }
         if let Some(sync) = self.synchrony {
             assert!(sync.delta >= 1, "delays must be >= 1");
@@ -594,7 +598,7 @@ mod tests {
             synchrony: Some(Synchrony { gst: u64::MAX - 5, delta: 4 }),
             ..NetModel::symmetric(LatencyDist::UniformJitter { min: 5, max: 9 })
         };
-        net.validate();
+        net.validate(2);
         let mut rng = SplitMix64::new(3);
         for now in [0u64, 1, 1 << 40, u64::MAX - 6] {
             let d =
@@ -610,12 +614,12 @@ mod tests {
             synchrony: Some(Synchrony { gst: u64::MAX, delta: 1 }),
             ..NetModel::symmetric(LatencyDist::UniformJitter { min: 1, max: 10 })
         };
-        net.validate();
+        net.validate(2);
     }
 
     #[test]
     #[should_panic(expected = "livelock")]
     fn validate_rejects_zero_constant_delay() {
-        NetModel::symmetric(LatencyDist::Constant { ticks: 0 }).validate();
+        NetModel::symmetric(LatencyDist::Constant { ticks: 0 }).validate(1);
     }
 }

@@ -184,8 +184,9 @@ pub struct SimConfig {
     /// Safety cap on the number of processed events.
     pub max_events: u64,
     /// Timer drift before GST: a timer armed for `d` fires after a value
-    /// drawn from `[d, d * timer_drift_max]`. Must be ≥ 1.0; no effect
-    /// after GST or under the `Uniform` model (clocks are then accurate).
+    /// drawn from `[d, d * timer_drift_max]`. Must be ≥ 1.0. No effect
+    /// when the delay model in force — `net` when set, else `delay` — has
+    /// no GST, or once GST has passed (clocks are then accurate).
     pub timer_drift_max: f64,
     /// Per-channel message-loss probability in `[0, 1]`: each non-self
     /// send that survives the topology and down-interval checks is
@@ -462,78 +463,25 @@ pub enum StopReason {
     OpsComplete,
 }
 
-/// A bit-exact snapshot of everything mutable in a [`Simulation`]:
+/// The run's state record: everything mutable in a [`Simulation`] — the
 /// protocol nodes, the RNG stream position, the start-up cursor, the event
 /// queue (bucket order, occupancy bitmaps and the push sequence counter, so
 /// pop order is identical), the clock, liveness epochs, channel
 /// down-interval state, the operation history, [`NetStats`] and pending-op
 /// bookkeeping.
 ///
-/// Created by [`Simulation::checkpoint`]; a later
-/// [`Simulation::restore`] rewinds the run to this instant, after which
-/// re-running reproduces the original continuation byte for byte — or,
-/// after [`Simulation::reseed`], branches a fresh seeded continuation
-/// from the same state (fork replay). The immutable parts of a run —
-/// [`SimConfig`] and the topology — are *not* captured; a checkpoint is
-/// only valid for the simulation (or an identically-configured clone of
+/// A simulation keeps its state in exactly this record, so a snapshot is
+/// complete by construction: [`Simulation::checkpoint`] clones it, and a
+/// later [`Simulation::restore`] puts the clone back, rewinding the run to
+/// this instant; re-running then reproduces the original continuation byte
+/// for byte — or, after [`Simulation::reseed`], branches a fresh seeded
+/// continuation from the same state (fork replay). The immutable parts of a
+/// run — [`SimConfig`] and the topology — are *not* captured; a checkpoint
+/// is only valid for the simulation (or an identically-configured clone of
 /// it) that produced it.
+#[derive(Clone, Debug)]
 pub struct Checkpoint<P: Protocol> {
     nodes: Vec<P>,
-    rng: SplitMix64,
-    started: usize,
-    queue: TimingWheel<EventKind<P::Msg, P::Op>>,
-    seq: u64,
-    now: SimTime,
-    epoch: Vec<u64>,
-    down_slots: HashMap<Channel, u32>,
-    down_counts: Vec<u32>,
-    down_active: usize,
-    history: History<P::Op, P::Resp>,
-    stats: NetStats,
-    next_op: u64,
-    scheduled_ops: u64,
-    finished_ops: u64,
-}
-
-impl<P: Protocol> Checkpoint<P> {
-    /// The virtual time the snapshot was taken at.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-}
-
-impl<P: Protocol> Clone for Checkpoint<P> {
-    fn clone(&self) -> Self {
-        Checkpoint {
-            nodes: self.nodes.clone(),
-            rng: self.rng.clone(),
-            started: self.started,
-            queue: self.queue.clone(),
-            seq: self.seq,
-            now: self.now,
-            epoch: self.epoch.clone(),
-            down_slots: self.down_slots.clone(),
-            down_counts: self.down_counts.clone(),
-            down_active: self.down_active,
-            history: self.history.clone(),
-            stats: self.stats,
-            next_op: self.next_op,
-            scheduled_ops: self.scheduled_ops,
-            finished_ops: self.finished_ops,
-        }
-    }
-}
-
-/// A deterministic discrete-event simulation of one protocol over one
-/// network.
-///
-/// # Examples
-///
-/// See the crate-level documentation for a complete ping-pong example.
-#[derive(Debug)]
-pub struct Simulation<P: Protocol> {
-    nodes: Vec<P>,
-    config: SimConfig,
     rng: SplitMix64,
     /// Start-up cursor: processes `0..started` have had their `on_start`.
     /// While it is below `n`, the next event is the start of process
@@ -546,9 +494,7 @@ pub struct Simulation<P: Protocol> {
     /// Flat per-process crash state: the epoch starts at 0 and is bumped
     /// by every `Crash` and every `Recover`, so **even = alive, odd =
     /// crashed**, and a timer armed at epoch `e` is valid exactly while
-    /// the epoch still equals `e` (any crash in between bumps it). One
-    /// cache-friendly array replaces the seed-era `crashed: Vec<bool>` +
-    /// `crash_epoch: Vec<u64>` pair.
+    /// the epoch still equals `e` (any crash in between bumps it).
     epoch: Vec<u64>,
     /// Slot index per channel that has ever appeared in a
     /// `Disconnect`/`Heal` event — cold-path only (fault handling), never
@@ -569,20 +515,40 @@ pub struct Simulation<P: Protocol> {
     /// common steady state — lets the send path skip the channel lookup
     /// entirely.
     down_active: usize,
-    /// The one handler context of the run, lent to every handler call
-    /// (see [`Simulation::handle`]); it carries the topology view and the
-    /// effect buffer.
-    ctx: Context<P::Msg, P::Resp>,
     history: History<P::Op, P::Resp>,
     stats: NetStats,
     next_op: u64,
     scheduled_ops: u64,
     finished_ops: u64,
+}
+
+impl<P: Protocol> Checkpoint<P> {
+    /// The virtual time the snapshot was taken at.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+}
+
+/// A deterministic discrete-event simulation of one protocol over one
+/// network.
+///
+/// # Examples
+///
+/// See the crate-level documentation for a complete ping-pong example.
+#[derive(Debug)]
+pub struct Simulation<P: Protocol> {
+    config: SimConfig,
+    /// The one handler context of the run, lent to every handler call
+    /// (see [`Simulation::handle`]); it carries the topology view and the
+    /// effect buffer.
+    ctx: Context<P::Msg, P::Resp>,
     /// Attached trace sink, if any. Observability only — deliberately
-    /// **not** part of [`Checkpoint`]/[`Simulation::restore`]: a sink
-    /// records what happened, it is not simulation state, and fork-replay
-    /// branches share whichever sink is attached when they run.
+    /// **not** part of the [`Checkpoint`]: a sink records what happened,
+    /// it is not simulation state, and fork-replay branches share
+    /// whichever sink is attached when they run.
     trace: Option<Box<dyn TraceSink>>,
+    /// Everything mutable in the run; see [`Checkpoint`].
+    state: Checkpoint<P>,
 }
 
 impl<P: Protocol> Simulation<P> {
@@ -593,17 +559,15 @@ impl<P: Protocol> Simulation<P> {
     /// # Panics
     ///
     /// Panics if `nodes` is empty, the delay model is ill-formed, or the
-    /// topology's process count differs from `nodes.len()`.
+    /// topology's process count — or the network model's region
+    /// partition — does not fit `nodes.len()`.
     pub fn new(config: SimConfig, nodes: Vec<P>) -> Self {
-        assert!(!nodes.is_empty(), "a system has at least one process");
-        assert!(
-            nodes.len() <= MAX_SIM_PROCESSES,
-            "at most {MAX_SIM_PROCESSES} simulated processes, got {}",
-            nodes.len()
-        );
+        let n = nodes.len();
+        assert!(n > 0, "a system has at least one process");
+        assert!(n <= MAX_SIM_PROCESSES, "at most {MAX_SIM_PROCESSES} simulated processes, got {n}");
         config.delay.validate();
         if let Some(net) = &config.net {
-            net.validate();
+            net.validate(n);
         }
         config.topology.validate();
         assert!(config.timer_drift_max >= 1.0, "drift factor must be >= 1");
@@ -612,75 +576,76 @@ impl<P: Protocol> Simulation<P> {
             "loss probability must be in [0, 1], got {}",
             config.loss
         );
-        let n = nodes.len();
         if let Some(t_n) = config.topology.required_len() {
             assert_eq!(t_n, n, "topology has {t_n} processes but the system has {n}");
         }
-        let seed = config.seed;
         let peers = Peers::from_topology(&config.topology, n);
         Simulation {
-            nodes,
-            config,
-            rng: SplitMix64::new(seed),
-            started: 0,
-            queue: TimingWheel::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            epoch: vec![0; n],
-            down_slots: HashMap::new(),
-            down_counts: Vec::new(),
-            down_active: 0,
             ctx: Context::with_peers(ProcessId(0), n, SimTime::ZERO, peers),
-            history: History::new(),
-            stats: NetStats::default(),
-            next_op: 0,
-            scheduled_ops: 0,
-            finished_ops: 0,
             trace: None,
+            state: Checkpoint {
+                nodes,
+                rng: SplitMix64::new(config.seed),
+                started: 0,
+                queue: TimingWheel::new(),
+                seq: 0,
+                now: SimTime::ZERO,
+                epoch: vec![0; n],
+                down_slots: HashMap::new(),
+                down_counts: Vec::new(),
+                down_active: 0,
+                history: History::new(),
+                stats: NetStats::default(),
+                next_op: 0,
+                scheduled_ops: 0,
+                finished_ops: 0,
+            },
+            config,
         }
     }
 
     /// Number of processes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.state.nodes.len()
     }
 
     /// `true` iff the system has no processes (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.state.nodes.is_empty()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.state.now
     }
 
     /// Read access to a node's protocol state (for assertions).
     pub fn node(&self, p: ProcessId) -> &P {
-        &self.nodes[p.index()]
+        &self.state.nodes[p.index()]
     }
 
     /// The operation history so far.
     pub fn history(&self) -> &History<P::Op, P::Resp> {
-        &self.history
+        &self.state.history
     }
 
     /// Aggregate network statistics so far.
     pub fn stats(&self) -> NetStats {
-        self.stats
+        self.state.stats
     }
 
     /// Whether `p` is crashed at the current virtual instant.
     pub fn is_crashed(&self, p: ProcessId) -> bool {
-        self.epoch[p.index()] & 1 == 1
+        self.state.epoch[p.index()] & 1 == 1
     }
 
     /// Whether `ch` is inside a down interval at the current instant (a
     /// channel absent from the topology is *not* reported here — it never
     /// existed, so it has no intervals).
     pub fn is_disconnected(&self, ch: Channel) -> bool {
-        self.down_active > 0
-            && self.down_slots.get(&ch).is_some_and(|&s| self.down_counts[s as usize] > 0)
+        let st = &self.state;
+        st.down_active > 0
+            && st.down_slots.get(&ch).is_some_and(|&s| st.down_counts[s as usize] > 0)
     }
 
     /// Number of channels with down-interval tracking state — bounded by
@@ -689,7 +654,7 @@ impl<P: Protocol> Simulation<P> {
     /// schedules growing memory without bound.
     #[cfg(test)]
     fn down_tracked_channels(&self) -> usize {
-        self.down_slots.len()
+        self.state.down_slots.len()
     }
 
     /// The run's RNG at its current stream position (for determinism
@@ -697,7 +662,7 @@ impl<P: Protocol> Simulation<P> {
     /// [`Simulation::history`]/[`Simulation::stats`] consumed randomness
     /// identically).
     pub fn rng(&self) -> &SplitMix64 {
-        &self.rng
+        &self.state.rng
     }
 
     /// Attaches a trace sink: from now on every processed event streams
@@ -723,32 +688,19 @@ impl<P: Protocol> Simulation<P> {
         self.trace.is_some()
     }
 
-    /// Captures everything mutable in the run as a [`Checkpoint`]: the
-    /// protocol nodes (via the [`Protocol`] snapshot contract), the event
-    /// queue with its pop order intact, the RNG stream position, liveness
-    /// epochs, down-interval state, history, statistics and pending-op
-    /// bookkeeping. O(live state); the simulation is untouched.
+    /// Captures everything mutable in the run as a [`Checkpoint`] — a
+    /// clone of the run's state record: the protocol nodes (via the
+    /// [`Protocol`] snapshot contract), the event queue with its pop order
+    /// intact, the RNG stream position, liveness epochs, down-interval
+    /// state, history, statistics and pending-op bookkeeping. O(live
+    /// state); the simulation is untouched.
     pub fn checkpoint(&self) -> Checkpoint<P> {
-        Checkpoint {
-            nodes: self.nodes.clone(),
-            rng: self.rng.clone(),
-            started: self.started,
-            queue: self.queue.clone(),
-            seq: self.seq,
-            now: self.now,
-            epoch: self.epoch.clone(),
-            down_slots: self.down_slots.clone(),
-            down_counts: self.down_counts.clone(),
-            down_active: self.down_active,
-            history: self.history.clone(),
-            stats: self.stats,
-            next_op: self.next_op,
-            scheduled_ops: self.scheduled_ops,
-            finished_ops: self.finished_ops,
-        }
+        self.state.clone()
     }
 
-    /// Rewinds the run to `cp`'s instant. After a restore, re-running
+    /// Rewinds the run to `cp`'s instant by making a clone of it the run's
+    /// state record — the clock included, so restore is the one way
+    /// virtual time moves backwards. After a restore, re-running
     /// reproduces the checkpointed run's continuation **byte for byte** —
     /// same events in the same order, same history, same statistics, same
     /// RNG draws (the determinism oracle tests hold this across every
@@ -761,21 +713,7 @@ impl<P: Protocol> Simulation<P> {
     /// so restoring across differently-configured runs is undefined
     /// behaviour of the *model* (not memory-unsafe, just meaningless).
     pub fn restore(&mut self, cp: &Checkpoint<P>) {
-        self.nodes.clone_from(&cp.nodes);
-        self.rng = cp.rng.clone();
-        self.started = cp.started;
-        self.queue = cp.queue.clone();
-        self.seq = cp.seq;
-        self.now = cp.now;
-        self.epoch.clone_from(&cp.epoch);
-        self.down_slots.clone_from(&cp.down_slots);
-        self.down_counts.clone_from(&cp.down_counts);
-        self.down_active = cp.down_active;
-        self.history.clone_from(&cp.history);
-        self.stats = cp.stats;
-        self.next_op = cp.next_op;
-        self.scheduled_ops = cp.scheduled_ops;
-        self.finished_ops = cp.finished_ops;
+        self.state.clone_from(cp);
     }
 
     /// Replaces the run's RNG with a fresh stream seeded by `seed` — the
@@ -785,38 +723,48 @@ impl<P: Protocol> Simulation<P> {
     /// bit-identical state but draws its own delays/losses from there.
     /// Reseeding with the same value twice yields identical continuations.
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = SplitMix64::new(seed);
+        self.state.rng = SplitMix64::new(seed);
     }
 
     /// Schedules all failures (and heals/recoveries) in `schedule`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event targets a process outside the system or lies
+    /// before [`Simulation::now`].
     pub fn apply_failures(&mut self, schedule: &FailureSchedule) {
         for &(p, at) in schedule.crashes() {
             assert!(p.index() < self.len(), "crash target out of range");
-            self.push(at, EventKind::Crash { process: p });
+            self.schedule(at, EventKind::Crash { process: p });
         }
         for &(ch, at) in schedule.disconnects() {
             assert!(ch.to.index() < self.len() && ch.from.index() < self.len());
-            self.push(at, EventKind::Disconnect { channel: ch });
+            self.schedule(at, EventKind::Disconnect { channel: ch });
         }
         for &(ch, at) in schedule.heals() {
             assert!(ch.to.index() < self.len() && ch.from.index() < self.len());
-            self.push(at, EventKind::Heal { channel: ch });
+            self.schedule(at, EventKind::Heal { channel: ch });
         }
         for &(p, at) in schedule.recovers() {
             assert!(p.index() < self.len(), "recovery target out of range");
-            self.push(at, EventKind::Recover { process: p });
+            self.schedule(at, EventKind::Recover { process: p });
         }
     }
 
     /// Schedules a client operation invocation at process `p` at time `at`.
     ///
     /// Returns the operation id under which it will appear in the history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside the system or `at` lies before
+    /// [`Simulation::now`].
     pub fn invoke_at(&mut self, at: SimTime, p: ProcessId, body: P::Op) -> OpId {
         assert!(p.index() < self.len(), "invocation target out of range");
-        let op = OpId(self.next_op);
-        self.next_op += 1;
-        self.scheduled_ops += 1;
-        self.push(at, EventKind::Invoke { process: p, op, body });
+        let op = OpId(self.state.next_op);
+        self.schedule(at, EventKind::Invoke { process: p, op, body });
+        self.state.next_op += 1;
+        self.state.scheduled_ops += 1;
         op
     }
 
@@ -857,7 +805,7 @@ impl<P: Protocol> Simulation<P> {
     fn run_loop<const OPS: bool>(&mut self, until: SimTime) -> StopReason {
         let until = until.min(self.config.horizon);
         loop {
-            if OPS && self.finished_ops == self.scheduled_ops {
+            if OPS && self.state.finished_ops == self.state.scheduled_ops {
                 return self.stopped(StopReason::OpsComplete);
             }
             match self.peek_time() {
@@ -865,7 +813,7 @@ impl<P: Protocol> Simulation<P> {
                 Some(t) if t > until => return self.stopped(StopReason::Horizon),
                 Some(_) => {}
             }
-            if self.stats.events >= self.config.max_events {
+            if self.state.stats.events >= self.config.max_events {
                 let reason = StopReason::EventCap { stalled_ops: self.stalled_ops() };
                 return self.stopped(reason);
             }
@@ -876,7 +824,7 @@ impl<P: Protocol> Simulation<P> {
     /// Notifies the trace sink that a `run*` call returned with `reason`.
     fn stopped(&mut self, reason: StopReason) -> StopReason {
         if let Some(sink) = self.trace.as_deref_mut() {
-            sink.on_stop(reason, self.now);
+            sink.on_stop(reason, self.state.now);
         }
         reason
     }
@@ -885,42 +833,42 @@ impl<P: Protocol> Simulation<P> {
     /// ran (invocations at crashed processes never happen and are not
     /// counted).
     pub fn scheduled_ops(&self) -> u64 {
-        self.scheduled_ops
+        self.state.scheduled_ops
     }
 
     /// Operations that have completed so far.
     pub fn finished_ops(&self) -> u64 {
-        self.finished_ops
+        self.state.finished_ops
     }
 
     /// Invoked operations still awaiting completion — the diagnosable
     /// residue of a truncated run (see [`StopReason::EventCap`]).
     pub fn stalled_ops(&self) -> u64 {
-        self.scheduled_ops - self.finished_ops
+        self.state.scheduled_ops - self.state.finished_ops
     }
 
     /// Processes a single event. Returns `false` if there was none left.
     pub fn step(&mut self) -> bool {
-        if self.started < self.nodes.len() {
+        if self.state.started < self.state.nodes.len() {
             // Nothing queued can run before the last start, so no process
             // has crashed yet.
-            let process = ProcessId(self.started);
-            self.started += 1;
-            self.stats.events += 1;
+            let process = ProcessId(self.state.started);
+            self.state.started += 1;
+            self.state.stats.events += 1;
             self.handle(process, |node, ctx| node.on_start(ctx));
             return true;
         }
-        let Some((at, _seq, kind)) = self.queue.pop() else {
+        let Some((at, _seq, kind)) = self.state.queue.pop() else {
             return false;
         };
         let at = SimTime(at);
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.stats.events += 1;
+        debug_assert!(at >= self.state.now, "time went backwards");
+        self.state.now = at;
+        self.state.stats.events += 1;
         match kind {
             EventKind::Deliver { from, to, msg } => {
                 if self.is_crashed(to) {
-                    self.stats.dropped_crashed += 1;
+                    self.state.stats.dropped_crashed += 1;
                     trace_ev!(self, TraceEvent::DropCrashed { at, from, to });
                 } else if self.config.drop_inflight_of_crashed
                     && from != to
@@ -929,10 +877,10 @@ impl<P: Protocol> Simulation<P> {
                     // Destination alive, sender crashed mid-flight: the
                     // adversarial option discards the message — its own
                     // counter, so no crash-related drop hides in another.
-                    self.stats.dropped_sender_crashed += 1;
+                    self.state.stats.dropped_sender_crashed += 1;
                     trace_ev!(self, TraceEvent::DropSenderCrashed { at, from, to });
                 } else {
-                    self.stats.delivered += 1;
+                    self.state.stats.delivered += 1;
                     trace_ev!(self, TraceEvent::Deliver { at, from, to });
                     self.handle(to, |node, ctx| node.on_message(from, msg, ctx));
                 }
@@ -941,8 +889,8 @@ impl<P: Protocol> Simulation<P> {
                 // Timers record the (even) epoch they were armed at; any
                 // crash since bumps the epoch, so a timer armed before a
                 // crash never fires — even after a recovery.
-                if epoch == self.epoch[process.index()] {
-                    self.stats.timers_fired += 1;
+                if epoch == self.state.epoch[process.index()] {
+                    self.state.stats.timers_fired += 1;
                     trace_ev!(self, TraceEvent::TimerFire { at, process, id });
                     self.handle(process, |node, ctx| node.on_timer(id, ctx));
                 } else {
@@ -953,26 +901,26 @@ impl<P: Protocol> Simulation<P> {
                 if self.is_crashed(process) {
                     // The client cannot invoke at a crashed process; the
                     // invocation never happens.
-                    self.scheduled_ops -= 1;
+                    self.state.scheduled_ops -= 1;
                 } else {
-                    self.history.record_invocation(op, process, body.clone(), self.now);
+                    self.state.history.record_invocation(op, process, body.clone(), self.state.now);
                     trace_ev!(self, TraceEvent::OpStart { at, process, op });
                     self.handle(process, |node, ctx| node.on_invoke(op, body, ctx));
                 }
             }
             EventKind::Crash { process } => {
                 let i = process.index();
-                if self.epoch[i] & 1 == 0 {
+                if self.state.epoch[i] & 1 == 0 {
                     // Odd epoch = crashed; the bump also cancels every
                     // timer armed before (or at) the crash.
-                    self.epoch[i] += 1;
+                    self.state.epoch[i] += 1;
                     trace_ev!(self, TraceEvent::Crash { at, process });
                 }
             }
             EventKind::Recover { process } => {
                 let i = process.index();
-                if self.epoch[i] & 1 == 1 {
-                    self.epoch[i] += 1;
+                if self.state.epoch[i] & 1 == 1 {
+                    self.state.epoch[i] += 1;
                     trace_ev!(self, TraceEvent::Recover { at, process });
                     self.handle(process, |node, ctx| node.on_recover(ctx));
                 }
@@ -980,20 +928,20 @@ impl<P: Protocol> Simulation<P> {
             EventKind::Disconnect { channel } => {
                 trace_ev!(self, TraceEvent::CutDown { at, channel });
                 let slot = self.down_slot(channel);
-                let count = &mut self.down_counts[slot];
+                let count = &mut self.state.down_counts[slot];
                 if *count == 0 {
-                    self.down_active += 1;
+                    self.state.down_active += 1;
                 }
                 *count += 1;
             }
             EventKind::Heal { channel } => {
                 trace_ev!(self, TraceEvent::CutHeal { at, channel });
-                if let Some(&slot) = self.down_slots.get(&channel) {
-                    let count = &mut self.down_counts[slot as usize];
+                if let Some(&slot) = self.state.down_slots.get(&channel) {
+                    let count = &mut self.state.down_counts[slot as usize];
                     if *count > 0 {
                         *count -= 1;
                         if *count == 0 {
-                            self.down_active -= 1;
+                            self.state.down_active -= 1;
                         }
                     }
                 }
@@ -1004,19 +952,19 @@ impl<P: Protocol> Simulation<P> {
 
     /// The tracking slot for `channel`, assigned on first fault.
     fn down_slot(&mut self, channel: Channel) -> usize {
-        let next = self.down_slots.len() as u32;
-        let slot = *self.down_slots.entry(channel).or_insert(next);
+        let next = self.state.down_slots.len() as u32;
+        let slot = *self.state.down_slots.entry(channel).or_insert(next);
         if slot == next {
-            self.down_counts.push(0);
+            self.state.down_counts.push(0);
         }
         slot as usize
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        if self.started < self.nodes.len() {
+        if self.state.started < self.state.nodes.len() {
             return Some(SimTime::ZERO);
         }
-        self.queue.next_time().map(SimTime)
+        self.state.queue.next_time().map(SimTime)
     }
 
     /// Runs one handler of the node at `me` against the lent context,
@@ -1027,8 +975,8 @@ impl<P: Protocol> Simulation<P> {
         me: ProcessId,
         handler: impl FnOnce(&mut P, &mut Context<P::Msg, P::Resp>),
     ) {
-        self.ctx.retarget(me, self.now, self.trace.is_some());
-        handler(&mut self.nodes[me.index()], &mut self.ctx);
+        self.ctx.retarget(me, self.state.now, self.trace.is_some());
+        handler(&mut self.state.nodes[me.index()], &mut self.ctx);
         self.apply_effects(me);
     }
 
@@ -1041,7 +989,7 @@ impl<P: Protocol> Simulation<P> {
             match eff {
                 Effect::Send { to, msg } => self.send(me, to, msg),
                 Effect::Broadcast { msg } => {
-                    for to in 0..self.nodes.len() {
+                    for to in 0..self.state.nodes.len() {
                         self.send(me, ProcessId(to), msg.clone());
                     }
                 }
@@ -1051,31 +999,34 @@ impl<P: Protocol> Simulation<P> {
                     // the event loop without virtual time advancing
                     // (message delays are already validated >= 1).
                     let after = self.drifted(after.max(1));
-                    let epoch = self.epoch[me.index()];
+                    let epoch = self.state.epoch[me.index()];
                     trace_ev!(
                         self,
                         TraceEvent::TimerSet {
-                            at: self.now,
+                            at: self.state.now,
                             process: me,
                             id,
-                            fire_at: self.now + after,
+                            fire_at: self.state.now + after,
                         }
                     );
-                    self.push(self.now + after, EventKind::Timer { process: me, id, epoch });
+                    self.push(self.state.now + after, EventKind::Timer { process: me, id, epoch });
                 }
                 Effect::Complete { op, resp } => {
-                    self.history.record_completion(op, self.now, resp);
-                    self.finished_ops += 1;
-                    trace_ev!(self, TraceEvent::OpEnd { at: self.now, process: me, op });
+                    self.state.history.record_completion(op, self.state.now, resp);
+                    self.state.finished_ops += 1;
+                    trace_ev!(self, TraceEvent::OpEnd { at: self.state.now, process: me, op });
                 }
                 Effect::NoteRetransmit { count } => {
-                    self.stats.retransmitted += count;
-                    trace_ev!(self, TraceEvent::Retransmit { at: self.now, process: me, count });
+                    self.state.stats.retransmitted += count;
+                    trace_ev!(
+                        self,
+                        TraceEvent::Retransmit { at: self.state.now, process: me, count }
+                    );
                 }
                 Effect::Trace { kind, label, id } => {
                     trace_ev!(
                         self,
-                        TraceEvent::Proto { at: self.now, process: me, kind, label, id }
+                        TraceEvent::Proto { at: self.state.now, process: me, kind, label, id }
                     );
                 }
             }
@@ -1086,34 +1037,34 @@ impl<P: Protocol> Simulation<P> {
     /// One physical send on the channel `(me, to)`: topology and
     /// down-interval check, loss draw, delay draw, delivery event.
     fn send(&mut self, me: ProcessId, to: ProcessId, msg: P::Msg) {
-        self.stats.sent += 1;
-        trace_ev!(self, TraceEvent::Send { at: self.now, from: me, to });
+        self.state.stats.sent += 1;
+        trace_ev!(self, TraceEvent::Send { at: self.state.now, from: me, to });
         // A channel outside the topology is a channel disconnected at
         // time zero; a scheduled disconnection drops sends until (if
         // ever) the channel heals. Self-sends skip both, and are never
         // lossy.
         let dropped = to != me
             && (!self.config.topology.connects(me, to)
-                || (self.down_active > 0 && self.is_disconnected(Channel::new(me, to))));
+                || (self.state.down_active > 0 && self.is_disconnected(Channel::new(me, to))));
         if dropped {
-            self.stats.dropped_disconnected += 1;
-            trace_ev!(self, TraceEvent::DropDisconnected { at: self.now, from: me, to });
-        } else if self.config.loss > 0.0 && to != me && self.rng.chance(self.config.loss) {
+            self.state.stats.dropped_disconnected += 1;
+            trace_ev!(self, TraceEvent::DropDisconnected { at: self.state.now, from: me, to });
+        } else if self.config.loss > 0.0 && to != me && self.state.rng.chance(self.config.loss) {
             // The loss draw happens only on channels that are up (losses
             // compose with down intervals) and only when the model is
             // enabled, so loss = 0 consumes no randomness and leaves
             // traces untouched.
-            self.stats.dropped_lossy += 1;
-            trace_ev!(self, TraceEvent::DropLossy { at: self.now, from: me, to });
+            self.state.stats.dropped_lossy += 1;
+            trace_ev!(self, TraceEvent::DropLossy { at: self.state.now, from: me, to });
         } else {
             let delay = match &self.config.net {
                 Some(net) => {
                     let class = self.config.topology.channel_class(me, to);
-                    net.delay(me, to, class, self.now, &mut self.rng)
+                    net.delay(me, to, class, self.state.now, &mut self.state.rng)
                 }
-                None => self.config.delay.draw(self.now, &mut self.rng),
+                None => self.config.delay.draw(self.state.now, &mut self.state.rng),
             };
-            self.push(self.now + delay, EventKind::Deliver { from: me, to, msg });
+            self.push(self.state.now + delay, EventKind::Deliver { from: me, to, msg });
         }
     }
 
@@ -1122,12 +1073,9 @@ impl<P: Protocol> Simulation<P> {
             Some(net) => net.gst(),
             None => self.config.delay.gst(),
         };
-        let drifting = match gst {
-            Some(gst) => self.now < gst,
-            None => false,
-        };
+        let drifting = gst.is_some_and(|gst| self.state.now < gst);
         if drifting && self.config.timer_drift_max > 1.0 {
-            let factor = 1.0 + self.rng.f64() * (self.config.timer_drift_max - 1.0);
+            let factor = 1.0 + self.state.rng.f64() * (self.config.timer_drift_max - 1.0);
             // Drift stretches but never erases a duration: the >= 1 floor
             // of the undrifted value is preserved.
             ((after as f64 * factor).round() as u64).max(1)
@@ -1136,10 +1084,20 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
+    /// Queues an event scheduled from outside the run. Virtual time never
+    /// runs backwards, so a time the clock has already passed is refused.
+    /// (The run's own events are queued at `now` plus a delay or timer
+    /// duration, so `push` needs no such check.)
+    fn schedule(&mut self, at: SimTime, kind: EventKind<P::Msg, P::Op>) {
+        let now = self.now();
+        assert!(at >= now, "cannot schedule an event at {at}: virtual time is already {now}");
+        self.push(at, kind);
+    }
+
     fn push(&mut self, at: SimTime, kind: EventKind<P::Msg, P::Op>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at.ticks(), seq, kind);
+        let seq = self.state.seq;
+        self.state.seq += 1;
+        self.state.queue.push(at.ticks(), seq, kind);
     }
 }
 
@@ -1749,6 +1707,68 @@ mod tests {
         let _ = Simulation::new(cfg, vec![PingPong::default(), PingPong::default()]);
     }
 
+    /// A region partition whose size differs from the system's would
+    /// classify every channel to a pid past its `n` as intra-region.
+    #[test]
+    #[should_panic(expected = "does not fit a system of 4 processes")]
+    fn region_partition_size_mismatch_is_rejected() {
+        use crate::netmodel::{LatencyDist, LinkProfile, RegionSpec};
+        let net = NetModel {
+            intra: LinkProfile::symmetric(LatencyDist::Constant { ticks: 2 }),
+            gateway: LinkProfile::symmetric(LatencyDist::Constant { ticks: 90 }),
+            regions: Some(RegionSpec { n: 2, regions: 2 }),
+            synchrony: None,
+        };
+        let cfg = SimConfig { net: Some(net), ..SimConfig::default() };
+        let _ = Simulation::new(cfg, (0..4).map(|_| PingPong::default()).collect());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a system of 2 processes")]
+    fn more_regions_than_processes_is_rejected() {
+        use crate::netmodel::{LatencyDist, RegionSpec};
+        let net = NetModel {
+            regions: Some(RegionSpec { n: 2, regions: 3 }),
+            ..NetModel::symmetric(LatencyDist::Constant { ticks: 2 })
+        };
+        let cfg = SimConfig { net: Some(net), ..SimConfig::default() };
+        let _ = Simulation::new(cfg, vec![PingPong::default(), PingPong::default()]);
+    }
+
+    /// Runs one op to completion at t > 5, the time the callers below then
+    /// try to schedule at.
+    fn sim_past_t5() -> Simulation<PingPong> {
+        let cfg =
+            SimConfig { delay: DelayModel::Uniform { min: 50, max: 50 }, ..SimConfig::default() };
+        let mut sim = Simulation::new(cfg, vec![PingPong::default(), PingPong::default()]);
+        sim.invoke_at(SimTime(1), ProcessId(0), ProcessId(1));
+        assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
+        assert_eq!(sim.now(), SimTime(101));
+        sim
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule an event at t=5: virtual time is already t=101")]
+    fn invoking_in_the_past_is_rejected() {
+        sim_past_t5().invoke_at(SimTime(5), ProcessId(1), ProcessId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule an event at t=5: virtual time is already t=101")]
+    fn failures_in_the_past_are_rejected() {
+        let mut sched = FailureSchedule::none();
+        sched.crash(ProcessId(1), SimTime(5));
+        sim_past_t5().apply_failures(&sched);
+    }
+
+    #[test]
+    fn scheduling_at_the_current_instant_is_accepted() {
+        let mut sim = sim_past_t5();
+        sim.invoke_at(sim.now(), ProcessId(1), ProcessId(0));
+        assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
+        assert_eq!(sim.history().ops()[1].invoked_at, SimTime(101));
+    }
+
     #[test]
     fn partial_synchrony_bounds_post_gst_delays() {
         let cfg = SimConfig {
@@ -1818,7 +1838,7 @@ mod tests {
             sim.stats(),
             sim.rng(),
             sim.history().ops(),
-            sim.nodes
+            sim.state.nodes
         )
     }
 
@@ -2361,9 +2381,9 @@ mod tests {
         assert_eq!(sim.run_until(SimTime::ZERO), StopReason::Horizon);
         let s = sim.stats();
         assert_eq!((s.events, s.sent, s.delivered, s.timers_fired), (4, 4, 0, 0));
-        assert!(sim.nodes.iter().all(|node| node.started));
+        assert!(sim.state.nodes.iter().all(|node| node.started));
         assert_eq!(sim.run(), StopReason::Quiescent);
-        assert!(sim.nodes.iter().all(|node| node.greeted == 1 && node.fired == 1));
+        assert!(sim.state.nodes.iter().all(|node| node.greeted == 1 && node.fired == 1));
     }
 
     #[test]
@@ -2373,7 +2393,10 @@ mod tests {
         sched.crash(ProcessId(2), SimTime::ZERO);
         sim.apply_failures(&sched);
         sim.run();
-        assert!(sim.nodes.iter().all(|node| node.started), "the crash does not pre-empt a start");
+        assert!(
+            sim.state.nodes.iter().all(|node| node.started),
+            "the crash does not pre-empt a start"
+        );
         assert!(sim.is_crashed(ProcessId(2)));
         let crashed = sim.node(ProcessId(2));
         assert_eq!((crashed.greeted, crashed.fired), (0, 0), "nothing reaches it afterwards");
@@ -2395,7 +2418,7 @@ mod tests {
             sim.run();
             assert_eq!(fingerprint(&sim), expected, "k={k}: run after checkpoint");
             sim.restore(&cp);
-            assert_eq!(sim.nodes.iter().filter(|node| node.started).count(), k);
+            assert_eq!(sim.state.nodes.iter().filter(|node| node.started).count(), k);
             assert_eq!(sim.stats().events, k as u64);
             sim.run();
             assert_eq!(fingerprint(&sim), expected, "k={k}: restored replay");
