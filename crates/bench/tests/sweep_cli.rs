@@ -337,6 +337,17 @@ fn csv_output_has_one_row_per_cell_metric() {
     assert!(text.starts_with("family,n,density,patterns,p_chan,loss,schedule,net,trials,metric,"));
 }
 
+/// Regression: a random-pattern crash budget above `n` used to hang the
+/// pattern generator.
+#[test]
+fn random_patterns_with_more_crashes_than_processes_finish() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
+        .args(["--patterns", "random", "--max-crashes", "5", "--n", "4", "--trials", "20"])
+        .output()
+        .expect("gqs_sweep runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 #[test]
 fn schedule_axis_multiplies_latency_cells() {
     let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))

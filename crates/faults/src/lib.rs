@@ -6,7 +6,9 @@
 //! *heal* over time. The simulator's one fault timeline is
 //! [`gqs_simnet::FailureSchedule`]: crashes, channel disconnections, heals
 //! and recoveries, each at a time. This crate adds WAN-like multi-region
-//! topologies ([`regions`]) and the scenario shapes that fill a schedule.
+//! graphs ([`regions`]) over the simulator's one region partition,
+//! [`gqs_simnet::RegionSpec`], and the scenario shapes that fill a
+//! schedule.
 //!
 //! A send during a down interval `[t1, t2)` drops (counted in
 //! `NetStats::dropped_disconnected`); a send at or after the heal is
@@ -21,7 +23,7 @@
 //!
 //! * [`scenarios::region_outage`] / [`scenarios::staggered_region_outages`]
 //!   — disconnect an entire inter-region cut of a WAN-like multi-region
-//!   topology ([`regions::RegionLayout`], [`regions::wan_graph`]) for a
+//!   topology ([`gqs_simnet::RegionSpec`], [`regions::wan_graph`]) for a
 //!   window, then heal it; the staggered form rolls the outage across
 //!   regions.
 //! * [`scenarios::flapping_link`] — periodic down/up on chosen channels.
@@ -38,9 +40,9 @@
 //! use gqs_simnet::SimTime;
 //!
 //! // A 3-region WAN, 4 processes per region.
-//! let (graph, layout) = regions::regions(3, 4);
+//! let (graph, spec) = regions::regions(3, 4);
 //! // Region 1 is cut off during [500, 1500), then heals.
-//! let schedule = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(1500));
+//! let schedule = scenarios::region_outage(spec, &graph, 1, SimTime(500), SimTime(1500));
 //! assert!(!schedule.is_empty());
 //! assert_eq!(schedule.disconnects().len(), schedule.heals().len());
 //! // A simulation takes it with `sim.apply_failures(&schedule)`.
@@ -52,7 +54,7 @@
 pub mod regions;
 pub mod scenarios;
 
-pub use regions::{wan_graph, RegionLayout};
+pub use regions::wan_graph;
 pub use scenarios::{
     flapping_link, hub_crash, region_outage, rolling_restart, staggered_region_outages,
 };

@@ -12,7 +12,8 @@ use gqs_core::{majority_system, Channel, ProcessId, QuorumFamily};
 use gqs_faults::{regions, scenarios};
 use gqs_registers::{abd_register_nodes, reliable_abd_register_nodes, AbdRegister, RegOp};
 use gqs_simnet::{
-    FailureSchedule, Flood, OpId, SimConfig, SimTime, Simulation, SplitMix64, StopReason, Topology,
+    FailureSchedule, Flood, OpId, RegionSpec, SimConfig, SimTime, Simulation, SplitMix64,
+    StopReason, Topology,
 };
 
 /// Retry period of the registers under test.
@@ -41,10 +42,10 @@ fn wan_cfg(graph: gqs_core::NetworkGraph) -> SimConfig {
     SimConfig { topology: Topology::from(graph), horizon: SimTime(100_000), ..SimConfig::default() }
 }
 
-fn wan_sim(r: usize, k: usize) -> (Simulation<Stack>, gqs_faults::RegionLayout) {
-    let (graph, layout) = regions::regions(r, k);
+fn wan_sim(r: usize, k: usize) -> (Simulation<Stack>, RegionSpec) {
+    let (graph, spec) = regions::regions(r, k);
     let n = graph.len();
-    (Simulation::new(wan_cfg(graph), retrying_nodes(n)), layout)
+    (Simulation::new(wan_cfg(graph), retrying_nodes(n)), spec)
 }
 
 /// When op `op` completed; panics if it did not.
@@ -59,12 +60,12 @@ fn done(sim: &Simulation<Stack>, op: OpId) -> SimTime {
 
 #[test]
 fn region_outage_blocks_cross_region_traffic_until_heal() {
-    let (mut sim, layout) = wan_sim(3, 3);
+    let (mut sim, spec) = wan_sim(3, 3);
     let graph = regions::regions(3, 3).0;
     // Region 1 dark during [500, 3000). Its 3 processes are no majority
     // of 9, so an op invoked there needs the other regions.
-    sim.apply_failures(&scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000)));
-    let in_r1 = layout.gateway(1);
+    sim.apply_failures(&scenarios::region_outage(spec, &graph, 1, SimTime(500), SimTime(3000)));
+    let in_r1 = spec.gateway(1);
     // Before the outage: the op completes promptly.
     let before = sim.invoke_at(SimTime(10), in_r1, write(1));
     // During: the op stalls until the heal, then a retransmission gets
@@ -81,17 +82,17 @@ fn region_outage_blocks_cross_region_traffic_until_heal() {
 
 #[test]
 fn intra_region_traffic_survives_the_outage() {
-    let (graph, layout) = regions::regions(3, 3);
+    let (graph, spec) = regions::regions(3, 3);
     let n = graph.len();
     // A register replicated inside region 1: its quorums are the island's
     // majorities, so the outage cuts none of its traffic.
-    let island = layout.members(1);
+    let island: gqs_core::ProcessSet = spec.members(1).collect();
     let majorities =
         QuorumFamily::explicit(island.iter().map(|p| island.without(p))).expect("valid family");
     let nodes = retrying_nodes_over(n, majorities.clone(), majorities);
     let mut sim = Simulation::new(wan_cfg(graph.clone()), nodes);
-    sim.apply_failures(&scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000)));
-    sim.invoke_at(SimTime(1000), layout.gateway(1), write(1));
+    sim.apply_failures(&scenarios::region_outage(spec, &graph, 1, SimTime(500), SimTime(3000)));
+    sim.invoke_at(SimTime(1000), spec.gateway(1), write(1));
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
     let done = sim.history().ops()[0].completed_at().unwrap();
     assert!(done < SimTime(1200), "intra-region traffic is unaffected, got {done:?}");
@@ -99,7 +100,7 @@ fn intra_region_traffic_survives_the_outage() {
 
 #[test]
 fn rolling_restart_leaves_everyone_alive_and_responsive() {
-    let (mut sim, _layout) = wan_sim(2, 3);
+    let (mut sim, _spec) = wan_sim(2, 3);
     let schedule = scenarios::rolling_restart(6, SimTime(100), 200, 50);
     let end = schedule.recovers().iter().map(|&(_, at)| at).max().expect("six restarts");
     sim.apply_failures(&schedule);
@@ -133,13 +134,13 @@ fn hub_crash_blacks_out_spokes_until_recovery() {
 #[test]
 fn equal_scripts_produce_identical_traces() {
     let build = || {
-        let (mut sim, layout) = wan_sim(3, 2);
+        let (mut sim, spec) = wan_sim(3, 2);
         let graph = regions::regions(3, 2).0;
         let mut schedule = FailureSchedule::none();
         schedule
-            .merge(scenarios::staggered_region_outages(&layout, &graph, SimTime(300), 400, 600))
+            .merge(scenarios::staggered_region_outages(spec, &graph, SimTime(300), 400, 600))
             .merge(scenarios::flapping_link(
-                &layout.cut(&graph, 0),
+                &spec.cut(&graph, 0),
                 SimTime(2500),
                 100,
                 100,
@@ -206,7 +207,7 @@ fn retrying_registers_complete_every_op_over_flapping_lossy_channels() {
 /// interval after the heal, with zero client-side re-invocations.
 #[test]
 fn abd_write_during_region_outage_needs_the_retrying_stack() {
-    let (graph, layout) = regions::regions(3, 3);
+    let (graph, spec) = regions::regions(3, 3);
     let n = graph.len();
     let qs = majority_system(n).expect("majority system exists");
     let cfg = SimConfig {
@@ -214,11 +215,11 @@ fn abd_write_during_region_outage_needs_the_retrying_stack() {
         horizon: SimTime(100_000),
         ..SimConfig::default()
     };
-    let outage = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000));
+    let outage = scenarios::region_outage(spec, &graph, 1, SimTime(500), SimTime(3000));
     // The invoker sits inside the dark region: its 3-process island
     // cannot form a majority quorum of 5, so nothing completes before
     // the heal.
-    let invoker = layout.gateway(1);
+    let invoker = spec.gateway(1);
 
     // Plain ABD: the one broadcast is lost to the cut; the run drains to
     // quiescence with the op still open.
@@ -265,13 +266,13 @@ fn abd_write_during_region_outage_needs_the_retrying_stack() {
 #[test]
 fn implicit_regions_topology_matches_wan_graph() {
     use gqs_core::Channel;
-    use gqs_faults::{wan_graph, RegionLayout};
+    use gqs_faults::wan_graph;
 
     for n in 1..=24usize {
         for r in 1..=n {
-            let layout = RegionLayout::even(n, r);
-            let graph = wan_graph(&layout);
-            let implicit = Topology::Regions { n, regions: r };
+            let spec = RegionSpec::even(n, r);
+            let graph = wan_graph(spec);
+            let implicit = Topology::Regions(spec);
             for a in 0..n {
                 for b in 0..n {
                     let (pa, pb) = (ProcessId(a), ProcessId(b));

@@ -91,6 +91,7 @@ mod tests {
     use super::*;
     use crate::sim::{FailureSchedule, SimConfig, Simulation, StopReason};
     use crate::topology::Topology;
+    use crate::RegionSpec;
 
     fn reached(sim: &Simulation<Gossip>, n: usize) -> usize {
         (0..n).filter(|&p| sim.node(ProcessId(p)).heard_at().is_some()).count()
@@ -110,7 +111,7 @@ mod tests {
             Topology::Complete,
             Topology::Ring { n: 50 },
             Topology::Grid { n: 50, cols: 7 },
-            Topology::Regions { n: 50, regions: 5 },
+            Topology::Regions(RegionSpec::even(50, 5)),
         ] {
             let sim = run_gossip(topology, 50, 3);
             assert_eq!(reached(&sim, 50), 50);

@@ -7,7 +7,7 @@
 //! handful of ticks, while messages between regions ride WAN links with
 //! heavy-tailed latency. A [`NetModel`] captures that by keying a
 //! [`LatencyDist`] on the [`ChannelClass`] of each channel (intra-region
-//! vs gateway, derived arithmetically from the topology's region layout),
+//! vs gateway, derived arithmetically from a [`RegionSpec`]),
 //! with an optional fixed per-class asymmetry skew and an optional
 //! partial-synchrony overlay (GST + δ) mirroring
 //! [`DelayModel::PartialSynchrony`].
@@ -33,12 +33,12 @@
 //! pre-GST draw is clamped so the message still arrives by `gst + δ`, and
 //! post-GST delays are uniform in `[1, δ]` regardless of channel class.
 
-use gqs_core::ProcessId;
+use gqs_core::{Channel, NetworkGraph, ProcessId};
 
 use crate::rng::SplitMix64;
 use crate::sim::DelayModel;
 use crate::time::SimTime;
-use crate::topology::{ChannelClass, Topology};
+use crate::topology::ChannelClass;
 
 /// A latency distribution over integer ticks.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -138,28 +138,134 @@ impl LinkProfile {
     }
 }
 
-/// An even region partition used to classify channels independently of
-/// how the topology is represented.
+/// A partition of processes `0..n` into contiguous regions (data
+/// centers), as even as possible: the first `n % regions` regions hold one
+/// extra process. Region `i`'s **gateway** is its lowest-numbered process.
 ///
-/// A materialized WAN graph ([`crate::Topology::Graph`]) has no region
-/// structure of its own, so its [`Topology::channel_class`] is always
-/// [`ChannelClass::Intra`]. Attaching a `RegionSpec` to a [`NetModel`]
-/// classifies channels by the same arithmetic even partition as
-/// [`Topology::Regions`] (which mirrors `RegionLayout::even`), so a
-/// materialized graph draws gateway delays exactly like its implicit
-/// counterpart.
+/// This is the one region partition: [`Topology::Regions`] answers
+/// adjacency from it, `gqs_faults` builds WAN graphs and region outages
+/// over it, and a [`NetModel`] carrying one classifies channels by it — so
+/// a materialized WAN graph ([`Topology::Graph`], whose own
+/// [`Topology::channel_class`] is always [`ChannelClass::Intra`]) draws
+/// gateway delays exactly like its implicit counterpart. Everything is
+/// arithmetic on `(n, regions)`; nothing is materialized.
+///
+/// [`Topology::Regions`]: crate::Topology::Regions
+/// [`Topology::Graph`]: crate::Topology::Graph
+/// [`Topology::channel_class`]: crate::Topology::channel_class
+///
+/// # Examples
+///
+/// ```
+/// use gqs_core::ProcessId;
+/// use gqs_simnet::RegionSpec;
+///
+/// let spec = RegionSpec::even(7, 3); // {0,1,2}, {3,4}, {5,6}
+/// assert_eq!(spec.region_of(ProcessId(4)), 1);
+/// assert_eq!(spec.gateway(2), ProcessId(5));
+/// assert_eq!(spec.members(0).count(), 3);
+/// ```
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct RegionSpec {
-    /// Number of processes.
-    pub n: usize,
-    /// Number of regions (must be ≥ 1).
-    pub regions: usize,
+    n: usize,
+    regions: usize,
 }
 
 impl RegionSpec {
-    /// The class of the `from → to` channel under this partition.
+    /// Partitions `n` processes into `regions` near-equal contiguous
+    /// regions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regions == 0` or `n < regions` (every region needs a
+    /// process).
+    pub fn even(n: usize, regions: usize) -> Self {
+        assert!(regions >= 1, "at least one region");
+        assert!(n >= regions, "need at least one process per region ({n} < {regions})");
+        RegionSpec { n, regions }
+    }
+
+    /// Number of processes.
+    pub fn n(self) -> usize {
+        self.n
+    }
+
+    /// Number of regions.
+    pub fn regions(self) -> usize {
+        self.regions
+    }
+
+    /// The first process of region `i` (`i == regions` gives `n`).
+    #[inline]
+    fn start(self, i: usize) -> usize {
+        i * (self.n / self.regions) + i.min(self.n % self.regions)
+    }
+
+    /// The region containing `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `0..n`.
+    #[inline]
+    pub fn region_of(self, p: ProcessId) -> usize {
+        let v = p.index();
+        assert!(v < self.n, "process out of range");
+        let (base, extra) = (self.n / self.regions, self.n % self.regions);
+        let cut = (base + 1) * extra;
+        if v < cut {
+            v / (base + 1)
+        } else {
+            extra + (v - cut) / base
+        }
+    }
+
+    /// Region `i`'s gateway (its lowest-numbered process).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a region index.
+    #[inline]
+    pub fn gateway(self, i: usize) -> ProcessId {
+        assert!(i < self.regions, "region index out of range");
+        ProcessId(self.start(i))
+    }
+
+    /// The processes of region `i`, in increasing order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a region index.
+    pub fn members(self, i: usize) -> impl Iterator<Item = ProcessId> + Clone {
+        assert!(i < self.regions, "region index out of range");
+        (self.start(i)..self.start(i + 1)).map(ProcessId)
+    }
+
+    /// The channels of `g` crossing region `i`'s boundary, in either
+    /// direction — the cut a region outage disconnects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a region index or `g` has more than `n`
+    /// processes.
+    pub fn cut(self, g: &NetworkGraph, i: usize) -> Vec<Channel> {
+        assert!(i < self.regions, "region index out of range");
+        let inside = |p| self.region_of(p) == i;
+        g.channels().filter(|ch| inside(ch.from) != inside(ch.to)).collect()
+    }
+
+    /// The class of the `from → to` channel under this partition:
+    /// [`ChannelClass::Gateway`] between two regions,
+    /// [`ChannelClass::Intra`] inside one — and for any pid past `n`.
+    #[inline]
     pub fn classify(self, from: ProcessId, to: ProcessId) -> ChannelClass {
-        Topology::Regions { n: self.n, regions: self.regions }.channel_class(from, to)
+        if from.index() < self.n
+            && to.index() < self.n
+            && self.region_of(from) != self.region_of(to)
+        {
+            ChannelClass::Gateway
+        } else {
+            ChannelClass::Intra
+        }
     }
 }
 
@@ -181,11 +287,15 @@ pub struct NetModel {
     pub intra: LinkProfile,
     /// Profile for gateway (inter-region WAN) channels.
     pub gateway: LinkProfile,
-    /// Optional explicit region partition for channel classification.
-    /// When set, it overrides the class the topology reports — letting
-    /// materialized WAN graphs classify like [`Topology::Regions`]. When
-    /// `None`, the class passed to [`NetModel::delay`] (normally
-    /// [`Topology::channel_class`]) decides.
+    /// Optional [`RegionSpec`] for channel classification. When set, it
+    /// overrides the class the topology reports — letting materialized
+    /// WAN graphs classify like [`Topology::Regions`] over the same spec
+    /// — and [`crate::Simulation::new`] checks that it covers exactly the
+    /// system's processes. When `None`, the class passed to
+    /// [`NetModel::delay`] (normally [`Topology::channel_class`]) decides.
+    ///
+    /// [`Topology::Regions`]: crate::Topology::Regions
+    /// [`Topology::channel_class`]: crate::Topology::channel_class
     pub regions: Option<RegionSpec>,
     /// Optional partial-synchrony overlay. Pre-GST draws (including any
     /// skew) are clamped so a message in flight at GST still arrives by
@@ -212,8 +322,10 @@ impl NetModel {
         self.intra.dist.validate();
         self.gateway.dist.validate();
         if let Some(spec) = self.regions {
-            let fits = spec.n == n && (1..=n).contains(&spec.regions);
-            assert!(fits, "region partition {spec:?} does not fit a system of {n} processes");
+            assert!(
+                spec.n == n,
+                "region partition {spec:?} does not fit a system of {n} processes"
+            );
         }
         if let Some(sync) = self.synchrony {
             assert!(sync.delta >= 1, "delays must be >= 1");
@@ -532,7 +644,7 @@ mod tests {
         let net = NetModel {
             intra: LinkProfile::symmetric(LatencyDist::Constant { ticks: 2 }),
             gateway: LinkProfile::symmetric(LatencyDist::Constant { ticks: 90 }),
-            regions: Some(RegionSpec { n: 6, regions: 3 }),
+            regions: Some(RegionSpec::even(6, 3)),
             synchrony: None,
         };
         let mut rng = SplitMix64::new(1);
@@ -541,7 +653,7 @@ mod tests {
         assert_eq!(net.delay(ProcessId(1), ProcessId(2), ChannelClass::Intra, t, &mut rng), 90);
         assert_eq!(net.delay(ProcessId(5), ProcessId(0), ChannelClass::Gateway, t, &mut rng), 90);
         assert_eq!(
-            RegionSpec { n: 6, regions: 3 }.classify(ProcessId(4), ProcessId(5)),
+            RegionSpec::even(6, 3).classify(ProcessId(4), ProcessId(5)),
             ChannelClass::Intra
         );
     }

@@ -1716,7 +1716,7 @@ mod tests {
         let net = NetModel {
             intra: LinkProfile::symmetric(LatencyDist::Constant { ticks: 2 }),
             gateway: LinkProfile::symmetric(LatencyDist::Constant { ticks: 90 }),
-            regions: Some(RegionSpec { n: 2, regions: 2 }),
+            regions: Some(RegionSpec::even(2, 2)),
             synchrony: None,
         };
         let cfg = SimConfig { net: Some(net), ..SimConfig::default() };
@@ -1724,11 +1724,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not fit a system of 2 processes")]
+    #[should_panic(expected = "at least one process per region")]
     fn more_regions_than_processes_is_rejected() {
         use crate::netmodel::{LatencyDist, RegionSpec};
         let net = NetModel {
-            regions: Some(RegionSpec { n: 2, regions: 3 }),
+            regions: Some(RegionSpec::even(2, 3)),
             ..NetModel::symmetric(LatencyDist::Constant { ticks: 2 })
         };
         let cfg = SimConfig { net: Some(net), ..SimConfig::default() };

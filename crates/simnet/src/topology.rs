@@ -26,13 +26,15 @@
 //! [`Topology::Regions`] instead *compute* adjacency per query in O(1)
 //! from the pid arithmetic alone, and agree channel-for-channel with the
 //! corresponding materialized constructions (`gqs_workloads`'s `ring` /
-//! `grid_graph_n` and `gqs_faults`'s `wan_graph` over an even
-//! `RegionLayout`) at every size where those exist. The [`Peers`] view
+//! `grid_graph_n` and `gqs_faults`'s `wan_graph` over the same
+//! [`RegionSpec`]) at every size where those exist. The [`Peers`] view
 //! gives protocols the same O(1) adjacency without ever touching
 //! `ProcessSet`, so protocol pid-space is no longer bounded by the
 //! decision procedures' bitset universe.
 
 use gqs_core::{NetworkGraph, ProcessId};
+
+use crate::netmodel::RegionSpec;
 
 /// Coarse class of a channel, for region-aware delay/telemetry layers:
 /// links inside one region versus the gateway links of the inter-region
@@ -45,29 +47,6 @@ pub enum ChannelClass {
     /// An inter-region link of a [`Topology::Regions`] WAN (between two
     /// region gateways).
     Gateway,
-}
-
-/// Even partition of `0..n` into `r` contiguous regions: the first
-/// `n % r` regions hold `n/r + 1` processes. Mirrors
-/// `gqs_faults::RegionLayout::even`, re-derived here arithmetically so
-/// the simulator never materializes the layout.
-#[inline]
-fn region_start(n: usize, r: usize, i: usize) -> usize {
-    let base = n / r;
-    let extra = n % r;
-    i * base + i.min(extra)
-}
-
-#[inline]
-fn region_of(n: usize, r: usize, v: usize) -> usize {
-    let base = n / r;
-    let extra = n % r;
-    let cut = (base + 1) * extra;
-    if v < cut {
-        v / (base + 1)
-    } else {
-        extra + (v - cut) / base
-    }
 }
 
 /// The static communication graph of a [`crate::sim::Simulation`].
@@ -124,18 +103,12 @@ pub enum Topology {
         /// Row width (must be ≥ 1).
         cols: usize,
     },
-    /// A WAN of `regions` contiguous even regions over `n` processes:
-    /// each region is a complete clique, and the first process of each
-    /// region (its *gateway*) is linked both ways to the gateways of the
-    /// neighbouring regions in a ring. Channel-for-channel identical to
-    /// `gqs_faults::wan_graph` over `RegionLayout::even(n, regions)`,
-    /// computed per query.
-    Regions {
-        /// Number of processes.
-        n: usize,
-        /// Number of regions (must satisfy `1 <= regions <= n`).
-        regions: usize,
-    },
+    /// A WAN over the regions of a [`RegionSpec`]: each region is a
+    /// complete clique, and each region's gateway is linked both ways to
+    /// the gateways of the neighbouring regions in a ring.
+    /// Channel-for-channel identical to `gqs_faults::wan_graph` over the
+    /// same spec, computed per query.
+    Regions(RegionSpec),
 }
 
 impl Topology {
@@ -155,17 +128,15 @@ impl Topology {
                     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
                     hi < *n && ((hi == lo + 1 && hi % cols != 0) || hi == lo + cols)
                 }
-                Topology::Regions { n, regions } => {
-                    let (n, r) = (*n, *regions);
-                    let (a, b) = (from.index(), to.index());
-                    if a >= n || b >= n {
+                Topology::Regions(spec) => {
+                    if from.index() >= spec.n() || to.index() >= spec.n() {
                         return false;
                     }
-                    let (ra, rb) = (region_of(n, r, a), region_of(n, r, b));
+                    let (ra, rb, r) = (spec.region_of(from), spec.region_of(to), spec.regions());
                     ra == rb
                         || (r >= 2
-                            && a == region_start(n, r, ra)
-                            && b == region_start(n, r, rb)
+                            && from == spec.gateway(ra)
+                            && to == spec.gateway(rb)
                             && ((ra + 1) % r == rb || (rb + 1) % r == ra))
                 }
             }
@@ -177,14 +148,7 @@ impl Topology {
     /// the topology actually [`connects`](Topology::connects).
     pub fn channel_class(&self, from: ProcessId, to: ProcessId) -> ChannelClass {
         match self {
-            Topology::Regions { n, regions } => {
-                let (a, b) = (from.index(), to.index());
-                if a < *n && b < *n && region_of(*n, *regions, a) != region_of(*n, *regions, b) {
-                    ChannelClass::Gateway
-                } else {
-                    ChannelClass::Intra
-                }
-            }
+            Topology::Regions(spec) => spec.classify(from, to),
             _ => ChannelClass::Intra,
         }
     }
@@ -195,22 +159,17 @@ impl Topology {
         match self {
             Topology::Complete => None,
             Topology::Graph(g) => Some(g.len()),
-            Topology::Ring { n } | Topology::Grid { n, .. } | Topology::Regions { n, .. } => {
-                Some(*n)
-            }
+            Topology::Ring { n } | Topology::Grid { n, .. } => Some(*n),
+            Topology::Regions(spec) => Some(spec.n()),
         }
     }
 
-    /// Panics on ill-formed parameters (zero-width grids, more regions
-    /// than processes). Called by [`crate::sim::Simulation::new`].
+    /// Panics on ill-formed parameters (zero-width grids; a
+    /// [`RegionSpec`] is checked where it is built). Called by
+    /// [`crate::sim::Simulation::new`].
     pub(crate) fn validate(&self) {
-        match self {
-            Topology::Grid { cols, .. } => assert!(*cols >= 1, "grid needs at least one column"),
-            Topology::Regions { n, regions } => {
-                assert!(*regions >= 1, "need at least one region");
-                assert!(n >= regions, "need at least one process per region");
-            }
-            _ => {}
+        if let Topology::Grid { cols, .. } = self {
+            assert!(*cols >= 1, "grid needs at least one column");
         }
     }
 }
@@ -303,25 +262,22 @@ impl Peers {
                     f(ProcessId(v + cols)); // down
                 }
             }
-            Topology::Regions { n, regions } => {
-                let (n, r) = (*n, *regions);
-                if v >= n {
+            Topology::Regions(spec) => {
+                if v >= spec.n() {
                     return;
                 }
-                let rv = region_of(n, r, v);
-                let start = region_start(n, r, rv);
-                let end = if rv + 1 < r { region_start(n, r, rv + 1) } else { n };
-                for p in start..end {
-                    if p != v {
-                        f(ProcessId(p));
+                let (rv, r) = (spec.region_of(me), spec.regions());
+                for p in spec.members(rv) {
+                    if p != me {
+                        f(p);
                     }
                 }
-                if r >= 2 && v == start {
-                    let next = region_start(n, r, (rv + 1) % r);
-                    let prev = region_start(n, r, (rv + r - 1) % r);
-                    f(ProcessId(next));
+                if r >= 2 && me == spec.gateway(rv) {
+                    let next = spec.gateway((rv + 1) % r);
+                    let prev = spec.gateway((rv + r - 1) % r);
+                    f(next);
                     if prev != next {
-                        f(ProcessId(prev));
+                        f(prev);
                     }
                 }
             }
@@ -417,7 +373,7 @@ mod tests {
     #[test]
     fn implicit_regions_cliques_and_gateway_ring() {
         // n = 7, r = 3: regions {0,1,2}, {3,4}, {5,6}; gateways 0, 3, 5.
-        let t = Topology::Regions { n: 7, regions: 3 };
+        let t = Topology::Regions(RegionSpec::even(7, 3));
         assert!(t.connects(ProcessId(1), ProcessId(2)), "intra-region clique");
         assert!(t.connects(ProcessId(0), ProcessId(3)), "gateway ring");
         assert!(t.connects(ProcessId(5), ProcessId(0)), "gateway ring wraps");
@@ -433,21 +389,35 @@ mod tests {
 
     #[test]
     fn region_arithmetic_is_an_even_partition() {
-        for n in 1..40 {
+        for n in 1..=40 {
             for r in 1..=n {
-                let mut sizes = vec![0usize; r];
-                for v in 0..n {
-                    let rv = region_of(n, r, v);
-                    sizes[rv] += 1;
-                    assert!(region_start(n, r, rv) <= v);
-                }
+                let spec = RegionSpec::even(n, r);
+                assert_eq!((spec.n(), spec.regions()), (n, r));
                 // Contiguous even split: sizes differ by at most one and
-                // the larger regions come first.
+                // the larger regions come first; `region_of` agrees with
+                // `members`, and a region's gateway is its first member.
                 let (base, extra) = (n / r, n % r);
-                for (i, &s) in sizes.iter().enumerate() {
-                    assert_eq!(s, if i < extra { base + 1 } else { base }, "n={n} r={r}");
+                let mut next = 0;
+                for i in 0..r {
+                    let members: Vec<ProcessId> = spec.members(i).collect();
+                    assert_eq!(
+                        members.len(),
+                        if i < extra { base + 1 } else { base },
+                        "n={n} r={r}"
+                    );
+                    assert_eq!(members[0], spec.gateway(i));
+                    for p in members {
+                        assert_eq!(p, ProcessId(next), "regions are contiguous");
+                        assert_eq!(spec.region_of(p), i, "n={n} r={r} p={p:?}");
+                        next += 1;
+                    }
                 }
+                assert_eq!(next, n, "the regions cover 0..n");
             }
+        }
+        for (n, r) in [(5, 0), (2, 3)] {
+            let built = std::panic::catch_unwind(|| RegionSpec::even(n, r));
+            assert!(built.is_err(), "RegionSpec::even({n}, {r}) must panic");
         }
     }
 
@@ -462,7 +432,7 @@ mod tests {
             Topology::Ring { n: 6 },
             Topology::Grid { n: 6, cols: 3 },
             Topology::Grid { n: 7, cols: 3 },
-            Topology::Regions { n: 7, regions: 3 },
+            Topology::Regions(RegionSpec::even(7, 3)),
             Topology::Ring { n: 2 },
             Topology::Ring { n: 1 },
         ];

@@ -954,7 +954,7 @@ mod tests {
 
     #[test]
     fn counting_sink_splits_gateway_traffic_by_topology() {
-        let topo = Topology::Regions { n: 4, regions: 2 };
+        let topo = Topology::Regions(crate::RegionSpec::even(4, 2));
         let mut sink = CountingSink::with_topology(4, topo);
         // 0 and 1 share region 0; 2 lives in region 1.
         sink.record(&TraceEvent::Send { at: SimTime(1), from: ProcessId(0), to: ProcessId(1) });

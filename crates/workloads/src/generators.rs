@@ -122,8 +122,8 @@ pub fn two_cliques_bridge(n: usize) -> NetworkGraph {
 }
 
 /// A random failure pattern over `n` processes: up to `max_crashes`
-/// crashes, then each channel between correct processes of `graph` fails
-/// independently with probability `p_chan`.
+/// crashes (at most `n`), then each channel between correct processes of
+/// `graph` fails independently with probability `p_chan`.
 pub fn random_pattern(
     graph: &NetworkGraph,
     max_crashes: usize,
@@ -131,7 +131,8 @@ pub fn random_pattern(
     rng: &mut SplitMix64,
 ) -> FailurePattern {
     let n = graph.len();
-    let crash_count = rng.range(0, max_crashes as u64) as usize;
+    // Past `n` the loop below could never collect enough distinct pids.
+    let crash_count = rng.range(0, max_crashes.min(n) as u64) as usize;
     let mut faulty = ProcessSet::new();
     while faulty.len() < crash_count {
         faulty.insert(ProcessId(rng.range(0, n as u64 - 1) as usize));
@@ -264,19 +265,18 @@ pub fn adversarial_fail_prone(
 /// Derives the independent RNG stream of trial `i` in a seeded batch.
 ///
 /// Each trial owns its whole stream, so a batch can be evaluated serially
-/// or in parallel (see [`crate::par::map`]) with bit-identical results.
+/// or in parallel (as [`crate::sweep::run`] does) with bit-identical
+/// results.
 pub fn trial_rng(seed: u64, i: usize) -> SplitMix64 {
     // Golden-ratio mixing keeps nearby trial indices on far-apart streams.
     SplitMix64::new(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Generates `count` random `(graph, fail-prone system)` scenarios in
-/// parallel, one independent seeded stream per scenario.
+/// Generates `count` random `(graph, fail-prone system)` scenarios, one
+/// independent seeded stream per scenario ([`trial_rng`]).
 ///
-/// This is the batched entry point the benchmark's generator layer
-/// times: scenario `i` of a given `(seed, ...)` parameterization is
-/// identical no matter the thread count or which other scenarios are
-/// generated.
+/// Scenario `i` of a given `(seed, ...)` parameterization is identical no
+/// matter which other scenarios are generated.
 #[allow(clippy::too_many_arguments)]
 pub fn random_scenarios(
     count: usize,
@@ -287,12 +287,14 @@ pub fn random_scenarios(
     p_chan: f64,
     seed: u64,
 ) -> Vec<(NetworkGraph, FailProneSystem)> {
-    crate::par::map(count, |i| {
-        let mut rng = trial_rng(seed, i);
-        let g = random_digraph(n, p_edge, &mut rng);
-        let fp = random_fail_prone(&g, patterns, max_crashes, p_chan, &mut rng);
-        (g, fp)
-    })
+    (0..count)
+        .map(|i| {
+            let mut rng = trial_rng(seed, i);
+            let g = random_digraph(n, p_edge, &mut rng);
+            let fp = random_fail_prone(&g, patterns, max_crashes, p_chan, &mut rng);
+            (g, fp)
+        })
+        .collect()
 }
 
 /// A random fail-prone system of `patterns` patterns over `graph`.
@@ -318,6 +320,22 @@ mod tests {
         assert_eq!(empty.channels().count(), 0);
         let full = random_digraph(5, 1.0, &mut rng);
         assert_eq!(full.channels().count(), 20);
+    }
+
+    #[test]
+    fn random_pattern_caps_crashes_at_n() {
+        // Regression: a crash budget above n used to spin forever drawing
+        // distinct pids that do not exist.
+        for n in 1..=8 {
+            let g = NetworkGraph::complete(n);
+            for max_crashes in 0..=3 * n {
+                let mut rng = trial_rng(7, n * 100 + max_crashes);
+                for _ in 0..20 {
+                    let f = random_pattern(&g, max_crashes, 0.5, &mut rng);
+                    assert!(f.faulty().len() <= max_crashes.min(n), "n={n} max={max_crashes}");
+                }
+            }
+        }
     }
 
     #[test]

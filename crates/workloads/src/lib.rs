@@ -7,8 +7,6 @@
 //! * [`convert`] — simulator histories → checker inputs;
 //! * [`experiments`] — one driver per experiment of the `tables` binary
 //!   (E1–E12), each returning a printable [`ExperimentReport`];
-//! * [`par`] — the `GQS_THREADS` worker count and a deterministic
-//!   parallel index map for batched generation;
 //! * [`sweep`] — the streaming sweep engine: sharded scenario grids,
 //!   constant-memory incremental aggregation, scenario families;
 //! * [`table`] — the plain-text tables the `tables` binary prints.
@@ -48,7 +46,6 @@
 pub mod convert;
 pub mod experiments;
 pub mod generators;
-pub mod par;
 pub mod sweep;
 pub mod table;
 

@@ -72,7 +72,7 @@ use std::thread;
 use gqs_consensus::{majority_consensus_nodes, ConsensusNode, ProposalMode};
 use gqs_core::finder::{find_gqs, qs_plus_exists};
 use gqs_core::{majority_system, FailProneSystem, FailurePattern, NetworkGraph, ProcessId};
-use gqs_faults::{scenarios, RegionLayout};
+use gqs_faults::scenarios;
 use gqs_registers::{
     abd_register_nodes, reliable_abd_register_nodes, sampled_abd_nodes, AbdRegister, RegOp, ScaleOp,
 };
@@ -86,7 +86,6 @@ use crate::generators::{
     adversarial_fail_prone, grid_graph_n, oriented_ring, random_digraph, random_fail_prone, ring,
     rotating_fail_prone, star, trial_rng, two_cliques_bridge,
 };
-use crate::par;
 
 // ---------------------------------------------------------------------------
 // Quantile sketch
@@ -358,8 +357,8 @@ pub struct SweepSpec<'a, C> {
 /// Tuning knobs for [`run`].
 #[derive(Clone, Debug, Default)]
 pub struct SweepOptions {
-    /// Worker threads; `None` resolves [`par::thread_count`]
-    /// (`GQS_THREADS` or `min(cores, 8)`).
+    /// Worker threads; `None` resolves `GQS_THREADS`, or `min(cores, 8)`
+    /// when it is unset or not a positive integer.
     pub threads: Option<usize>,
     /// Trials per shard; `None` means 64. Smaller shards smooth load
     /// balancing, larger shards amortize channel traffic.
@@ -603,7 +602,21 @@ where
 fn resolve_threads(opts: &SweepOptions) -> usize {
     match opts.threads {
         Some(t) if t >= 1 => t,
-        _ => par::thread_count(),
+        _ => threads_from(std::env::var("GQS_THREADS").ok().as_deref()),
+    }
+}
+
+/// Resolves the worker-thread count from an optional `GQS_THREADS` value.
+///
+/// Only a positive integer (surrounding whitespace tolerated) overrides
+/// the default `min(available_parallelism, 8)`; `0`, the empty string,
+/// and garbage all mean "use the default" — an unset-but-exported
+/// variable or a typo must not silently serialize (or otherwise distort)
+/// every sweep.
+fn threads_from(var: Option<&str>) -> usize {
+    match var.map(str::trim).and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8),
     }
 }
 
@@ -673,7 +686,7 @@ impl TopologyFamily {
             TopologyFamily::Star => star(n),
             TopologyFamily::Grid => grid_graph_n(n, (n as f64).sqrt().ceil() as usize),
             TopologyFamily::TwoCliquesBridge => two_cliques_bridge(n),
-            TopologyFamily::Regions { .. } => gqs_faults::wan_graph(&self.region_layout(n)),
+            TopologyFamily::Regions { .. } => gqs_faults::wan_graph(self.region_spec(n)),
             TopologyFamily::Random => random_digraph(n, density, rng),
         }
     }
@@ -682,19 +695,14 @@ impl TopologyFamily {
     /// regions for [`TopologyFamily::Regions`], the two cliques for
     /// [`TopologyFamily::TwoCliquesBridge`], and an even two-way split for
     /// every other family (so region schedules remain meaningful — they
-    /// cut the channels crossing the split).
-    pub fn region_layout(self, n: usize) -> RegionLayout {
-        RegionLayout::even(n, self.region_count(n))
-    }
-
-    /// Number of regions in [`TopologyFamily::region_layout`]'s
-    /// partition.
-    pub fn region_count(self, n: usize) -> usize {
+    /// cut the channels crossing the split). A region count above `n`
+    /// clamps to one process per region.
+    pub fn region_spec(self, n: usize) -> RegionSpec {
         let r = match self {
             TopologyFamily::Regions { regions } => regions,
             _ => 2,
         };
-        r.clamp(1, n.max(1))
+        RegionSpec::even(n, r.clamp(1, n.max(1)))
     }
 
     /// The family's **implicit** [`Topology`] — adjacency answered
@@ -704,8 +712,8 @@ impl TopologyFamily {
     ///
     /// For the supported families the implicit topology connects exactly
     /// the channels [`TopologyFamily::build`] would create (grid columns
-    /// are the same `⌈√n⌉`; regions use the same even
-    /// [`RegionLayout`] partition), which is what lets the scale mode
+    /// are the same `⌈√n⌉`; regions use the same
+    /// [`TopologyFamily::region_spec`]), which is what lets the scale mode
     /// reuse this enum while running at sizes where `build` is
     /// unaffordable.
     pub fn implicit(self, n: usize) -> Option<Topology> {
@@ -715,9 +723,7 @@ impl TopologyFamily {
             TopologyFamily::Grid => {
                 Some(Topology::Grid { n, cols: ((n as f64).sqrt().ceil() as usize).max(1) })
             }
-            TopologyFamily::Regions { regions } => {
-                Some(Topology::Regions { n, regions: regions.clamp(1, n.max(1)) })
-            }
+            TopologyFamily::Regions { .. } => Some(Topology::Regions(self.region_spec(n))),
             _ => None,
         }
     }
@@ -807,7 +813,7 @@ pub enum ScheduleFamily {
     /// behaviour; operations are invoked at `f0`-correct processes).
     Static,
     /// [`scenarios::staggered_region_outages`] over
-    /// [`TopologyFamily::region_layout`]: each region's inter-region cut
+    /// [`TopologyFamily::region_spec`]: each region's inter-region cut
     /// goes down for a window, staggered region by region.
     RegionOutage,
     /// [`scenarios::flapping_link`] on region 0's inter-region cut — the
@@ -885,12 +891,12 @@ impl ScheduleFamily {
         for ch in pattern.channels() {
             s.disconnect(ch, SimTime::ZERO);
         }
-        let layout = family.region_layout(n);
+        let spec = family.region_spec(n);
         match self {
             ScheduleFamily::Static => unreachable!("handled above"),
             ScheduleFamily::RegionOutage => {
                 s.merge(scenarios::staggered_region_outages(
-                    &layout,
+                    spec,
                     g,
                     SimTime(t.start),
                     t.window,
@@ -899,7 +905,7 @@ impl ScheduleFamily {
             }
             ScheduleFamily::FlappingLink => {
                 s.merge(scenarios::flapping_link(
-                    &layout.cut(g, 0),
+                    &spec.cut(g, 0),
                     SimTime(t.start),
                     t.flap.0,
                     t.flap.1,
@@ -957,7 +963,7 @@ impl FromStr for ScheduleFamily {
 /// under heavy-tailed jitter; only the *pre-GST* delay distribution
 /// changes. Channel classes (intra-region vs gateway) come from the same
 /// region partition the cell's fault schedules act on
-/// ([`TopologyFamily::region_layout`]): the family's own regions for
+/// ([`TopologyFamily::region_spec`]): the family's own regions for
 /// `regions`, the two cliques for `two-cliques-bridge`, an even two-way
 /// split for every other family.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
@@ -1087,9 +1093,9 @@ pub struct ScenarioCell {
 impl ScenarioCell {
     /// The region partition channel classes are derived from — the same
     /// partition the cell's fault schedules act on
-    /// ([`TopologyFamily::region_layout`]).
+    /// ([`TopologyFamily::region_spec`]).
     pub fn region_spec(&self) -> RegionSpec {
-        RegionSpec { n: self.n, regions: self.family.region_count(self.n) }
+        self.family.region_spec(self.n)
     }
 }
 
@@ -2772,13 +2778,18 @@ mod tests {
 
     #[test]
     fn implicit_topologies_agree_with_materialized_generators() {
-        // Satellite of the scale core: for every family with an implicit
-        // form, `Topology::connects` must answer exactly like the
-        // materialized generator graph, channel for channel. (Regions are
-        // cross-checked against `gqs_faults::wan_graph` in that crate's
-        // tests; here the generator-backed families.)
+        // For every family with an implicit form, `Topology::connects`
+        // must answer exactly like the materialized graph, channel for
+        // channel. 40 regions outnumber the processes at every n here, so
+        // the last family exercises the clamp.
         let mut rng = SplitMix64::new(0);
-        for family in [TopologyFamily::Complete, TopologyFamily::Ring, TopologyFamily::Grid] {
+        for family in [
+            TopologyFamily::Complete,
+            TopologyFamily::Ring,
+            TopologyFamily::Grid,
+            TopologyFamily::Regions { regions: 3 },
+            TopologyFamily::Regions { regions: 40 },
+        ] {
             for n in [1usize, 2, 3, 4, 5, 7, 9, 12, 16, 17, 25, 33] {
                 let implicit = family.implicit(n).unwrap();
                 let graph = family.build(n, 1.0, &mut rng);
@@ -2890,6 +2901,20 @@ mod tests {
     }
 
     #[test]
+    fn threads_from_rejects_zero_empty_and_garbage() {
+        let default = threads_from(None);
+        assert!(default >= 1, "default thread count is at least one");
+        // Explicit positive values win, with surrounding whitespace.
+        assert_eq!(threads_from(Some("1")), 1);
+        assert_eq!(threads_from(Some("12")), 12);
+        assert_eq!(threads_from(Some(" 3\n")), 3);
+        // 0, empty, and garbage all fall back to the default.
+        for bad in ["0", "", "  ", "-2", "four", "2x", "1.5", "0x4"] {
+            assert_eq!(threads_from(Some(bad)), default, "GQS_THREADS={bad:?}");
+        }
+    }
+
+    #[test]
     fn regions_family_builds_the_wan_shape() {
         let mut rng = SplitMix64::new(1);
         let fam = TopologyFamily::Regions { regions: 3 };
@@ -2899,14 +2924,14 @@ mod tests {
         assert_eq!(g.channels().count(), 3 * 6 + 6);
         assert_eq!(fam.name(), "regions");
         assert_eq!("regions".parse::<TopologyFamily>().unwrap(), fam);
-        // Region layouts fall back to a two-way split elsewhere.
-        assert_eq!(TopologyFamily::Ring.region_layout(6).regions(), 2);
-        assert_eq!(fam.region_layout(9).regions(), 3);
+        // Region partitions fall back to a two-way split elsewhere.
+        assert_eq!(TopologyFamily::Ring.region_spec(6).regions(), 2);
+        assert_eq!(fam.region_spec(9).regions(), 3);
     }
 
     #[test]
     fn dynamic_schedules_change_latency_outcomes() {
-        // Complete graph, n = 8: the fallback layout splits 4/4, so during
+        // Complete graph, n = 8: the fallback partition splits 4/4, so during
         // the outage *neither* side holds a majority of 5 and every op
         // invoked inside the window is lost (the ABD engine does not
         // retransmit). Statically the same scenario completes everything.

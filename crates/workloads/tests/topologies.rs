@@ -160,17 +160,18 @@ fn finder_matches_reference_on_structured_topologies() {
 /// region's whole boundary severs exactly that region.
 #[test]
 fn regions_family_properties() {
-    use gqs_faults::{wan_graph, RegionLayout};
+    use gqs_faults::wan_graph;
+    use gqs_simnet::RegionSpec;
     for (n, r) in [(6usize, 2usize), (9, 3), (12, 3), (10, 4), (16, 4)] {
-        let layout = RegionLayout::even(n, r);
-        let g = wan_graph(&layout);
+        let spec = RegionSpec::even(n, r);
+        let g = wan_graph(spec);
         assert_eq!(g.len(), n);
         assert!(
             g.residual_failure_free().is_strongly_connected(full(n)),
             "healthy WAN n={n} r={r} must be strongly connected"
         );
         for region in 0..r {
-            let cut = layout.cut(&g, region);
+            let cut = spec.cut(&g, region);
             // Ring of gateways: each region touches exactly two bridge
             // pairs (one for r = 2, where both neighbours coincide).
             let expected = if r == 2 { 2 } else { 4 };
@@ -179,7 +180,7 @@ fn regions_family_properties() {
             let pattern =
                 gqs_core::FailurePattern::new(n, ProcessSet::new(), cut).expect("well-formed");
             let residual = g.residual(&pattern);
-            let members = layout.members(region);
+            let members: ProcessSet = spec.members(region).collect();
             for inside in members.iter() {
                 let reach = residual.reach_from(inside);
                 assert_eq!(reach & members, reach, "region {region} must be an island");

@@ -34,7 +34,7 @@ const CDELTA: f64 = (C * DELTA) as f64;
 const CUT_AT: u64 = 100;
 
 fn main() {
-    let (graph, layout) = regions::regions(3, 4);
+    let (graph, spec) = regions::regions(3, 4);
     let n = graph.len();
     println!(
         "== fork replay: 3-region WAN (n = {n}), regions 1+2 dark from t = {CUT_AT} ==\n\
@@ -53,7 +53,7 @@ fn main() {
 
     // The warmup's fault schedule: both cuts go down, nothing heals yet —
     // each branch supplies its own heal times after the fork.
-    let cuts: [Vec<_>; 2] = [layout.cut(&graph, 1), layout.cut(&graph, 2)];
+    let cuts: [Vec<_>; 2] = [spec.cut(&graph, 1), spec.cut(&graph, 2)];
     let mut outage = FailureSchedule::none();
     for cut in &cuts {
         for &ch in cut {

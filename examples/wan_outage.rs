@@ -36,10 +36,11 @@
 //! <https://ui.perfetto.dev> (simulator ticks display as microseconds).
 
 use gqs::core::{majority_system, NetworkGraph, ProcessId};
-use gqs::faults::{regions, scenarios, RegionLayout};
+use gqs::faults::{regions, scenarios};
 use gqs::registers::{abd_register_nodes, reliable_abd_register_nodes, AbdRegister, RegOp};
 use gqs::simnet::{
-    ChromeSink, Flood, SharedSink, SimConfig, SimTime, Simulation, StopReason, Topology, TraceSink,
+    ChromeSink, Flood, RegionSpec, SharedSink, SimConfig, SimTime, Simulation, StopReason,
+    Topology, TraceSink,
 };
 use gqs::workloads::Table;
 
@@ -56,7 +57,7 @@ type Cells = [[(usize, usize, u64); 3]; 3];
 /// Runs the outage over `nodes` and tallies every operation.
 fn run(
     graph: &NetworkGraph,
-    layout: &RegionLayout,
+    spec: RegionSpec,
     nodes: Vec<AbdRegister<u8, u64>>,
     loss: f64,
     sink: Option<Box<dyn TraceSink>>,
@@ -68,14 +69,14 @@ fn run(
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(cfg, nodes.into_iter().map(Flood::new).collect());
-    sim.apply_failures(&scenarios::region_outage(layout, graph, 1, OUTAGE.0, OUTAGE.1));
+    sim.apply_failures(&scenarios::region_outage(spec, graph, 1, OUTAGE.0, OUTAGE.1));
     if let Some(sink) = sink {
         sim.set_trace(sink);
     }
     let mut ops = Vec::new(); // ((phase, region), op id)
     for (phase, &(_, at)) in PHASES.iter().enumerate() {
         for p in 0..graph.len() {
-            let (cell, t) = ((phase, layout.region_of(ProcessId(p))), at + p as u64 * 20);
+            let (cell, t) = ((phase, spec.region_of(ProcessId(p))), at + p as u64 * 20);
             let write = RegOp::Write { reg: 0, value: p as u64 };
             ops.push((cell, sim.invoke_at(SimTime(t), ProcessId(p), write)));
             ops.push((cell, sim.invoke_at(SimTime(t + 10), ProcessId(p), RegOp::Read { reg: 0 })));
@@ -112,14 +113,14 @@ fn table(cells: &Cells) -> Table {
 }
 
 fn main() {
-    let (graph, layout) = regions::regions(3, 3);
+    let (graph, spec) = regions::regions(3, 3);
     let n = graph.len();
     let qs = majority_system(n).expect("majority quorums");
     println!("== 3-region WAN (n = {n}), region 1 dark during [{}, {}) ==\n", OUTAGE.0, OUTAGE.1);
 
     println!("-- plain ABD: each quorum phase is broadcast once --\n");
     let plain = abd_register_nodes::<u8, u64>(n, qs.reads().clone(), qs.writes().clone(), 0);
-    let (sim, _, cells) = run(&graph, &layout, plain, 0.0, None);
+    let (sim, _, cells) = run(&graph, spec, plain, 0.0, None);
     println!("{}", table(&cells));
     println!(
         "Region 1 is a healthy island during the outage, but it cannot reach a \n\
@@ -139,7 +140,7 @@ fn main() {
         RETRY,
     );
     let sink = SharedSink::new(ChromeSink::new());
-    let (sim, reason, cells) = run(&graph, &layout, retrying, LOSS, Some(Box::new(sink.clone())));
+    let (sim, reason, cells) = run(&graph, spec, retrying, LOSS, Some(Box::new(sink.clone())));
     println!("{}", table(&cells));
     let s = sim.stats();
     println!(
