@@ -56,6 +56,21 @@ pub fn regions(r: usize, k: usize) -> (NetworkGraph, RegionSpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gqs_core::ProcessId;
+
+    #[test]
+    fn even_layout_distributes_remainders_first() {
+        let l = RegionSpec::even(10, 3);
+        assert_eq!(l.regions(), 3);
+        assert_eq!(l.members(0).count(), 4);
+        assert_eq!(l.members(1).count(), 3);
+        assert_eq!(l.members(2).count(), 3);
+        assert_eq!(l.region_of(ProcessId(0)), 0);
+        assert_eq!(l.region_of(ProcessId(3)), 0);
+        assert_eq!(l.region_of(ProcessId(4)), 1);
+        assert_eq!(l.region_of(ProcessId(9)), 2);
+        assert_eq!(l.gateway(1), ProcessId(4));
+    }
 
     #[test]
     fn wan_graph_is_cliques_plus_gateway_ring() {
