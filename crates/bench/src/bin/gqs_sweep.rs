@@ -83,7 +83,6 @@ runs implicit topologies up to n <= 4194304 (gqs_simnet::MAX_SIM_PROCESSES).
     --trials <N>         trials per cell                      [default: 100]
     --seed <S>           base seed                            [default: 42]
     --threads <T>        worker threads          [default: GQS_THREADS or auto]
-    --shard <K>          trials per shard                     [default: 64]
 
 BRANCHING (simulated modes latency|consensus|availability only; both
 flags required together — every trial runs one warmup to the branch
@@ -140,7 +139,8 @@ lat_max, msgs_per_op (latency); decided, views, decide_lat,
 lat_over_cdelta, msgs_per_op (consensus); completed, stalled,
 time_to_heal, retransmits_per_op (availability); or reached, spread,
 msgs_per_proc, abd_completed, abd_msgs_per_proc (scale) — all
-deterministic, so output is byte-identical across runs and thread counts.
+deterministic, and every aggregate merges exactly, so the same grid and
+seed give the same bytes for any thread count.
 ";
 
 struct Args {
@@ -159,7 +159,6 @@ struct Args {
     trials: usize,
     seed: u64,
     threads: Option<usize>,
-    shard: Option<usize>,
     exec: Exec,
     trace_out: Option<String>,
     trace_cell: Option<usize>,
@@ -186,7 +185,6 @@ fn parse_args() -> Result<Args, String> {
         trials: 100,
         seed: 42,
         threads: None,
-        shard: None,
         exec: Exec::Straight,
         trace_out: None,
         trace_cell: None,
@@ -237,9 +235,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--threads" => {
                 args.threads = Some(value()?.parse().map_err(|e| format!("bad threads: {e}"))?)
-            }
-            "--shard" => {
-                args.shard = Some(value()?.parse().map_err(|e| format!("bad shard: {e}"))?)
             }
             "--branch-at" => {
                 branch_at = Some(value()?.parse().map_err(|e| format!("bad branch-at: {e}"))?)
@@ -471,11 +466,7 @@ fn main() {
         }
     }
     let stall_log: StallLog = StallLog::default();
-    let opts = SweepOptions {
-        threads: args.threads,
-        shard: args.shard,
-        stall_log: Some(stall_log.clone()),
-    };
+    let opts = SweepOptions { threads: args.threads, stall_log: Some(stall_log.clone()) };
     let start = Instant::now();
     let report = grid.run_mode(args.mode, &args.exec, &opts);
     let elapsed = start.elapsed();

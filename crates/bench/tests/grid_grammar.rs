@@ -67,6 +67,8 @@ fn garbage_values_are_clear_errors() {
     assert_clean_error(&["--n", "4,,8"], "bad integer");
     assert_clean_error(&["--p-chan", "0.1,zebra"], "bad number");
     assert_clean_error(&["--n", "4.5..8"], "non-integer");
+    // The shard size is the engine's own choice, not a knob.
+    assert_clean_error(&["--shard", "7"], "unknown flag");
 }
 
 #[test]

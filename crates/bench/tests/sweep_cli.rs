@@ -1,12 +1,15 @@
 //! Golden tests for the `gqs_sweep` binary: every file under
 //! `crates/bench/golden/` must be reproduced byte for byte by the
 //! invocation recorded in [`GOLDENS`], for any thread count — the
-//! CLI-level face of the sweep engine's determinism contract. The rest
-//! of the file checks output shapes and flag validation.
+//! CLI-level face of the sweep engine's determinism contract. The engine
+//! sizes shards from the thread count (at `--trials 4`, 1 thread folds one
+//! shard of 4 and 8 threads four shards of 1), so each check also compares
+//! shard layouts and merge orders. The rest of the file checks output
+//! shapes and flag validation.
 //!
 //! Portability note: the quantile sketch's bucket boundaries go through
 //! `f64::ln`/`powi`, whose last-ulp rounding is libm-specific. The
-//! determinism promise (same bytes for any thread count / shard size) is
+//! determinism promise (same bytes for any thread count) is
 //! per-platform; on a toolchain whose libm rounds differently, regenerate
 //! the golden files once rather than chasing the final digits.
 

@@ -919,8 +919,7 @@ pub fn e12_separation() -> ExperimentReport {
         seed: 0,
         metrics: &["terminates", "safe"],
     };
-    let opts = SweepOptions { shard: Some(1), ..Default::default() };
-    let report = sweep::run(&spec, &opts, |&probe, _, _rng| {
+    let report = sweep::run(&spec, &SweepOptions::default(), |&probe, _, _rng| {
         let (terminates, safe) = match probe {
             0 => {
                 let sim = register_workload(&fig.gqs, Topology::Complete, f1, 1);

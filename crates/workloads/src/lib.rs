@@ -8,7 +8,7 @@
 //! * [`experiments`] — one driver per experiment of the `tables` binary
 //!   (E1–E12), each returning a printable [`ExperimentReport`];
 //! * [`sweep`] — the streaming sweep engine: sharded scenario grids,
-//!   constant-memory incremental aggregation, scenario families;
+//!   constant-memory, exactly mergeable aggregation, scenario families;
 //! * [`table`] — the plain-text tables the `tables` binary prints.
 //!
 //! [`experiments::EXPERIMENTS`] lists each experiment's id and driver.
@@ -18,12 +18,12 @@
 //! ## Sweeps
 //!
 //! Large scenario grids run through [`sweep::run`]: workers claim
-//! fixed-size shards of a lazily generated grid, fold trials into
-//! constant-size partial aggregates (count/mean/min/max + quantile
-//! sketch) and stream them to an in-order merger, so peak memory is
-//! independent of the trial count and aggregates are bit-identical for
-//! any thread count (see the [`sweep`] module docs for the full
-//! determinism contract).
+//! shards of a lazily generated grid, fold trials into constant-size
+//! partial aggregates (exact sum, min/max, quantile sketch) and merge
+//! them into their cell, so peak memory is independent of the trial
+//! count. Every aggregate merges exactly, so a report depends only on the
+//! grid and seed, never on the thread count (see the [`sweep`] module
+//! docs for the full determinism contract).
 //!
 //! A scenario grid ([`sweep::ScenarioGrid`]) runs under two orthogonal
 //! choices. A [`sweep::Mode`] says *what* one trial measures: the

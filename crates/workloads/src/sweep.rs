@@ -7,36 +7,34 @@
 //! The experiment drivers historically materialized a whole batch of
 //! trial results and reduced it afterwards, so peak memory grew linearly
 //! with the trial count. This module inverts that: the grid is generated
-//! lazily, workers claim **shards** (fixed-size runs of trials within one
-//! grid cell) from a shared counter, fold each trial into a small
-//! per-shard partial aggregate the moment it finishes, and stream the
-//! partial through a channel to the merger. Nobody ever holds more than
+//! lazily, workers claim **shards** (runs of trials within one grid cell)
+//! from a shared counter, fold each trial into a small per-shard partial
+//! aggregate the moment it finishes, and merge the partial into its
+//! cell's aggregate under that cell's lock. Nobody ever holds more than
 //! one shard of state:
 //!
 //! ```text
 //! shard queue (atomic counter)
-//!     │ claim              ┌────────────┐ (shard, partial)   ┌────────┐
-//!     ├───────────────────▶│ worker 0   │───────────────────▶│ merger │
-//!     ├───────────────────▶│ worker ... │───────────────────▶│ (in-   │
-//!     └───────────────────▶│ worker T-1 │───────────────────▶│ order) │
-//!                          └────────────┘      mpsc          └────────┘
+//!     │ claim              ┌────────────┐ merge partial  ┌──────────────┐
+//!     ├───────────────────▶│ worker 0   │───────────────▶│ cell 0 agg   │
+//!     ├───────────────────▶│ worker ... │───────────────▶│ ...          │
+//!     └───────────────────▶│ worker T-1 │───────────────▶│ cell C-1 agg │
+//!                          └────────────┘  (cell lock)   └──────────────┘
 //! ```
 //!
 //! # Determinism contract
 //!
-//! Aggregates are **bit-identical** for any worker count (including
-//! `GQS_THREADS=1`), because every source of order-sensitivity is pinned:
+//! A report depends only on the grid and the seed — not on the worker
+//! count (including `GQS_THREADS=1`), the shard layout the engine picks
+//! for it, or the order in which shards finish:
 //!
 //! * trial `t` of cell `c` always draws from
 //!   [`trial_rng`]`(seed, c * trials + t)` — seeding never depends on
 //!   which worker runs the trial;
-//! * a shard's partial aggregate folds its trials in index order on one
-//!   worker;
-//! * the merger buffers out-of-order partials and merges each cell's
-//!   shards strictly in shard order, so the floating-point sums reassociate
-//!   identically no matter the arrival order;
-//! * the quantile sketch is integer bucket counts — merge order cannot
-//!   perturb it at all.
+//! * every part of a [`MetricAgg`] merges exactly: the sum is an exact
+//!   floating-point expansion read out correctly rounded, min and max are
+//!   exact, and the quantile sketch is integer bucket counts. So merges
+//!   commute and associate, and no merge order needs pinning.
 //!
 //! # The scenario grid
 //!
@@ -62,11 +60,10 @@
 //! ([`replay_trial_trace`]) is the same draw with a sink attached. So a
 //! new simulated mode is one `impl`, and it gets every strategy.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 use gqs_consensus::{majority_consensus_nodes, ConsensusNode, ProposalMode};
@@ -137,7 +134,8 @@ impl QuantileSketch {
     }
 
     fn bucket(v: f64) -> usize {
-        let idx = (v.ln() / gamma().ln()).ceil() as i32 + SKETCH_OFFSET;
+        // Saturating, so that ±∞ lands in the edge bucket.
+        let idx = ((v.ln() / gamma().ln()).ceil() as i32).saturating_add(SKETCH_OFFSET);
         idx.clamp(0, SKETCH_BUCKETS as i32 - 1) as usize
     }
 
@@ -238,12 +236,24 @@ impl fmt::Debug for QuantileSketch {
 // Incremental aggregator
 // ---------------------------------------------------------------------------
 
-/// Constant-memory running aggregate of one metric: count, sum (for the
-/// mean), exact min/max, and a [`QuantileSketch`].
-#[derive(Clone, Debug, PartialEq)]
+/// Constant-memory running aggregate of one metric: an exact sum (for the
+/// mean), exact min/max, and a [`QuantileSketch`] (which also counts the
+/// observations).
+///
+/// The sum is kept exactly, as Shewchuk's non-overlapping partials
+/// (*Adaptive Precision Floating-Point Arithmetic*, 1997) — the scheme of
+/// Python's `math.fsum` — and read out correctly rounded. So every part of
+/// the aggregate is order-free: [`merge`](Self::merge) commutes and
+/// associates, and the sweep engine may fold shards in any layout and
+/// any order without changing a bit of the report.
+#[derive(Clone, Debug)]
 pub struct MetricAgg {
-    count: u64,
-    sum: f64,
+    /// Non-overlapping finite partials, increasing in magnitude, summing
+    /// exactly to the finite observations' total.
+    partials: Vec<f64>,
+    /// Sum of the non-finite observations (±∞; the sketch rejects NaN),
+    /// kept apart as `fsum` does so that an infinite metric still reads ∞.
+    special: f64,
     min: f64,
     max: f64,
     sketch: QuantileSketch,
@@ -253,8 +263,8 @@ impl MetricAgg {
     /// An empty aggregate.
     pub fn new() -> Self {
         MetricAgg {
-            count: 0,
-            sum: 0.0,
+            partials: Vec::new(),
+            special: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             sketch: QuantileSketch::new(),
@@ -263,20 +273,52 @@ impl MetricAgg {
 
     /// Folds one observation in.
     pub fn observe(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
+        self.sketch.observe(v);
+        self.add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.sketch.observe(v);
     }
 
-    /// Merges `other` into `self`.
-    ///
-    /// Count/min/max/sketch are order-insensitive; the floating-point
-    /// `sum` is not, which is why the engine merges shards in index order.
+    /// Adds `v` to the exact sum: two-sum it through the partials from the
+    /// smallest up, keeping every non-zero rounding error as a partial.
+    fn add(&mut self, v: f64) {
+        if !v.is_finite() {
+            self.special += v;
+            return;
+        }
+        let mut x = v;
+        let mut i = 0;
+        for j in 0..self.partials.len() {
+            let mut y = self.partials[j];
+            if x.abs() < y.abs() {
+                std::mem::swap(&mut x, &mut y);
+            }
+            let hi = x + y;
+            let lo = y - (hi - x);
+            if lo != 0.0 {
+                self.partials[i] = lo;
+                i += 1;
+            }
+            x = hi;
+        }
+        self.partials.truncate(i);
+        if !x.is_finite() {
+            // The running total left the f64 range: it reads ±∞, as a
+            // naive sum would (`fsum` raises here).
+            self.partials.clear();
+            self.special += x;
+        } else if x != 0.0 {
+            self.partials.push(x);
+        }
+    }
+
+    /// Merges `other` into `self`. Every part is order-insensitive, so
+    /// merges commute and associate exactly.
     pub fn merge(&mut self, other: &MetricAgg) {
-        self.count += other.count;
-        self.sum += other.sum;
+        for &p in &other.partials {
+            self.add(p);
+        }
+        self.special += other.special;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sketch.merge(&other.sketch);
@@ -284,26 +326,51 @@ impl MetricAgg {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.sketch.count()
     }
 
-    /// Sum of observations.
+    /// Sum of observations, correctly rounded from the exact value.
     pub fn sum(&self) -> f64 {
-        self.sum
+        if self.special != 0.0 {
+            return self.special;
+        }
+        // `fsum`'s read-out: add partials from the top until the sum
+        // turns inexact, then repair a half-way case that the remaining
+        // partials push past the tie (round-half-even across partials).
+        let mut rest = self.partials.iter().rev().copied();
+        let Some(mut hi) = rest.next() else { return 0.0 };
+        let mut lo = 0.0;
+        for y in rest.by_ref() {
+            let x = hi;
+            hi = x + y;
+            lo = y - (hi - x);
+            if lo != 0.0 {
+                break;
+            }
+        }
+        if let Some(below) = rest.next() {
+            if (lo < 0.0 && below < 0.0) || (lo > 0.0 && below > 0.0) {
+                let y = lo * 2.0;
+                let x = hi + y;
+                if y == x - hi {
+                    hi = x;
+                }
+            }
+        }
+        hi
     }
 
     /// Arithmetic mean; `0.0` when empty (matching `table::stats::mean`).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            n => self.sum() / n as f64,
         }
     }
 
     /// Exact minimum; `0.0` when empty.
     pub fn min(&self) -> f64 {
-        if self.count == 0 {
+        if self.count() == 0 {
             0.0
         } else {
             self.min
@@ -312,7 +379,7 @@ impl MetricAgg {
 
     /// Exact maximum; `0.0` when empty.
     pub fn max(&self) -> f64 {
-        if self.count == 0 {
+        if self.count() == 0 {
             0.0
         } else {
             self.max
@@ -322,7 +389,7 @@ impl MetricAgg {
     /// Estimated `q`-quantile (see [`QuantileSketch::quantile`]), clamped
     /// into the exact `[min, max]` envelope.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
+        if self.count() == 0 {
             return 0.0;
         }
         self.sketch.quantile(q).clamp(self.min, self.max)
@@ -332,6 +399,17 @@ impl MetricAgg {
 impl Default for MetricAgg {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Compares values, not representations: two expansions of one exact sum
+/// may hold different partials.
+impl PartialEq for MetricAgg {
+    fn eq(&self, other: &Self) -> bool {
+        self.sum().to_bits() == other.sum().to_bits()
+            && self.min == other.min
+            && self.max == other.max
+            && self.sketch == other.sketch
     }
 }
 
@@ -360,15 +438,12 @@ pub struct SweepOptions {
     /// Worker threads; `None` resolves `GQS_THREADS`, or `min(cores, 8)`
     /// when it is unset or not a positive integer.
     pub threads: Option<usize>,
-    /// Trials per shard; `None` means 64. Smaller shards smooth load
-    /// balancing, larger shards amortize channel traffic.
-    pub shard: Option<usize>,
     /// When set, simulated-mode runners append a [`Stall`] for every
     /// trial that hits its event cap ([`StopReason::EventCap`]), so the
     /// CLI can name the first stalled `(cell, trial)` and point at the
     /// trace replay flags. Push order is worker-schedule-dependent —
     /// sort before rendering. The log never feeds back into the
-    /// aggregates, so the determinism contract is untouched.
+    /// aggregates, so reports stay a function of the grid and seed.
     pub stall_log: Option<StallLog>,
 }
 
@@ -468,20 +543,17 @@ impl SweepReport {
     }
 }
 
-/// Runs a sweep: shards every cell's trials across the worker pool,
-/// streams per-shard partial aggregates through a channel, and merges
-/// them in deterministic order.
+/// Runs a sweep: shards every cell's trials across the worker pool and
+/// merges each finished shard's partial aggregates into its cell.
 ///
 /// `trial(cell, t, rng)` must return one `f64` per metric and derive all
 /// randomness from the provided per-trial RNG (or from `t` itself); under
-/// that contract the report is bit-identical for every thread count.
+/// that contract the report depends only on the spec — every aggregate
+/// merges exactly, so neither the thread count nor the shard layout it
+/// implies can change a bit.
 ///
 /// Peak memory is independent of the trial count: each worker holds one
-/// shard's constant-size partial, and the merger holds one aggregate per
-/// cell plus a bounded buffer of out-of-order shards — a worker that runs
-/// more than a fixed window of shards ahead of the merge frontier parks
-/// (yielding) until the frontier catches up, so even a pathologically
-/// slow shard cannot make the buffer grow with the trial count.
+/// shard's constant-size partial, and the report one aggregate per cell.
 ///
 /// # Panics
 ///
@@ -496,11 +568,11 @@ where
 
 /// The row-streaming generalization of [`run`]: each trial may observe
 /// **several** metric rows (e.g. one per branched continuation in a
-/// fork-replay sweep). Rows are folded in `(trial, row)` order inside
-/// each shard and shards merge in shard order, so the aggregates keep
-/// the bit-identical-for-any-thread-count contract of [`run`].
-/// `CellAggregates::trials` still counts *trials* (not rows); each
-/// metric's `count` reflects the observed rows.
+/// fork-replay sweep). `CellAggregates::trials` still counts *trials*
+/// (not rows); each metric's `count` reflects the observed rows.
+///
+/// Shards are at most 64 trials, and small enough that every worker gets
+/// one even on a one-cell grid; the size only balances load.
 ///
 /// # Panics
 ///
@@ -511,58 +583,31 @@ where
     F: Fn(&C, usize, &mut SplitMix64) -> Vec<Vec<f64>> + Sync,
 {
     let n_metrics = spec.metrics.len();
-    let n_cells = spec.cells.len();
-    let shard = opts.shard.unwrap_or(64).max(1);
+    let threads = resolve_threads(opts);
+    let shard = spec.trials.div_ceil(threads).clamp(1, 64);
     let shards_per_cell = spec.trials.div_ceil(shard);
-    let total_shards = n_cells * shards_per_cell;
-    let mut cells: Vec<CellAggregates> = (0..n_cells)
-        .map(|_| CellAggregates {
-            trials: spec.trials as u64,
-            aggs: vec![MetricAgg::new(); n_metrics],
-        })
-        .collect();
+    let total_shards = spec.cells.len() * shards_per_cell;
+    let empty =
+        CellAggregates { trials: spec.trials as u64, aggs: vec![MetricAgg::new(); n_metrics] };
+    let cells: Vec<Mutex<CellAggregates>> =
+        spec.cells.iter().map(|_| Mutex::new(empty.clone())).collect();
     if total_shards > 0 {
-        let workers = resolve_threads(opts).min(total_shards).max(1);
         let next = AtomicUsize::new(0);
-        // Shards folded by the merger so far; the backpressure frontier.
-        let folded = AtomicUsize::new(0);
-        // How far past the merge frontier a worker may run. The shard
-        // holding the frontier itself always satisfies the check (every
-        // smaller index is already folded), so progress is guaranteed and
-        // the merger's out-of-order buffer never exceeds `window` shards.
-        let window = (workers * 4).max(16);
-        // Raised by a worker unwinding out of a panicking trial: its shard
-        // will never advance the merge frontier, so the others must stop
-        // waiting on it for the scope to join and re-raise the panic.
+        // Raised by a worker unwinding out of a panicking trial, so the
+        // others stop claiming shards and the scope re-raises promptly.
         let aborted = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<(usize, Vec<MetricAgg>)>();
-        let trial = &trial;
-        let next = &next;
-        let folded = &folded;
-        let aborted = &aborted;
         thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    let _abort_on_unwind = AbortOnUnwind(aborted);
-                    loop {
-                        if aborted.load(Ordering::Relaxed) {
-                            break;
-                        }
+            for _ in 0..threads.min(total_shards) {
+                s.spawn(|| {
+                    let _abort_on_unwind = AbortOnUnwind(&aborted);
+                    while !aborted.load(Ordering::Relaxed) {
                         let sidx = next.fetch_add(1, Ordering::Relaxed);
                         if sidx >= total_shards {
                             break;
                         }
-                        while sidx >= folded.load(Ordering::Acquire) + window {
-                            if aborted.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            thread::yield_now();
-                        }
                         let c = sidx / shards_per_cell;
-                        let k = sidx % shards_per_cell;
-                        let lo = k * shard;
-                        let hi = ((k + 1) * shard).min(spec.trials);
+                        let lo = sidx % shards_per_cell * shard;
+                        let hi = (lo + shard).min(spec.trials);
                         let mut partial = vec![MetricAgg::new(); n_metrics];
                         for t in lo..hi {
                             let mut rng = trial_rng(spec.seed, c * spec.trials + t);
@@ -573,29 +618,16 @@ where
                                 }
                             }
                         }
-                        tx.send((sidx, partial)).expect("the merger outlives the workers");
+                        let mut cell = cells[c].lock().expect("cell lock poisoned");
+                        for (agg, part) in cell.aggs.iter_mut().zip(&partial) {
+                            agg.merge(part);
+                        }
                     }
                 });
             }
-            drop(tx);
-            // The merger runs on this thread: buffer out-of-order shards
-            // and fold each cell's in shard order, so float sums
-            // reassociate identically for every worker schedule.
-            let mut next_shard: Vec<usize> = vec![0; n_cells];
-            let mut pending: Vec<BTreeMap<usize, Vec<MetricAgg>>> = vec![BTreeMap::new(); n_cells];
-            for (sidx, partial) in rx {
-                let c = sidx / shards_per_cell;
-                pending[c].insert(sidx % shards_per_cell, partial);
-                while let Some(p) = pending[c].remove(&next_shard[c]) {
-                    for (agg, part) in cells[c].aggs.iter_mut().zip(&p) {
-                        agg.merge(part);
-                    }
-                    next_shard[c] += 1;
-                    folded.fetch_add(1, Ordering::Release);
-                }
-            }
         });
     }
+    let cells = cells.into_iter().map(|c| c.into_inner().expect("cell lock poisoned")).collect();
     SweepReport { metrics: spec.metrics.iter().map(|m| m.to_string()).collect(), cells }
 }
 
@@ -2370,8 +2402,8 @@ pub fn report_csv(grid: &ScenarioGrid, report: &SweepReport) -> String {
 mod tests {
     use super::*;
 
-    fn with_threads(threads: usize, shard: Option<usize>) -> SweepOptions {
-        SweepOptions { threads: Some(threads), shard, ..Default::default() }
+    fn with_threads(threads: usize) -> SweepOptions {
+        SweepOptions { threads: Some(threads), ..Default::default() }
     }
 
     #[test]
@@ -2446,15 +2478,14 @@ mod tests {
     #[test]
     fn engine_seeds_by_global_trial_index() {
         // The same (seed, cell, trial) must see the same RNG no matter the
-        // shard size or thread count.
+        // thread count (and so the shard layout).
         let spec = SweepSpec { cells: &[0u32, 1], trials: 10, seed: 77, metrics: &["draw"] };
         let f = |c: &u32, t: usize, rng: &mut SplitMix64| {
             let _ = (c, t);
             vec![rng.next_u64() as f64]
         };
-        let a = run(&spec, &SweepOptions { shard: Some(1), ..Default::default() }, f);
-        let b =
-            run(&spec, &SweepOptions { shard: Some(7), threads: Some(3), ..Default::default() }, f);
+        let a = run(&spec, &with_threads(1), f);
+        let b = run(&spec, &with_threads(3), f);
         assert_eq!(a, b);
         // And it matches a hand-rolled serial loop over global indices.
         let expected: f64 = (0..10).map(|t| trial_rng(77, t).next_u64() as f64).sum();
@@ -2593,8 +2624,8 @@ mod tests {
         assert!(report.agg(0, "lat_mean").mean() > 0.0);
         assert!(report.agg(0, "msgs_per_op").mean() > 0.0);
         // The determinism contract holds in latency mode too.
-        let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, None));
-        let many = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(3, Some(2)));
+        let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1));
+        let many = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(3));
         assert_eq!(single, many);
         assert_eq!(single, report);
     }
@@ -2641,16 +2672,8 @@ mod tests {
         let last_avail = report.agg(0, &format!("tl_avail{}", nb - 1)).mean();
         assert_eq!(last_avail, 1.0);
         // Thread-invariance carries over to timeline rows.
-        let single = grid.run_mode(
-            Mode::Latency,
-            &timeline,
-            &SweepOptions { threads: Some(1), ..Default::default() },
-        );
-        let many = grid.run_mode(
-            Mode::Latency,
-            &timeline,
-            &SweepOptions { threads: Some(3), shard: Some(1), ..Default::default() },
-        );
+        let single = grid.run_mode(Mode::Latency, &timeline, &with_threads(1));
+        let many = grid.run_mode(Mode::Latency, &timeline, &with_threads(3));
         assert_eq!(single, many);
         assert_eq!(single, report);
     }
@@ -2770,8 +2793,8 @@ mod tests {
         // Rumors cross a ring's diameter (n/2 hops) far slower than a
         // grid's (≈ √n hops).
         assert!(report.agg(0, "spread").mean() > report.agg(1, "spread").mean());
-        let single = grid.run_mode(Mode::Scale, &Exec::Straight, &with_threads(1, None));
-        let many = grid.run_mode(Mode::Scale, &Exec::Straight, &with_threads(3, Some(1)));
+        let single = grid.run_mode(Mode::Scale, &Exec::Straight, &with_threads(1));
+        let many = grid.run_mode(Mode::Scale, &Exec::Straight, &with_threads(3));
         assert_eq!(single, many);
         assert_eq!(single, report);
     }
@@ -2982,11 +3005,10 @@ mod tests {
         assert!(report.agg(0, "decide_lat").mean() > 0.0);
         assert!(report.agg(0, "lat_over_cdelta").mean() > 0.0);
         assert!(report.agg(0, "msgs_per_op").mean() > 0.0);
-        // Thread-invariance at fixed sharding (the engine contract; the
-        // f64 sums of real-valued metrics only reassociate identically
-        // when the shard boundaries are the same).
-        let single = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1, Some(2)));
-        let many = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(3, Some(2)));
+        // Thread-invariance (the engine contract): 3 workers split the
+        // trials into shards of 2, one worker takes them in one shard.
+        let single = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1));
+        let many = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(3));
         assert_eq!(single, many);
     }
 
@@ -3044,8 +3066,8 @@ mod tests {
             "healing through an outage costs retransmissions"
         );
         // Determinism contract: bit-identical for any thread count.
-        let single = grid.run_mode(Mode::Availability, &Exec::Straight, &with_threads(1, Some(2)));
-        let many = grid.run_mode(Mode::Availability, &Exec::Straight, &with_threads(3, Some(2)));
+        let single = grid.run_mode(Mode::Availability, &Exec::Straight, &with_threads(1));
+        let many = grid.run_mode(Mode::Availability, &Exec::Straight, &with_threads(3));
         assert_eq!(single, many);
     }
 
@@ -3053,7 +3075,7 @@ mod tests {
     /// forked run (one warmup, `branches` continuations fanned off the
     /// checkpoint) must produce the same report, bit for bit, as the
     /// straight-line reference that re-runs every warmup from scratch —
-    /// in every simulated mode, for any thread count at fixed sharding.
+    /// in every simulated mode, for any thread count.
     #[test]
     fn forked_branches_match_straight_line_bit_for_bit() {
         let cell = ScenarioCell {
@@ -3086,11 +3108,10 @@ mod tests {
             assert_eq!(f.agg(0, "completed").count(), 4 * 3);
         }
 
-        // Thread-invariance survives branching (rows fold in (trial, row)
-        // order inside fixed shards).
-        let single =
-            grid.run_mode(Mode::Consensus, &Exec::Branched(fork), &with_threads(1, Some(2)));
-        let many = grid.run_mode(Mode::Consensus, &Exec::Branched(fork), &with_threads(3, Some(2)));
+        // Thread-invariance survives branching (1 worker: one shard of 4
+        // trials; 3 workers: shards of 2, each fanning out 3 rows).
+        let single = grid.run_mode(Mode::Consensus, &Exec::Branched(fork), &with_threads(1));
+        let many = grid.run_mode(Mode::Consensus, &Exec::Branched(fork), &with_threads(3));
         assert_eq!(single, many);
     }
 

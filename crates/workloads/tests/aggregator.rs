@@ -1,8 +1,9 @@
 //! The incremental aggregator against a naive collect-then-reduce
-//! oracle: `MetricAgg` (and sharded merges of it) must reproduce the
-//! exact mean/min/max of the materialized batch and its quantiles within
-//! the sketch tolerance — including the empty-grid and single-trial edge
-//! cases.
+//! oracle: `MetricAgg` (and merges of it in any split, order and tree
+//! shape) must reproduce the exact mean/min/max of the materialized batch
+//! and its quantiles within the sketch tolerance — including the
+//! empty-grid and single-trial edge cases — and its sum must be the
+//! correctly rounded exact sum.
 
 use gqs_simnet::SplitMix64;
 use gqs_workloads::sweep::{self, MetricAgg, SweepOptions, SweepSpec, SKETCH_ALPHA};
@@ -70,13 +71,9 @@ fn metric_agg_matches_collect_then_reduce() {
     }
 }
 
-/// Sharded folding + in-order merge matches one big fold: count, min,
-/// max and the (integer-count) sketch exactly for **any** shard size;
-/// the floating-point mean to within rounding. Bit-identity of the sum
-/// is only promised for a *fixed* sharding — which is what the engine
-/// uses across thread counts (see `sweep_determinism.rs`); this test
-/// additionally pins that re-merging the *same* sharding reproduces the
-/// sum bit for bit.
+/// Sharded folding + merge equals one big fold for **any** shard size:
+/// count, min, max, the (integer-count) sketch, and the sum and mean bit
+/// for bit.
 #[test]
 fn sharded_merge_matches_single_fold() {
     let mut rng = SplitMix64::new(99);
@@ -98,20 +95,92 @@ fn sharded_merge_matches_single_fold() {
     };
     for shard in [1usize, 7, 64, 501, 5000] {
         let merged = fold_chunks(shard);
-        assert_eq!(merged.count(), whole.count(), "shard={shard}: count");
-        assert_eq!(merged.min(), whole.min(), "shard={shard}: min is exact");
-        assert_eq!(merged.max(), whole.max(), "shard={shard}: max is exact");
-        for q in [0.0, 0.1, 0.5, 0.9, 1.0] {
-            assert_eq!(merged.quantile(q), whole.quantile(q), "shard={shard}: sketch q={q}");
-        }
-        assert!(
-            (merged.mean() - whole.mean()).abs() <= 1e-9 * whole.mean().abs(),
-            "shard={shard}: mean within rounding"
-        );
-        // The same sharding always reassociates bit-identically.
-        assert_eq!(merged, fold_chunks(shard), "shard={shard}: re-merge is bit-identical");
+        assert_eq!(merged, whole, "shard={shard}");
+        assert_eq!(merged.mean().to_bits(), whole.mean().to_bits(), "shard={shard}: mean");
         assert_matches_oracle(&merged, &Oracle::new(vals.clone()), &format!("shard {shard}"));
     }
+}
+
+/// Random values split at random points, the parts merged in a random
+/// order and tree shape, always equal one fold; and the sum is the
+/// correctly rounded exact sum. The values are dyadic, `k·2^-30` with up
+/// to 53 significant bits of `k`, often cancelling an earlier one, so the
+/// oracle sums the `k` exactly in `i128`.
+#[test]
+fn merges_in_any_split_order_and_shape_equal_one_fold() {
+    let below = |rng: &mut SplitMix64, n: usize| (rng.next_u64() % n as u64) as usize;
+    let scale = 2f64.powi(-30);
+    for case in 0..60u64 {
+        let rng = &mut SplitMix64::new(case);
+        let len = 1 + below(rng, 300);
+        let mut ks: Vec<i128> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let k = if !ks.is_empty() && below(rng, 4) == 0 {
+                -ks[below(rng, ks.len())]
+            } else {
+                let mantissa = (rng.next_u64() >> 11) as i128;
+                let k = (mantissa >> below(rng, 53)) << below(rng, 48);
+                if below(rng, 2) == 0 {
+                    -k
+                } else {
+                    k
+                }
+            };
+            ks.push(k);
+        }
+        let vals: Vec<f64> = ks.iter().map(|&k| k as f64 * scale).collect();
+        let exact = ks.iter().sum::<i128>() as f64 * scale;
+
+        let mut whole = MetricAgg::new();
+        vals.iter().for_each(|&v| whole.observe(v));
+        assert_eq!(whole.sum().to_bits(), exact.to_bits(), "case {case}: sum vs oracle");
+
+        // Random split into contiguous parts.
+        let mut parts = Vec::new();
+        let mut lo = 0;
+        while lo < len {
+            let hi = (lo + 1 + below(rng, 40)).min(len);
+            let mut part = MetricAgg::new();
+            vals[lo..hi].iter().for_each(|&v| part.observe(v));
+            parts.push(part);
+            lo = hi;
+        }
+        // Random tree: merge two random parts, in a random direction,
+        // until one is left.
+        while parts.len() > 1 {
+            let a = parts.swap_remove(below(rng, parts.len()));
+            let b = parts.swap_remove(below(rng, parts.len()));
+            let (mut into, from) = if below(rng, 2) == 0 { (a, b) } else { (b, a) };
+            into.merge(&from);
+            parts.push(into);
+        }
+        let merged = &parts[0];
+        assert_eq!(*merged, whole, "case {case}: merge tree vs one fold");
+        assert_eq!(merged.sum().to_bits(), exact.to_bits(), "case {case}: merged sum");
+        assert_eq!(merged.mean().to_bits(), whole.mean().to_bits(), "case {case}: mean");
+        assert_eq!(merged.count(), len as u64, "case {case}: count");
+    }
+}
+
+/// Sums that naive left-to-right addition gets wrong.
+#[test]
+fn exact_sum_fixed_cases() {
+    let sum_of = |vals: &[f64]| {
+        let mut agg = MetricAgg::new();
+        vals.iter().for_each(|&v| agg.observe(v));
+        agg.sum()
+    };
+    // Cancellation: naive gives 0.
+    assert_eq!(sum_of(&[1e16, 1.0, -1e16]), 1.0);
+    // A tie broken by a third partial (the half-even correction): naive
+    // rounds 1 + 2^-53 down to 1 and stays there.
+    assert_eq!(sum_of(&[1.0, 2f64.powi(-53), 2f64.powi(-106)]), 1.000_000_000_000_000_2);
+    // Infinities are summed apart, as `fsum` does.
+    assert_eq!(sum_of(&[f64::INFINITY, 1.0, -1e300]), f64::INFINITY);
+    assert_eq!(sum_of(&[-1.0, f64::NEG_INFINITY]), f64::NEG_INFINITY);
+    assert!(sum_of(&[f64::INFINITY, 2.0, f64::NEG_INFINITY]).is_nan());
+    // A finite total beyond the f64 range reads infinite.
+    assert_eq!(sum_of(&[f64::MAX, f64::MAX]), f64::INFINITY);
 }
 
 /// Edge cases: empty aggregate and a single trial.
@@ -164,7 +233,7 @@ fn engine_reduction_matches_oracle() {
     let cells: Vec<u64> = vec![1, 2, 3];
     let spec = SweepSpec { cells: &cells, trials: 800, seed: 31, metrics: &["v"] };
     let trial = |c: &u64, _t: usize, rng: &mut SplitMix64| vec![rng.f64() * *c as f64];
-    let r = sweep::run(&spec, &SweepOptions { shard: Some(37), ..Default::default() }, trial);
+    let r = sweep::run(&spec, &SweepOptions { threads: Some(3), ..Default::default() }, trial);
     for (ci, c) in cells.iter().enumerate() {
         // Reconstruct the oracle from the engine's seeding contract.
         let vals: Vec<f64> = (0..800)
@@ -178,16 +247,16 @@ fn engine_reduction_matches_oracle() {
 }
 
 /// A panicking trial (an in-trial safety oracle tripping, say) must fail
-/// a multi-worker sweep, not hang it: the dead worker's shard never
-/// reaches the merger, so unless the others are told to stop they spin on
-/// the merge frontier forever. The sweep runs on a helper thread so that
-/// a hang fails this test instead of wedging the suite.
+/// a multi-worker sweep, not hang it: the other workers stop claiming
+/// shards, and the panic propagates out of the sweep. The sweep runs on a
+/// helper thread so that a hang fails this test instead of wedging the
+/// suite.
 #[test]
 fn panicking_trial_fails_the_sweep_instead_of_hanging_it() {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let spec = SweepSpec { cells: &[0u32], trials: 200, seed: 1, metrics: &["v"] };
-        let opts = SweepOptions { shard: Some(1), threads: Some(2), ..Default::default() };
+        let opts = SweepOptions { threads: Some(2), ..Default::default() };
         let outcome = std::panic::catch_unwind(|| {
             sweep::run(&spec, &opts, |_, t, _| {
                 assert!(t != 3, "trial 3 trips its oracle");

@@ -1,8 +1,9 @@
 //! The sweep engine's headline promise, enforced: aggregates are
 //! **bit-identical** for `GQS_THREADS=1` and `GQS_THREADS=8` (and any
-//! other worker count), across different grid shapes, shard sizes and
-//! trial counts — including a ≥10k-trial grid that exercises real
-//! shard-to-merger streaming.
+//! other worker count), across different grid shapes and trial counts —
+//! including a ≥10k-trial grid that exercises real shard streaming. The
+//! engine sizes shards from the worker count, so every such comparison
+//! also compares two shard layouts and merge orders.
 //!
 //! These tests run under both CI jobs (the default one and the
 //! `GQS_THREADS=1` determinism job); they pin the thread count through
@@ -13,12 +14,12 @@ use gqs_workloads::sweep::{
     SweepOptions, SweepReport, TopologyFamily,
 };
 
-fn with_threads(threads: usize, shard: Option<usize>) -> SweepOptions {
-    SweepOptions { threads: Some(threads), shard, ..Default::default() }
+fn with_threads(threads: usize) -> SweepOptions {
+    SweepOptions { threads: Some(threads), ..Default::default() }
 }
 
-fn run_grid(grid: &ScenarioGrid, threads: usize, shard: Option<usize>) -> SweepReport {
-    grid.run(&with_threads(threads, shard))
+fn run_grid(grid: &ScenarioGrid, threads: usize) -> SweepReport {
+    grid.run(&with_threads(threads))
 }
 
 fn cell(family: TopologyFamily, n: usize, patterns: PatternFamily, p_chan: f64) -> ScenarioCell {
@@ -84,12 +85,9 @@ fn aggregates_identical_across_thread_counts_on_three_grid_shapes() {
         },
     ];
     for (i, grid) in grids.iter().enumerate() {
-        let single = run_grid(grid, 1, None);
-        let eight = run_grid(grid, 8, None);
+        let single = run_grid(grid, 1);
+        let eight = run_grid(grid, 8);
         assert_eq!(single, eight, "grid shape {i} diverged between 1 and 8 workers");
-        // Shard size must be equally irrelevant.
-        let odd_shards = run_grid(grid, 8, Some(7));
-        assert_eq!(single, odd_shards, "grid shape {i} diverged under shard=7");
     }
 }
 
@@ -109,8 +107,8 @@ fn ten_thousand_trial_grid_is_bit_identical_across_thread_counts() {
         trials: 2_000, // 5 cells x 2000 = 10k trials
         seed: 0xDEAD,
     };
-    let single = run_grid(&grid, 1, None);
-    let eight = run_grid(&grid, 8, None);
+    let single = run_grid(&grid, 1);
+    let eight = run_grid(&grid, 8);
     assert_eq!(single, eight);
     for c in 0..grid.cells.len() {
         assert_eq!(single.cells[c].trials, 2_000);
@@ -123,7 +121,7 @@ fn ten_thousand_trial_grid_is_bit_identical_across_thread_counts() {
 
 /// Schedule-driven simulated trials hold the same contract: a
 /// region-outage latency grid over the WAN family is bit-identical
-/// between 1 and 8 workers (and across shard sizes).
+/// between 1 and 8 workers (one shard of 40 vs shards of 5).
 #[test]
 fn region_outage_latency_grid_is_bit_identical_across_thread_counts() {
     let grid = ScenarioGrid {
@@ -143,14 +141,9 @@ fn region_outage_latency_grid_is_bit_identical_across_thread_counts() {
         trials: 40,
         seed: 0xFA017,
     };
-    let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, None));
-    let eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8, None));
+    let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1));
+    let eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8));
     assert_eq!(single, eight, "region-outage latency grid diverged between 1 and 8 workers");
-    // Thread-invariance must hold for any fixed sharding (real-valued
-    // metric sums only reassociate identically on equal shard layouts).
-    let odd_one = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, Some(7)));
-    let odd_eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8, Some(7)));
-    assert_eq!(odd_one, odd_eight, "region-outage latency grid diverged under shard=7");
     // Every cell measured every trial. (Completion rates across the
     // schedule axis are not directly comparable — dynamic families invoke
     // at all processes, Static only at f0-correct ones — so no ordering
@@ -183,12 +176,9 @@ fn consensus_grid_is_bit_identical_across_thread_counts() {
         trials: 12,
         seed: 0xC0A5,
     };
-    let single = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1, None));
-    let eight = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(8, None));
+    let single = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1));
+    let eight = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(8));
     assert_eq!(single, eight, "consensus grid diverged between 1 and 8 workers");
-    let odd_one = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(1, Some(5)));
-    let odd_eight = grid.run_mode(Mode::Consensus, &Exec::Straight, &with_threads(8, Some(5)));
-    assert_eq!(odd_one, odd_eight, "consensus grid diverged under shard=5");
     // Dynamic faults heal, so every process eventually learns the
     // decision; the static pattern permanently isolates some.
     assert_eq!(single.agg(1, "decided").mean(), 1.0, "region outages heal");
@@ -219,19 +209,17 @@ fn lognormal_latency_grid_is_bit_identical_across_thread_counts() {
         trials: 30,
         seed: 0x10c4,
     };
-    let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, None));
-    let eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8, None));
+    let single = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1));
+    let eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8));
     assert_eq!(single, eight, "lognormal latency grid diverged between 1 and 8 workers");
-    let odd_one = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(1, Some(7)));
-    let odd_eight = grid.run_mode(Mode::Latency, &Exec::Straight, &with_threads(8, Some(7)));
-    assert_eq!(odd_one, odd_eight, "lognormal latency grid diverged under shard=7");
     for c in 0..grid.cells.len() {
         assert_eq!(single.agg(c, "completed").count(), 30);
     }
 }
 
 /// The generic engine (arbitrary trial closures, not just scenario
-/// grids) holds the same contract, including float-summation order.
+/// grids) holds the same contract: real-valued sums come out bit-identical
+/// whatever the shard layout and merge order.
 #[test]
 fn generic_sweep_sums_reassociate_identically() {
     let cells: Vec<u64> = (0..6).collect();
@@ -240,12 +228,11 @@ fn generic_sweep_sums_reassociate_identically() {
         let x = rng.f64() * (*c as f64 + 1.0);
         vec![x, x * x]
     };
-    for shard in [None, Some(13), Some(499)] {
-        let one = sweep::run(&spec, &with_threads(1, shard), f);
-        let eight = sweep::run(&spec, &with_threads(8, shard), f);
-        // Not approximate equality: for a fixed sharding, the merger's
-        // in-order shard folding makes the f64 sums bit-identical no
-        // matter which worker computed which shard.
-        assert_eq!(one, eight, "shard={shard:?}");
+    // 1, 2 and 3 workers fold shards of 64, merged in different orders;
+    // 8 workers fold shards of 63. Not approximate equality: every merge
+    // is exact, so the f64 sums are bit-identical.
+    let one = sweep::run(&spec, &with_threads(1), f);
+    for threads in [2, 3, 8] {
+        assert_eq!(one, sweep::run(&spec, &with_threads(threads), f), "threads={threads}");
     }
 }
