@@ -2,9 +2,11 @@
 //! `crates/bench/golden/` must be reproduced byte for byte by the
 //! invocation recorded in [`GOLDENS`], for any thread count — the
 //! CLI-level face of the sweep engine's determinism contract. The engine
-//! sizes shards from the thread count (at `--trials 4`, 1 thread folds one
-//! shard of 4 and 8 threads four shards of 1), so each check also compares
-//! shard layouts and merge orders. The rest of the file checks output
+//! spreads a grid's trials evenly over the threads in shards of at most
+//! 64, so on the one- and two-cell rows each check also compares shard
+//! layouts (at `--trials 4` on one cell, 1 thread folds one shard of 4 and
+//! 8 threads four shards of 1); the ten-cell `tiny_schedules*` rows keep
+//! one shard per cell at both counts. The rest of the file checks output
 //! shapes and flag validation.
 //!
 //! Portability note: the quantile sketch's bucket boundaries go through

@@ -246,6 +246,12 @@ impl fmt::Debug for QuantileSketch {
 /// the aggregate is order-free: [`merge`](Self::merge) commutes and
 /// associates, and the sweep engine may fold shards in any layout and
 /// any order without changing a bit of the report.
+///
+/// # Panics
+///
+/// [`observe`](Self::observe) and [`merge`](Self::merge) panic if the
+/// running total of the finite observations leaves the `f64` range, as
+/// `fsum` raises: whether it does can depend on the order of additions.
 #[derive(Clone, Debug)]
 pub struct MetricAgg {
     /// Non-overlapping finite partials, increasing in magnitude, summing
@@ -302,12 +308,11 @@ impl MetricAgg {
             x = hi;
         }
         self.partials.truncate(i);
-        if !x.is_finite() {
-            // The running total left the f64 range: it reads ±∞, as a
-            // naive sum would (`fsum` raises here).
-            self.partials.clear();
-            self.special += x;
-        } else if x != 0.0 {
+        // `fsum` raises here too. Whether a running total passes beyond
+        // the range can depend on the order of additions, so no value is
+        // guessed for it; no sweep metric comes anywhere near.
+        assert!(x.is_finite(), "metric sum overflowed the f64 range");
+        if x != 0.0 {
             self.partials.push(x);
         }
     }
@@ -571,8 +576,10 @@ where
 /// fork-replay sweep). `CellAggregates::trials` still counts *trials*
 /// (not rows); each metric's `count` reflects the observed rows.
 ///
-/// Shards are at most 64 trials, and small enough that every worker gets
-/// one even on a one-cell grid; the size only balances load.
+/// Shards never span cells and hold at most 64 trials: the whole grid's
+/// trials split evenly over the workers, so a grid of many cells keeps
+/// 64-trial shards and a one-cell grid still reaches every worker. The
+/// size only balances load.
 ///
 /// # Panics
 ///
@@ -584,7 +591,7 @@ where
 {
     let n_metrics = spec.metrics.len();
     let threads = resolve_threads(opts);
-    let shard = spec.trials.div_ceil(threads).clamp(1, 64);
+    let shard = (spec.cells.len() * spec.trials).div_ceil(threads).clamp(1, 64);
     let shards_per_cell = spec.trials.div_ceil(shard);
     let total_shards = spec.cells.len() * shards_per_cell;
     let empty =

@@ -179,8 +179,10 @@ fn exact_sum_fixed_cases() {
     assert_eq!(sum_of(&[f64::INFINITY, 1.0, -1e300]), f64::INFINITY);
     assert_eq!(sum_of(&[-1.0, f64::NEG_INFINITY]), f64::NEG_INFINITY);
     assert!(sum_of(&[f64::INFINITY, 2.0, f64::NEG_INFINITY]).is_nan());
-    // A finite total beyond the f64 range reads infinite.
-    assert_eq!(sum_of(&[f64::MAX, f64::MAX]), f64::INFINITY);
+    // A total that comes back into range is exact; one that leaves it
+    // panics rather than read a value that depends on the order.
+    assert_eq!(sum_of(&[f64::MAX, -f64::MAX, f64::MAX]), f64::MAX);
+    assert!(std::panic::catch_unwind(|| sum_of(&[f64::MAX, f64::MAX])).is_err());
 }
 
 /// Edge cases: empty aggregate and a single trial.
@@ -229,20 +231,26 @@ fn engine_reduction_matches_oracle() {
     assert_eq!(r.agg(0, "v").mean(), 7.0);
     assert_eq!(r.agg(0, "v").quantile(0.5), 7.0);
 
-    // Multi-cell grid vs per-cell oracles.
+    // Multi-cell grid vs per-cell oracles, in two shard layouts: 3
+    // workers fold each cell as 12 shards of 64 and one of 32, 40 workers
+    // as 13 shards of 60 and one of 20.
     let cells: Vec<u64> = vec![1, 2, 3];
     let spec = SweepSpec { cells: &cells, trials: 800, seed: 31, metrics: &["v"] };
     let trial = |c: &u64, _t: usize, rng: &mut SplitMix64| vec![rng.f64() * *c as f64];
-    let r = sweep::run(&spec, &SweepOptions { threads: Some(3), ..Default::default() }, trial);
-    for (ci, c) in cells.iter().enumerate() {
-        // Reconstruct the oracle from the engine's seeding contract.
-        let vals: Vec<f64> = (0..800)
-            .map(|t| {
-                let mut rng = gqs_workloads::generators::trial_rng(31, ci * 800 + t);
-                trial(c, t, &mut rng)[0]
-            })
-            .collect();
-        assert_matches_oracle(r.agg(ci, "v"), &Oracle::new(vals), &format!("cell {ci}"));
+    for threads in [3, 40] {
+        let opts = SweepOptions { threads: Some(threads), ..Default::default() };
+        let r = sweep::run(&spec, &opts, trial);
+        for (ci, c) in cells.iter().enumerate() {
+            // Reconstruct the oracle from the engine's seeding contract.
+            let vals: Vec<f64> = (0..800)
+                .map(|t| {
+                    let mut rng = gqs_workloads::generators::trial_rng(31, ci * 800 + t);
+                    trial(c, t, &mut rng)[0]
+                })
+                .collect();
+            let what = format!("threads {threads}, cell {ci}");
+            assert_matches_oracle(r.agg(ci, "v"), &Oracle::new(vals), &what);
+        }
     }
 }
 

@@ -1,9 +1,12 @@
 //! The sweep engine's headline promise, enforced: aggregates are
 //! **bit-identical** for `GQS_THREADS=1` and `GQS_THREADS=8` (and any
 //! other worker count), across different grid shapes and trial counts —
-//! including a ≥10k-trial grid that exercises real shard streaming. The
-//! engine sizes shards from the worker count, so every such comparison
-//! also compares two shard layouts and merge orders.
+//! including a ≥10k-trial grid that exercises real shard streaming.
+//! Every comparison pits one worker's in-order merges against eight
+//! workers merging shards as they finish. The engine spreads a grid's
+//! trials evenly over the workers in shards of at most 64, so on every
+//! grid here but the 10k one, 8 workers also cut the cells into smaller
+//! shards than 1 worker does.
 //!
 //! These tests run under both CI jobs (the default one and the
 //! `GQS_THREADS=1` determinism job); they pin the thread count through
@@ -93,6 +96,8 @@ fn aggregates_identical_across_thread_counts_on_three_grid_shapes() {
 
 /// The acceptance-criteria grid: ≥10k trials streamed with constant
 /// per-worker memory, bit-identical between `threads=1` and `threads=8`.
+/// At this size both fold 64-trial shards; 8 workers merge them in the
+/// order they finish.
 ///
 /// (Workers fold each trial into one constant-size shard partial — the
 /// engine has no code path that materializes trial rows, so peak memory
@@ -121,7 +126,7 @@ fn ten_thousand_trial_grid_is_bit_identical_across_thread_counts() {
 
 /// Schedule-driven simulated trials hold the same contract: a
 /// region-outage latency grid over the WAN family is bit-identical
-/// between 1 and 8 workers (one shard of 40 vs shards of 5).
+/// between 1 and 8 workers (one shard of 40 per cell vs shards of 15).
 #[test]
 fn region_outage_latency_grid_is_bit_identical_across_thread_counts() {
     let grid = ScenarioGrid {
@@ -223,16 +228,17 @@ fn lognormal_latency_grid_is_bit_identical_across_thread_counts() {
 #[test]
 fn generic_sweep_sums_reassociate_identically() {
     let cells: Vec<u64> = (0..6).collect();
-    let spec = sweep::SweepSpec { cells: &cells, trials: 500, seed: 9, metrics: &["v", "vv"] };
+    let spec = sweep::SweepSpec { cells: &cells, trials: 80, seed: 9, metrics: &["v", "vv"] };
     let f = |c: &u64, _t: usize, rng: &mut gqs_simnet::SplitMix64| {
         let x = rng.f64() * (*c as f64 + 1.0);
         vec![x, x * x]
     };
-    // 1, 2 and 3 workers fold shards of 64, merged in different orders;
-    // 8 workers fold shards of 63. Not approximate equality: every merge
-    // is exact, so the f64 sums are bit-identical.
+    // 1, 2 and 3 workers fold each cell as shards of 64 and 16, merged
+    // in different orders; 8 workers as 60 and 20, 16 workers as 30, 30
+    // and 20. Not approximate equality: every merge is exact, so the f64
+    // sums are bit-identical.
     let one = sweep::run(&spec, &with_threads(1), f);
-    for threads in [2, 3, 8] {
+    for threads in [2, 3, 8, 16] {
         assert_eq!(one, sweep::run(&spec, &with_threads(threads), f), "threads={threads}");
     }
 }
