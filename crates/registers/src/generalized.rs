@@ -42,6 +42,21 @@
 //! sets open, is re-acked with the current clock: the update is in the
 //! replica's state at every clock since its first application, so that
 //! clock acknowledges it as well, and `c_set` can only rise.
+//!
+//! # When the push cache drains
+//!
+//! Each process caches the freshest `(state, clock)` push per sender, and
+//! a stage-2 wait with cut-off `k` completes once the senders cached at
+//! clock `k` or above contain a read quorum. Every message handler ends
+//! with no pending wait complete, so a `GET_RESP` that raises a sender's
+//! cached clock from `old` (none, if nothing was cached) to `new` can
+//! complete a wait only if its cut-off `k` has `old < k ≤ new`: that is
+//! the only way the push changes who is at `k`. Only then does the engine
+//! check its pending waits against the cache; a stale push costs one
+//! comparison, and a fresh one that crosses no pending cut-off one cache
+//! write and a scan of the open requests. `CLOCK_RESP` and `SET_RESP` can
+//! open a stage-2 wait that the cache already satisfies, so they always
+//! check.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -144,9 +159,10 @@ pub struct GeneralizedQaf<S, U> {
     reads: QuorumFamily,
     writes: QuorumFamily,
     tick_interval: u64,
-    /// Latest `(state, clock)` push seen from each process. Clocks are
-    /// monotone per sender, so keeping the max-clock push loses nothing.
-    latest: BTreeMap<ProcessId, (S, u64)>,
+    /// Latest `(state, clock)` push seen from each process, indexed by
+    /// pid and grown on first sight. Clocks are monotone per sender, so
+    /// keeping the max-clock push loses nothing.
+    latest: Vec<Option<(S, u64)>>,
     updates_applied: u64,
     req: Requests<Stage, Stage, U>,
 }
@@ -170,7 +186,7 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
             reads,
             writes,
             tick_interval,
-            latest: BTreeMap::new(),
+            latest: Vec::new(),
             updates_applied: 0,
             req: Requests::new(),
         }
@@ -207,8 +223,28 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
     /// if the stage has one.
     fn pushed_quorum(&self, stage: &Stage) -> Option<ProcessSet> {
         let Stage::Pushes(cutoff) = *stage else { return None };
-        let have = self.latest.iter().filter(|(_, (_, c))| *c >= cutoff).map(|(p, _)| *p);
+        let have = self.latest.iter().enumerate().filter_map(|(p, push)| match push {
+            Some((_, c)) if *c >= cutoff => Some(ProcessId(p)),
+            _ => None,
+        });
         self.reads.satisfying_quorum(have.collect())
+    }
+
+    /// Whether some pending stage-2 cut-off `k` has `old < k ≤ new`, i.e.
+    /// a sender's cached clock moving from `old` to `new` changes whether
+    /// it counts toward that wait (see the [module docs](self)).
+    fn crosses_cutoff(&self, old: Option<u64>, new: u64) -> bool {
+        let gets = self.req.gets.iter().map(|g| &g.wait);
+        gets.chain(self.req.sets.iter().map(|s| &s.wait)).any(|wait| match *wait {
+            Stage::Pushes(k) => old.is_none_or(|old| old < k) && k <= new,
+            Stage::Clocks(_) => false,
+        })
+    }
+
+    /// The cached pushed state of `p`, a member of a pushed quorum.
+    fn cached_state(&self, p: ProcessId) -> S {
+        let (state, _) = self.latest[p.index()].as_ref().expect("quorum members have pushed");
+        state.clone()
     }
 
     /// Tries to finish pending stage-2 waits against the push cache, gets
@@ -219,7 +255,7 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
         while i < self.req.gets.len() {
             if let Some(quorum) = self.pushed_quorum(&self.req.gets[i].wait) {
                 let g = self.req.gets.swap_remove(i);
-                let states = quorum.iter().map(|p| (p, self.latest[&p].0.clone())).collect();
+                let states = quorum.iter().map(|p| (p, self.cached_state(p))).collect();
                 events.push(QafEvent::GetDone { token: g.token, states });
             } else {
                 i += 1;
@@ -303,10 +339,19 @@ impl<S: Clone + Debug, U: Update<S>> QuorumAccess<S, U> for GeneralizedQaf<S, U>
                 }
             }
             GeneralizedMsg::GetResp { state, clock } => {
-                // Cache the freshest push per sender.
-                let stale = matches!(self.latest.get(&from), Some((_, c)) if *c >= clock);
-                if !stale {
-                    self.latest.insert(from, (state, clock));
+                // Cache the freshest push per sender; drain only if the
+                // push carries the sender across a pending cut-off.
+                let i = from.index();
+                if i >= self.latest.len() {
+                    self.latest.resize_with(i + 1, || None);
+                }
+                let old = self.latest[i].as_ref().map(|&(_, c)| c);
+                if old.is_some_and(|old| old >= clock) {
+                    return Vec::new();
+                }
+                self.latest[i] = Some((state, clock));
+                if !self.crosses_cutoff(old, clock) {
+                    return Vec::new();
                 }
             }
             GeneralizedMsg::SetReq { seq, update } => {
@@ -344,7 +389,7 @@ mod tests {
     use crate::update::{RegMap, VersionedWrite};
     use crate::RETRY_TIMER;
     use gqs_core::pset;
-    use gqs_simnet::{Effect, SimTime};
+    use gqs_simnet::{Effect, SimTime, SplitMix64};
 
     type S = RegMap<u8, u64>;
     type U = VersionedWrite<u8, u64>;
@@ -436,8 +481,9 @@ mod tests {
         let s9 = RegMap::<u8, u64>::new(9);
         let _ = e.on_message(ProcessId(2), Msg::GetResp { state: s9, clock: 7 }, &mut c);
         let _ = push(&mut e, 2, 3, &mut c); // stale push with initial state
-        assert_eq!(e.latest[&ProcessId(2)].1, 7);
-        assert_eq!(*e.latest[&ProcessId(2)].0.initial(), 9);
+        let (state, clock) = e.latest[2].as_ref().unwrap();
+        assert_eq!(*clock, 7);
+        assert_eq!(*state.initial(), 9);
     }
 
     #[test]
@@ -611,5 +657,164 @@ mod tests {
     fn zero_tick_rejected() {
         let fam = QuorumFamily::threshold(3, 2).unwrap();
         let _: Engine = GeneralizedQaf::new(fam.clone(), fam, RegMap::new(0), 0);
+    }
+
+    /// What a completion says: the token, and a get's states.
+    type Done = (u64, Option<Vec<(ProcessId, S)>>);
+
+    fn done(events: Vec<QafEvent<S>>) -> Vec<Done> {
+        let done = |ev| match ev {
+            QafEvent::GetDone { token, states } => (token, Some(states)),
+            QafEvent::SetDone { token } => (token, None),
+        };
+        events.into_iter().map(done).collect()
+    }
+
+    /// Figure 3's completion rule recomputed from scratch after every
+    /// message: every pending stage is checked against the whole push
+    /// cache, gets first, in the engine's swap-remove order.
+    struct Oracle {
+        reads: QuorumFamily,
+        writes: QuorumFamily,
+        cache: BTreeMap<ProcessId, (S, u64)>,
+        /// Open `(seq, token, stage)`s.
+        gets: Vec<(u64, u64, Stage)>,
+        sets: Vec<(u64, u64, Stage)>,
+    }
+
+    impl Oracle {
+        fn quorum_at(&self, stage: &Stage) -> Option<ProcessSet> {
+            let Stage::Pushes(k) = *stage else { return None };
+            let have = self.cache.iter().filter(|(_, (_, c))| *c >= k).map(|(p, _)| *p);
+            self.reads.satisfying_quorum(have.collect())
+        }
+
+        fn on_message(&mut self, from: ProcessId, msg: &Msg) -> Vec<Done> {
+            match *msg {
+                Msg::ClockResp { seq, clock } => {
+                    if let Some((_, _, stage)) = self.gets.iter_mut().find(|g| g.0 == seq) {
+                        stage.clock_reply(&self.writes, from, clock);
+                    }
+                }
+                Msg::SetResp { seq, clock } => {
+                    if let Some((_, _, stage)) = self.sets.iter_mut().find(|s| s.0 == seq) {
+                        stage.clock_reply(&self.writes, from, clock);
+                    }
+                }
+                Msg::GetResp { ref state, clock } => {
+                    if self.cache.get(&from).is_none_or(|(_, c)| *c < clock) {
+                        self.cache.insert(from, (state.clone(), clock));
+                    }
+                }
+                _ => unreachable!("the driver sends no requests"),
+            }
+            let mut out = Vec::new();
+            let mut i = 0;
+            while i < self.gets.len() {
+                if let Some(q) = self.quorum_at(&self.gets[i].2) {
+                    let states = q.iter().map(|p| (p, self.cache[&p].0.clone())).collect();
+                    out.push((self.gets.swap_remove(i).1, Some(states)));
+                } else {
+                    i += 1;
+                }
+            }
+            let mut i = 0;
+            while i < self.sets.len() {
+                if self.quorum_at(&self.sets[i].2).is_some() {
+                    out.push((self.sets.swap_remove(i).1, None));
+                } else {
+                    i += 1;
+                }
+            }
+            out
+        }
+    }
+
+    /// A random explicit or threshold family over `n` processes.
+    fn random_family(n: usize, rng: &mut SplitMix64) -> QuorumFamily {
+        if rng.chance(0.3) {
+            return QuorumFamily::threshold(n, rng.range(1, n as u64) as usize).unwrap();
+        }
+        let quorums = (0..rng.range(1, 3)).map(|_| {
+            let mut q: ProcessSet = (0..n).filter(|_| rng.chance(0.5)).collect();
+            q.insert(ProcessId(rng.range(0, n as u64 - 1) as usize));
+            q
+        });
+        QuorumFamily::explicit(quorums.collect::<Vec<_>>()).unwrap()
+    }
+
+    /// The drain-skip rule is exact: through random interleavings of
+    /// `CLOCK_RESP`s, `SET_RESP`s and stale or fresh `GET_RESP`s with
+    /// several gets and sets open, the engine returns after every message
+    /// the completions the from-scratch [`Oracle`] computes — same tokens,
+    /// same order, same states.
+    #[test]
+    fn skipped_drains_lose_no_completion() {
+        let n = 5;
+        let mut rng = SplitMix64::new(0x5eed_d7a1);
+        let (mut by_push, mut by_reply) = (0, 0);
+        for case in 0..300 {
+            let (reads, writes) = (random_family(n, &mut rng), random_family(n, &mut rng));
+            let mut e = GeneralizedQaf::new(reads.clone(), writes.clone(), RegMap::new(0), 10);
+            let mut o =
+                Oracle { reads, writes, cache: BTreeMap::new(), gets: vec![], sets: vec![] };
+            let mut c: Context<Msg, ()> = Context::new(ProcessId(0), n, SimTime::ZERO);
+            for token in 0..200u64 {
+                let top = o.cache.values().map(|(_, c)| *c).max().unwrap_or(0);
+                let from = ProcessId(rng.range(0, n as u64 - 1) as usize);
+                let open = o.gets.len() + o.sets.len();
+                let msg = match rng.range(0, 9) {
+                    0 | 1 if open < 6 => {
+                        if rng.chance(0.5) {
+                            e.start_get(token, &mut c);
+                        } else {
+                            let u = VersionedWrite { reg: 0, value: token, version: (token, 0) };
+                            e.start_set(token, u, &mut c);
+                        }
+                        match c.take_effects()[..] {
+                            [Effect::Broadcast { msg: Msg::ClockReq { seq } }] => {
+                                o.gets.push((seq, token, Stage::Clocks(BTreeMap::new())))
+                            }
+                            [Effect::Broadcast { msg: Msg::SetReq { seq, .. } }] => {
+                                o.sets.push((seq, token, Stage::Clocks(BTreeMap::new())))
+                            }
+                            ref other => panic!("expected one request broadcast, got {other:?}"),
+                        }
+                        continue;
+                    }
+                    0..=3 => {
+                        let seq = o.gets.get(rng.range(0, 3) as usize).map_or(99, |g| g.0);
+                        Msg::ClockResp { seq, clock: rng.range(0, top + 4) }
+                    }
+                    4..=5 => {
+                        let seq = o.sets.get(rng.range(0, 3) as usize).map_or(99, |s| s.0);
+                        Msg::SetResp { seq, clock: rng.range(0, top + 4) }
+                    }
+                    _ => {
+                        let old = o.cache.get(&from).map(|(_, c)| *c);
+                        let clock = match old {
+                            Some(old) if rng.chance(0.3) => rng.range(0, old),
+                            _ => old.unwrap_or(0) + rng.range(1, 3),
+                        };
+                        let marker = clock * n as u64 + from.index() as u64;
+                        Msg::GetResp { state: RegMap::new(marker), clock }
+                    }
+                };
+                let push = matches!(msg, Msg::GetResp { .. });
+                let want = o.on_message(from, &msg);
+                let got = done(e.on_message(from, msg, &mut c));
+                assert_eq!(got, want, "case {case}, message {token} from {from:?}");
+                assert_eq!(e.pending(), o.gets.len() + o.sets.len());
+                if push {
+                    by_push += want.len();
+                } else {
+                    by_reply += want.len();
+                }
+            }
+        }
+        assert!(
+            by_push > 500 && by_reply > 500,
+            "completions: {by_push} by push, {by_reply} by reply"
+        );
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A version tag `(counter, process)` ordered lexicographically — the
 /// register protocol's `Version = N × N` (Figure 4).
@@ -36,17 +36,26 @@ pub trait Update<S>: Clone + Debug {
 /// Copy-on-write: the whole state travels in every `GET_RESP` push and
 /// ABD reply, and flooding clones each message once per relay, so a clone
 /// shares the map and only [`RegMap::put`] on a shared map copies it.
+///
+/// The map is shared through an [`Rc`], not an `Arc`: every physical copy
+/// of a flooded message clones it, and a simulation runs on one thread,
+/// so the atomic reference count bought nothing. `RegMap` is therefore
+/// `!Send`, and so is every message and node state that carries one.
+/// Sweeps still run trials in parallel, because each trial builds its own
+/// simulation on its worker thread. An event loop that moves messages
+/// between threads — the parked sharded-lanes loop — would need `Send`
+/// messages, and so `Arc` here, again.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegMap<K: Ord, V> {
     initial: V,
-    entries: Arc<BTreeMap<K, (V, Version)>>,
+    entries: Rc<BTreeMap<K, (V, Version)>>,
 }
 
 impl<K: Ord + Clone, V: Clone> RegMap<K, V> {
     /// A namespace where every register starts at `initial` with version
     /// `(0, 0)`.
     pub fn new(initial: V) -> Self {
-        RegMap { initial, entries: Arc::new(BTreeMap::new()) }
+        RegMap { initial, entries: Rc::new(BTreeMap::new()) }
     }
 
     /// The value and version of register `reg`.
@@ -65,12 +74,7 @@ impl<K: Ord + Clone, V: Clone> RegMap<K, V> {
     /// Stores `(value, version)` into `reg` unconditionally (used by
     /// updates after their version check).
     pub fn put(&mut self, reg: K, value: V, version: Version) {
-        Arc::make_mut(&mut self.entries).insert(reg, (value, version));
-    }
-
-    /// Number of registers that have been written at least once.
-    pub fn written_len(&self) -> usize {
-        self.entries.len()
+        Rc::make_mut(&mut self.entries).insert(reg, (value, version));
     }
 
     /// The common initial value.
@@ -114,7 +118,7 @@ mod tests {
         let m: RegMap<u8, u64> = RegMap::new(7);
         assert_eq!(m.get(&0), (7, VERSION_ZERO));
         assert_eq!(m.version_of(&3), VERSION_ZERO);
-        assert_eq!(m.written_len(), 0);
+        assert!(m.entries.is_empty());
         assert_eq!(*m.initial(), 7);
     }
 
@@ -152,6 +156,6 @@ mod tests {
         let m = VersionedWrite { reg: 1, value: 2, version: (1, 1) }.apply(&m);
         assert_eq!(m.get(&0), (1, (1, 0)));
         assert_eq!(m.get(&1), (2, (1, 1)));
-        assert_eq!(m.written_len(), 2);
+        assert_eq!(m.entries.len(), 2);
     }
 }

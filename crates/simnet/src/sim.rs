@@ -57,6 +57,7 @@
 //! the golden traces are byte-identical.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use gqs_core::{Channel, FailurePattern, ProcessId};
 
@@ -497,9 +498,12 @@ pub struct Checkpoint<P: Protocol> {
     /// the epoch still equals `e` (any crash in between bumps it).
     epoch: Vec<u64>,
     /// Slot index per channel that has ever appeared in a
-    /// `Disconnect`/`Heal` event — cold-path only (fault handling), never
-    /// touched by sends while no channel is down.
-    down_slots: HashMap<Channel, u32>,
+    /// `Disconnect`/`Heal` event. Sends skip it while no channel is down;
+    /// while one is, every non-self send looks its channel up here, so
+    /// the map hashes with the fixed [`ChannelHasher`], not SipHash. Being
+    /// unkeyed, the hash also makes the map's iteration order — and so
+    /// this record's `Debug` — a function of its insertions alone.
+    down_slots: HashMap<Channel, u32, BuildHasherDefault<ChannelHasher>>,
     /// Per-slot count of down intervals covering the current instant.
     /// The interval *set* of a run is realized incrementally: each
     /// `Disconnect` opens an interval (+1), each `Heal` closes one (−1,
@@ -520,6 +524,30 @@ pub struct Checkpoint<P: Protocol> {
     next_op: u64,
     scheduled_ops: u64,
     finished_ops: u64,
+}
+
+/// The multiplicative hash step of FxHash, for the two small integers of
+/// a [`Channel`] key: no per-map random seed, and a few instructions per
+/// lookup where SipHash takes dozens.
+#[derive(Clone, Copy, Default)]
+struct ChannelHasher(u64);
+
+impl Hasher for ChannelHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl<P: Protocol> Checkpoint<P> {
@@ -591,7 +619,7 @@ impl<P: Protocol> Simulation<P> {
                 seq: 0,
                 now: SimTime::ZERO,
                 epoch: vec![0; n],
-                down_slots: HashMap::new(),
+                down_slots: HashMap::default(),
                 down_counts: Vec::new(),
                 down_active: 0,
                 history: History::new(),
@@ -989,9 +1017,12 @@ impl<P: Protocol> Simulation<P> {
             match eff {
                 Effect::Send { to, msg } => self.send(me, to, msg),
                 Effect::Broadcast { msg } => {
-                    for to in 0..self.state.nodes.len() {
+                    // The last copy is the message itself, moved.
+                    let last = self.state.nodes.len() - 1;
+                    for to in 0..last {
                         self.send(me, ProcessId(to), msg.clone());
                     }
+                    self.send(me, ProcessId(last), msg);
                 }
                 Effect::SetTimer { id, after } => {
                     // Zero-duration timers are clamped to one tick: a
@@ -1105,6 +1136,7 @@ impl<P: Protocol> Simulation<P> {
 mod tests {
     use super::*;
     use crate::protocol::{Context, OpId, Protocol, TimerId};
+    use std::collections::BTreeMap;
 
     /// A protocol that answers PING with PONG and completes an op per PONG.
     #[derive(Clone, Default, Debug)]
@@ -1824,6 +1856,76 @@ mod tests {
         sim.run_until(sim.now() + 5_000);
         assert_eq!(sim.down_tracked_channels(), 2);
         assert!(!sim.is_disconnected(rev));
+    }
+
+    /// Random disconnect/heal schedules over every channel of systems of
+    /// 2 to 8 processes: after every event, each channel's down count,
+    /// the active count and `is_disconnected` agree with a reference
+    /// count kept in a `BTreeMap`.
+    #[test]
+    fn down_slots_agree_with_a_reference_count() {
+        let mut rng = SplitMix64::new(0xd0_5107);
+        for case in 0..40 {
+            let n = rng.range(2, 8) as usize;
+            let channels: Vec<Channel> = (0..n)
+                .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+                .map(|(a, b)| Channel::new(ProcessId(a), ProcessId(b)))
+                .collect();
+            // One fault event per instant, so each step runs exactly one.
+            let mut events = Vec::new();
+            let mut sched = FailureSchedule::none();
+            for t in 1..=300u64 {
+                let ch = channels[rng.range(0, channels.len() as u64 - 1) as usize];
+                let down = rng.chance(0.55);
+                if down {
+                    sched.disconnect(ch, SimTime(t));
+                } else {
+                    sched.heal(ch, SimTime(t));
+                }
+                events.push((ch, down));
+            }
+            let mut sim = Simulation::new(SimConfig::default(), vec![PingPong::default(); n]);
+            sim.apply_failures(&sched);
+            let mut reference: BTreeMap<Channel, u32> = BTreeMap::new();
+            for _ in 0..n {
+                assert!(sim.step(), "start-up");
+            }
+            for (t, &(ch, down)) in events.iter().enumerate() {
+                assert!(sim.step());
+                assert_eq!(sim.now(), SimTime(t as u64 + 1));
+                let count = reference.entry(ch).or_insert(0);
+                *count = if down { *count + 1 } else { count.saturating_sub(1) };
+                let st = &sim.state;
+                for &c in &channels {
+                    let want = reference.get(&c).copied().unwrap_or(0);
+                    let got = st.down_slots.get(&c).map_or(0, |&s| st.down_counts[s as usize]);
+                    assert_eq!(got, want, "case {case}, event {t}, {c:?}");
+                    assert_eq!(sim.is_disconnected(c), want > 0);
+                }
+                let active = reference.values().filter(|&&c| c > 0).count();
+                assert_eq!(st.down_active, active, "case {case}, event {t}");
+            }
+            assert!(!sim.step(), "every event ran");
+        }
+    }
+
+    /// The down-slot map hashes without a per-map seed, so two identical
+    /// runs print identical checkpoints, map iteration order included.
+    #[test]
+    fn identical_runs_print_identical_checkpoints() {
+        let run = || {
+            let mut sim = busy_sim(11);
+            let mut sched = FailureSchedule::none();
+            for (a, b) in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2), (0, 3)] {
+                let ch = Channel::new(ProcessId(a), ProcessId(b));
+                sched.disconnect(ch, SimTime(5 + a as u64)).heal(ch, SimTime(90 + b as u64));
+            }
+            sim.apply_failures(&sched);
+            sim.run_until(SimTime(70));
+            assert!(sim.down_tracked_channels() >= 8);
+            format!("{:?}", sim.checkpoint())
+        };
+        assert_eq!(run(), run());
     }
 
     /// Byte-level fingerprint of everything observable about a run:
