@@ -241,21 +241,21 @@ impl<S: Clone + Debug, U: Update<S>> GeneralizedQaf<S, U> {
         })
     }
 
-    /// The cached pushed state of `p`, a member of a pushed quorum.
-    fn cached_state(&self, p: ProcessId) -> S {
-        let (state, _) = self.latest[p.index()].as_ref().expect("quorum members have pushed");
-        state.clone()
-    }
-
     /// Tries to finish pending stage-2 waits against the push cache, gets
-    /// first; returns completions. Called after every cache change.
+    /// first; returns completions. Called after every stage-1 reply and
+    /// every push that crosses a pending cut-off.
     fn drain_ready(&mut self) -> Vec<QafEvent<S>> {
         let mut events = Vec::new();
         let mut i = 0;
         while i < self.req.gets.len() {
             if let Some(quorum) = self.pushed_quorum(&self.req.gets[i].wait) {
                 let g = self.req.gets.swap_remove(i);
-                let states = quorum.iter().map(|p| (p, self.cached_state(p))).collect();
+                let pushed = |p: ProcessId| {
+                    let (state, _) =
+                        self.latest[p.index()].as_ref().expect("quorum members pushed");
+                    (p, state.clone())
+                };
+                let states = quorum.iter().map(pushed).collect();
                 events.push(QafEvent::GetDone { token: g.token, states });
             } else {
                 i += 1;
@@ -663,11 +663,11 @@ mod tests {
     type Done = (u64, Option<Vec<(ProcessId, S)>>);
 
     fn done(events: Vec<QafEvent<S>>) -> Vec<Done> {
-        let done = |ev| match ev {
+        let one = |ev| match ev {
             QafEvent::GetDone { token, states } => (token, Some(states)),
             QafEvent::SetDone { token } => (token, None),
         };
-        events.into_iter().map(done).collect()
+        events.into_iter().map(one).collect()
     }
 
     /// Figure 3's completion rule recomputed from scratch after every
