@@ -25,11 +25,13 @@
 //!
 //! ## Degenerate cases
 //!
-//! `NetModel::from(DelayModel)` maps both legacy models onto this draw
-//! path with **draw-for-draw identical RNG consumption**: a simulation
-//! configured with `net: Some(model.into())` produces a byte-identical
-//! trace to one using the plain `DelayModel` — the loss-free golden traces
-//! reproduce exactly. The GST clamp semantics carry over unchanged: a
+//! `NetModel::from(DelayModel)` is how a plain model runs: the simulator
+//! has one draw path, [`NetModel::delay`], and maps `SimConfig::delay`
+//! into a `NetModel` once, at construction, whenever `SimConfig::net` is
+//! `None`. So `net: Some(model.into())` and `net: None` with `delay:
+//! model` are the same run. The mapping keeps the plain models' RNG
+//! consumption draw for draw (the tests hold it to their original
+//! draw), so traces from before `NetModel` existed reproduce exactly. A
 //! pre-GST draw is clamped so the message still arrives by `gst + δ`, and
 //! post-GST delays are uniform in `[1, δ]` regardless of channel class.
 
@@ -89,16 +91,6 @@ impl LatencyDist {
                     "lognormal sigma must be finite and >= 0"
                 );
             }
-        }
-    }
-
-    /// The inclusive `[lo, hi]` bounds every draw of this distribution
-    /// respects (before any synchrony clamp or asymmetry skew).
-    pub fn bounds(&self) -> (u64, u64) {
-        match *self {
-            LatencyDist::Constant { ticks } => (ticks, ticks),
-            LatencyDist::UniformJitter { min, max } => (min, max),
-            LatencyDist::Lognormal { min, max, .. } => (min, max),
         }
     }
 
@@ -372,8 +364,8 @@ impl NetModel {
             delay = delay.saturating_add(profile.skew);
         }
         match self.synchrony {
-            // Clamp to the §7 bound exactly as `DelayModel` does.
-            // Saturating arithmetic: `validate` rejects an overflowing
+            // Clamp to the §7 bound: a message in flight at GST arrives
+            // by `gst + delta`. Saturating arithmetic: `validate` rejects an overflowing
             // `gst + delta`, and `now < gst` keeps the clamp ≥ 2, but a
             // wrap here must not be able to produce a garbage delay even
             // if those invariants ever loosen.
@@ -534,13 +526,12 @@ mod tests {
     #[test]
     fn every_draw_respects_declared_bounds() {
         let dists = [
-            LatencyDist::Constant { ticks: 7 },
-            LatencyDist::UniformJitter { min: 3, max: 12 },
-            LatencyDist::Lognormal { median: 5, sigma: 0.8, min: 1, max: 50 },
-            LatencyDist::Lognormal { median: 40, sigma: 2.5, min: 10, max: 4000 },
+            (LatencyDist::Constant { ticks: 7 }, 7, 7),
+            (LatencyDist::UniformJitter { min: 3, max: 12 }, 3, 12),
+            (LatencyDist::Lognormal { median: 5, sigma: 0.8, min: 1, max: 50 }, 1, 50),
+            (LatencyDist::Lognormal { median: 40, sigma: 2.5, min: 10, max: 4000 }, 10, 4000),
         ];
-        for dist in dists {
-            let (lo, hi) = dist.bounds();
+        for (dist, lo, hi) in dists {
             let mut rng = SplitMix64::new(17);
             for _ in 0..5_000 {
                 let d = dist.draw(&mut rng);

@@ -112,49 +112,22 @@ pub enum DelayModel {
     },
 }
 
+#[cfg(test)]
 impl DelayModel {
-    fn validate(&self) {
-        match *self {
-            DelayModel::Uniform { min, max } => {
-                assert!(min >= 1, "zero message delays can livelock the event loop");
-                assert!(min <= max, "min delay exceeds max delay");
-            }
-            DelayModel::PartialSynchrony { pre_min, pre_max, gst, delta } => {
-                assert!(pre_min >= 1 && delta >= 1, "delays must be >= 1");
-                assert!(pre_min <= pre_max, "min delay exceeds max delay");
-                assert!(gst.checked_add(delta).is_some(), "gst + delta overflows the tick clock");
-            }
-        }
-    }
-
+    /// The plain model's own draw, kept as the reference that
+    /// `NetModel::from(model)` is held to draw for draw.
     pub(crate) fn draw(&self, now: SimTime, rng: &mut SplitMix64) -> u64 {
         match *self {
             DelayModel::Uniform { min, max } => rng.range(min, max),
             DelayModel::PartialSynchrony { pre_min, pre_max, gst, delta } => {
                 if now.ticks() < gst {
-                    // A pre-GST message may arrive at any time up to the
-                    // §7 bound: every message in flight at GST is
-                    // delivered by GST + δ, so the drawn delay is clamped
-                    // to land no later than that. (`now < gst` and
-                    // `delta >= 1` make the clamp at least 2 ticks, so the
-                    // delay stays >= 1.) Saturating arithmetic: `validate`
-                    // rejects an overflowing `gst + delta`, but a wrap
-                    // here must never be able to fabricate a garbage
-                    // clamp in release builds.
+                    // Arrive by `gst + δ` at the latest (§7).
                     rng.range(pre_min, pre_max)
                         .min(gst.saturating_add(delta).saturating_sub(now.ticks()))
                 } else {
                     rng.range(1, delta)
                 }
             }
-        }
-    }
-
-    /// The global stabilization time, if this model has one.
-    pub fn gst(&self) -> Option<SimTime> {
-        match *self {
-            DelayModel::Uniform { .. } => None,
-            DelayModel::PartialSynchrony { gst, .. } => Some(SimTime(gst)),
         }
     }
 }
@@ -165,14 +138,16 @@ pub struct SimConfig {
     /// RNG seed; two runs with equal configuration and inputs produce
     /// identical traces.
     pub seed: u64,
-    /// Message delay model.
+    /// Message delay model, used when `net` is `None`: the simulator then
+    /// maps it into a [`NetModel`] once, with `NetModel::from`, and draws
+    /// from that. [`Simulation::new`] checks it even when `net` is set.
     pub delay: DelayModel,
     /// Optional per-channel-class network model. When set, every message
     /// delay is drawn from the [`NetModel`] — keyed on the channel's
     /// [`ChannelClass`](crate::ChannelClass) (intra-region vs gateway) —
-    /// and `delay` is ignored. `Some(delay.into())` reproduces the plain
-    /// model's traces byte-identically (see [`crate::netmodel`]).
-    /// Default `None`.
+    /// and `delay` is ignored. When `None`, the simulator draws from
+    /// `NetModel::from(delay)`, so `Some(delay.into())` runs the same
+    /// model (see [`crate::netmodel`]). Default `None`.
     pub net: Option<NetModel>,
     /// The communication graph. Defaults to [`Topology::Complete`] (the
     /// paper's standard model); with [`Topology::Graph`], a send over a
@@ -186,8 +161,9 @@ pub struct SimConfig {
     pub max_events: u64,
     /// Timer drift before GST: a timer armed for `d` fires after a value
     /// drawn from `[d, d * timer_drift_max]`. Must be ≥ 1.0. No effect
-    /// when the delay model in force — `net` when set, else `delay` — has
-    /// no GST, or once GST has passed (clocks are then accurate).
+    /// when the [`NetModel`] in force — `net` when set, else the one the
+    /// simulator maps `delay` into — has no GST, or once GST has passed
+    /// (clocks are then accurate).
     pub timer_drift_max: f64,
     /// Per-channel message-loss probability in `[0, 1]`: each non-self
     /// send that survives the topology and down-interval checks is
@@ -566,6 +542,9 @@ impl<P: Protocol> Checkpoint<P> {
 #[derive(Debug)]
 pub struct Simulation<P: Protocol> {
     config: SimConfig,
+    /// The delay model every send and timer reads: `config.net`, or
+    /// `config.delay` mapped into a [`NetModel`] when that is `None`.
+    net: NetModel,
     /// The one handler context of the run, lent to every handler call
     /// (see [`Simulation::handle`]); it carries the topology view and the
     /// effect buffer.
@@ -593,10 +572,11 @@ impl<P: Protocol> Simulation<P> {
         let n = nodes.len();
         assert!(n > 0, "a system has at least one process");
         assert!(n <= MAX_SIM_PROCESSES, "at most {MAX_SIM_PROCESSES} simulated processes, got {n}");
-        config.delay.validate();
-        if let Some(net) = &config.net {
-            net.validate(n);
-        }
+        // `delay` is checked even when `net` replaces it.
+        let plain = NetModel::from(config.delay);
+        plain.validate(n);
+        let net = config.net.unwrap_or(plain);
+        net.validate(n);
         config.topology.validate();
         assert!(config.timer_drift_max >= 1.0, "drift factor must be >= 1");
         assert!(
@@ -629,6 +609,7 @@ impl<P: Protocol> Simulation<P> {
                 finished_ops: 0,
             },
             config,
+            net,
         }
     }
 
@@ -670,7 +651,7 @@ impl<P: Protocol> Simulation<P> {
     /// Whether `ch` is inside a down interval at the current instant (a
     /// channel absent from the topology is *not* reported here — it never
     /// existed, so it has no intervals).
-    pub fn is_disconnected(&self, ch: Channel) -> bool {
+    fn is_disconnected(&self, ch: Channel) -> bool {
         let st = &self.state;
         st.down_active > 0
             && st.down_slots.get(&ch).is_some_and(|&s| st.down_counts[s as usize] > 0)
@@ -1088,23 +1069,14 @@ impl<P: Protocol> Simulation<P> {
             self.state.stats.dropped_lossy += 1;
             trace_ev!(self, TraceEvent::DropLossy { at: self.state.now, from: me, to });
         } else {
-            let delay = match &self.config.net {
-                Some(net) => {
-                    let class = self.config.topology.channel_class(me, to);
-                    net.delay(me, to, class, self.state.now, &mut self.state.rng)
-                }
-                None => self.config.delay.draw(self.state.now, &mut self.state.rng),
-            };
+            let class = self.config.topology.channel_class(me, to);
+            let delay = self.net.delay(me, to, class, self.state.now, &mut self.state.rng);
             self.push(self.state.now + delay, EventKind::Deliver { from: me, to, msg });
         }
     }
 
     fn drifted(&mut self, after: u64) -> u64 {
-        let gst = match &self.config.net {
-            Some(net) => net.gst(),
-            None => self.config.delay.gst(),
-        };
-        let drifting = gst.is_some_and(|gst| self.state.now < gst);
+        let drifting = self.net.gst().is_some_and(|gst| self.state.now < gst);
         if drifting && self.config.timer_drift_max > 1.0 {
             let factor = 1.0 + self.state.rng.f64() * (self.config.timer_drift_max - 1.0);
             // Drift stretches but never erases a duration: the >= 1 floor
@@ -1570,12 +1542,15 @@ mod tests {
         // Regression: `gst + delta - now` was unchecked arithmetic; a gst
         // near u64::MAX wrapped in release builds and produced a garbage
         // clamp. With saturating ops the (astronomical) clamp never bites.
+        // A plain model runs as `NetModel::from(model)`, so test that.
         let model =
             DelayModel::PartialSynchrony { pre_min: 5, pre_max: 9, gst: u64::MAX - 5, delta: 4 };
-        model.validate();
+        let net = NetModel::from(model);
+        net.validate(2);
         let mut rng = SplitMix64::new(11);
         for now in [0u64, 1, 1 << 32, u64::MAX - 6] {
-            let d = model.draw(SimTime(now), &mut rng);
+            let class = crate::ChannelClass::Intra;
+            let d = net.delay(ProcessId(0), ProcessId(1), class, SimTime(now), &mut rng);
             assert!((5..=9).contains(&d), "astronomical clamp must not bite, got {d}");
         }
     }
@@ -1596,10 +1571,41 @@ mod tests {
     }
 
     #[test]
+    fn ill_formed_plain_delay_models_are_refused() {
+        use crate::netmodel::LatencyDist;
+        use DelayModel::{PartialSynchrony as Ps, Uniform};
+        let cases = [
+            (Uniform { min: 0, max: 5 }, "livelock"),
+            (Uniform { min: 6, max: 5 }, "min delay exceeds max delay"),
+            (Ps { pre_min: 0, pre_max: 9, gst: 50, delta: 3 }, "livelock"),
+            (Ps { pre_min: 1, pre_max: 9, gst: 50, delta: 0 }, "delays must be >= 1"),
+            (Ps { pre_min: 10, pre_max: 9, gst: 50, delta: 3 }, "min delay exceeds max delay"),
+            (Ps { pre_min: 1, pre_max: 9, gst: u64::MAX - 1, delta: 2 }, "gst + delta overflows"),
+        ];
+        // A valid `net` replaces `delay` but does not excuse it.
+        let nets = [None, Some(NetModel::symmetric(LatencyDist::Constant { ticks: 3 }))];
+        for (delay, want) in cases {
+            for net in nets {
+                let cfg = SimConfig { delay, net, ..SimConfig::default() };
+                let refused = std::panic::catch_unwind(|| {
+                    Simulation::new(cfg, vec![PingPong::default()]);
+                })
+                .expect_err(&format!("{delay:?} beside {net:?} was accepted"));
+                let msg = refused
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| refused.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(msg.contains(want), "{delay:?} beside {net:?}: {msg:?}, want {want:?}");
+            }
+        }
+    }
+
+    #[test]
     fn net_model_degenerate_cases_reproduce_plain_traces() {
-        // `NetModel::from(DelayModel)` must be draw-for-draw identical to
-        // the plain path end to end: same completion times, same stats,
-        // same final clock — even with loss draws interleaved.
+        // With `net: None` the simulator runs `NetModel::from(delay)`: the
+        // two configurations must give the same completion times, stats
+        // and final clock — even with loss draws interleaved.
         let delays = [
             DelayModel::Uniform { min: 1, max: 10 },
             DelayModel::PartialSynchrony { pre_min: 1, pre_max: 100, gst: 60, delta: 5 },

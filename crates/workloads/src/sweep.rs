@@ -76,7 +76,7 @@ use gqs_registers::{
 use gqs_simnet::{
     ChromeSink, DelayModel, FailureSchedule, FlightRecorder, Flood, Gossip, JsonlSink, LatencyDist,
     LinkProfile, NetModel, Protocol, RegionSpec, SharedSink, SimConfig, SimTime, Simulation,
-    SplitMix64, StopReason, Synchrony, Topology, TraceSink,
+    SplitMix64, StopReason, Topology, TraceSink,
 };
 
 use crate::generators::{
@@ -1007,8 +1007,8 @@ impl FromStr for ScheduleFamily {
 /// split for every other family.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub enum NetworkFamily {
-    /// The mode's plain [`DelayModel`] routed through the degenerate
-    /// [`NetModel`] — draw-for-draw identical to the historical path, so
+    /// The mode's plain [`DelayModel`], run as `NetModel::from(base)` —
+    /// the one mapping the simulator itself applies to a plain model, so
     /// reports are byte-identical to pre-`NetModel` builds.
     #[default]
     Uniform,
@@ -1043,10 +1043,7 @@ impl NetworkFamily {
     /// `base`'s delay draw; any partial-synchrony overlay of `base`
     /// carries over unchanged.
     pub fn net_model(self, base: DelayModel, spec: RegionSpec) -> NetModel {
-        let synchrony = match base {
-            DelayModel::Uniform { .. } => None,
-            DelayModel::PartialSynchrony { gst, delta, .. } => Some(Synchrony { gst, delta }),
-        };
+        let synchrony = NetModel::from(base).synchrony;
         let regions = Some(spec);
         let lognormal = NetModel {
             intra: LinkProfile::symmetric(LatencyDist::Lognormal {
@@ -1253,11 +1250,9 @@ fn prepare<M: Simulated>(cell: &ScenarioCell, rng: &mut SplitMix64) -> Option<Pr
     }
     let schedule = cell.schedule.script(cell.family, cell.n, &g, pattern, &M::TIMING);
     let (nodes, ops) = M::build(cell.n, &invokers);
-    let delay = M::delay();
     let cfg = SimConfig {
         seed: sim_seed,
-        delay,
-        net: Some(cell.net.net_model(delay, cell.region_spec())),
+        net: Some(cell.net.net_model(M::delay(), cell.region_spec())),
         topology: Topology::from(g),
         horizon: SimTime(M::HORIZON),
         loss: cell.loss,
