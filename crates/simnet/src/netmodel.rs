@@ -31,9 +31,10 @@
 //! `None`. So `net: Some(model.into())` and `net: None` with `delay:
 //! model` are the same run. The mapping keeps the plain models' RNG
 //! consumption draw for draw (the tests hold it to their original
-//! draw), so traces from before `NetModel` existed reproduce exactly. A
-//! pre-GST draw is clamped so the message still arrives by `gst + δ`, and
-//! post-GST delays are uniform in `[1, δ]` regardless of channel class.
+//! draw), so the golden traces recorded with plain models reproduce
+//! exactly. A pre-GST draw is clamped so the message still arrives by
+//! `gst + δ`, and post-GST delays are uniform in `[1, δ]` regardless of
+//! channel class.
 
 use gqs_core::{Channel, NetworkGraph, ProcessId};
 
@@ -365,10 +366,10 @@ impl NetModel {
         }
         match self.synchrony {
             // Clamp to the §7 bound: a message in flight at GST arrives
-            // by `gst + delta`. Saturating arithmetic: `validate` rejects an overflowing
-            // `gst + delta`, and `now < gst` keeps the clamp ≥ 2, but a
-            // wrap here must not be able to produce a garbage delay even
-            // if those invariants ever loosen.
+            // by `gst + delta`. Saturating arithmetic: `validate` rejects
+            // an overflowing `gst + delta`, and `now < gst` keeps the
+            // clamp ≥ 2, but a wrap here must not be able to produce a
+            // garbage delay even if those invariants ever loosen.
             Some(sync) => {
                 delay.min(sync.gst.saturating_add(sync.delta).saturating_sub(now.ticks()))
             }
