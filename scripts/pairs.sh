@@ -18,7 +18,6 @@ if [ $# -lt 5 ] || [ $# -gt 6 ]; then
 fi
 workload=$1 pairs=$2 seconds=$3 parent=$4 change=$5 seed=${6:-1}
 
-bin() { echo "$1/benchmark/target/release/gqs_benchmark"; }
 for dir in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml" \
         --target-dir "$dir/benchmark/target"
@@ -26,7 +25,8 @@ done
 
 # One timed run; prints its trial_us (from the last stdout line, a JSON object).
 trial_us() {
-    "$(bin "$1")" --workload "$workload" --seed "$seed" --seconds "$seconds" 2>/dev/null \
+    "$1/benchmark/target/release/gqs_benchmark" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" 2>/dev/null \
         | tail -n 1 | grep -o '"trial_us":{"value":[0-9.eE+-]*' | sed 's/.*://'
 }
 
