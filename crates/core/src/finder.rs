@@ -84,7 +84,9 @@ pub struct GqsWitness {
 /// The search is exact (sound and complete — see the module docs), so a
 /// `None` answer certifies, by Theorem 2, that **no** obstruction-free
 /// implementation of registers, snapshots or lattice agreement exists for
-/// this fail-prone system, anywhere.
+/// this fail-prone system, anywhere. An empty fail-prone system gets the
+/// vacuous witness: one read and one write quorum of every process, and no
+/// per-pattern choices.
 ///
 /// # Examples
 ///
@@ -95,6 +97,12 @@ pub struct GqsWitness {
 /// assert!(find_gqs(&fig.graph, &fig.fail_prone).is_some());
 /// ```
 pub fn find_gqs(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> Option<GqsWitness> {
+    if fail_prone.is_empty() {
+        let all = vacuous_family(graph);
+        let system =
+            GeneralizedQuorumSystem::new(graph.clone(), fail_prone.clone(), all.clone(), all);
+        return system.ok().map(|system| GqsWitness { per_pattern: Vec::new(), system });
+    }
     let candidates = candidates_per_pattern(graph, fail_prone);
     let choice = solve(&candidates)?;
     let per_pattern: Vec<(ProcessSet, ProcessSet)> = choice
@@ -132,8 +140,13 @@ pub fn gqs_exists(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
 /// Since any `QS+` witness has `R_f ∪ W_f` inside one SCC `S_f`, and
 /// enlarging both to `S_f` preserves Consistency and Availability, `QS+`
 /// exists iff one SCC per pattern can be chosen with pairwise
-/// intersections.
+/// intersections. An empty fail-prone system gets the vacuous `QS+`, one
+/// quorum of every process.
 pub fn find_qs_plus(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> Option<QsPlus> {
+    if fail_prone.is_empty() {
+        let all = vacuous_family(graph);
+        return QsPlus::new(graph.clone(), fail_prone.clone(), all.clone(), all).ok();
+    }
     let candidates: Vec<Vec<Candidate>> = fail_prone
         .patterns()
         .map(|f| {
@@ -155,6 +168,13 @@ pub fn find_qs_plus(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> Optio
         QsPlus::new(graph.clone(), fail_prone.clone(), family.clone(), family)
             .expect("solver guarantees validity"),
     )
+}
+
+/// The read and write family of an empty fail-prone system, which
+/// constrains nothing: one quorum of every process. Validating it against
+/// the empty system fails only on a universe mismatch.
+fn vacuous_family(graph: &NetworkGraph) -> QuorumFamily {
+    QuorumFamily::Explicit(vec![ProcessSet::full(graph.len())])
 }
 
 /// Decides `QS+` existence without building the witness.
@@ -695,10 +715,14 @@ mod tests {
     fn empty_fail_prone_system_is_trivially_solvable() {
         let g = NetworkGraph::complete(3);
         let fp = FailProneSystem::new(3, []).unwrap();
-        // No availability obligations; the solver returns an empty choice,
-        // but building an explicit family needs at least one quorum, so the
-        // witness construction would fail — `gqs_exists` is the right query.
-        assert!(gqs_exists(&g, &fp) || find_gqs(&g, &fp).is_none());
+        // No availability obligations: both finders return the vacuous
+        // witness, one quorum of every process, and no per-pattern choice.
+        assert!(gqs_exists(&g, &fp));
+        let w = find_gqs(&g, &fp).expect("an empty F is solvable");
+        assert!(w.per_pattern.is_empty());
+        let all = crate::QuorumFamily::Explicit(vec![ProcessSet::full(3)]);
+        assert_eq!((w.system.reads(), w.system.writes()), (&all, &all));
+        assert!(find_qs_plus(&g, &fp).is_some());
     }
 
     #[test]

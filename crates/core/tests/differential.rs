@@ -15,7 +15,7 @@ use common::{
 };
 use gqs_core::finder::{find_gqs, gqs_exists, gqs_exists_brute_force};
 use gqs_core::reference::{gqs_exists_naive, NaiveResidual};
-use gqs_core::{ProcessId, ProcessSet};
+use gqs_core::{FailProneSystem, ProcessId, ProcessSet};
 
 /// `reach_from` agrees with the naive engine on random residual graphs,
 /// in any query order (cache-independence).
@@ -119,22 +119,24 @@ fn finder_matches_naive_and_brute_force() {
         let mut rng = SplitMix64::new(9_000 + case);
         let raw = random_raw(6, &mut rng);
         let g = build(&raw);
-        let fp = random_fail_prone(&raw, 4, 0.25, 0.3, &mut rng);
-        let fast = gqs_exists(&g, &fp);
-        assert_eq!(fast, gqs_exists_naive(&g, &fp), "optimized vs naive finder (case {case})");
-        assert_eq!(
-            fast,
-            gqs_exists_brute_force(&g, &fp),
-            "optimized finder vs exhaustive oracle (case {case})"
-        );
-        // find_gqs must agree with gqs_exists and return a valid witness.
-        match find_gqs(&g, &fp) {
-            Some(w) => {
-                assert!(fast, "witness produced for an unsolvable system (case {case})");
-                assert_eq!(w.per_pattern.len(), fp.len());
-            }
-            None => {
-                assert!(!fast || fp.is_empty(), "no witness for a solvable system (case {case})")
+        // Every graph is also checked under the empty fail-prone system,
+        // which the random draw never yields.
+        let empty = FailProneSystem::new(raw.n, []).expect("legal universe");
+        for fp in [random_fail_prone(&raw, 4, 0.25, 0.3, &mut rng), empty] {
+            let fast = gqs_exists(&g, &fp);
+            assert_eq!(fast, gqs_exists_naive(&g, &fp), "optimized vs naive finder (case {case})");
+            assert_eq!(
+                fast,
+                gqs_exists_brute_force(&g, &fp),
+                "optimized finder vs exhaustive oracle (case {case})"
+            );
+            // find_gqs must agree with gqs_exists and return a valid witness.
+            match find_gqs(&g, &fp) {
+                Some(w) => {
+                    assert!(fast, "witness produced for an unsolvable system (case {case})");
+                    assert_eq!(w.per_pattern.len(), fp.len());
+                }
+                None => assert!(!fast, "no witness for a solvable system (case {case})"),
             }
         }
     }

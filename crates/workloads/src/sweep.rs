@@ -922,46 +922,39 @@ impl ScheduleFamily {
         pattern: &FailurePattern,
         t: &ScheduleTiming,
     ) -> FailureSchedule {
-        if self == ScheduleFamily::Static {
-            return FailureSchedule::from_pattern_at(pattern, SimTime::ZERO);
-        }
+        let timeline = match self {
+            ScheduleFamily::Static => {
+                return FailureSchedule::from_pattern_at(pattern, SimTime::ZERO);
+            }
+            ScheduleFamily::RegionOutage => scenarios::staggered_region_outages(
+                family.region_spec(n),
+                g,
+                SimTime(t.start),
+                t.window,
+                t.stagger,
+            ),
+            ScheduleFamily::FlappingLink => scenarios::flapping_link(
+                &family.region_spec(n).cut(g, 0),
+                SimTime(t.start),
+                t.flap.0,
+                t.flap.1,
+                SimTime(t.start + t.window),
+            ),
+            ScheduleFamily::HubCrash => scenarios::hub_crash(
+                ProcessId(0),
+                SimTime(t.start),
+                Some(SimTime(t.start + t.window)),
+            ),
+            ScheduleFamily::RollingRestart => {
+                scenarios::rolling_restart(n, SimTime(t.start), t.restart.0, t.restart.1)
+            }
+        };
         let mut s = FailureSchedule::none();
         // Background noise: the pattern's channel failures, permanent.
         for ch in pattern.channels() {
             s.disconnect(ch, SimTime::ZERO);
         }
-        let spec = family.region_spec(n);
-        match self {
-            ScheduleFamily::Static => unreachable!("handled above"),
-            ScheduleFamily::RegionOutage => {
-                s.merge(scenarios::staggered_region_outages(
-                    spec,
-                    g,
-                    SimTime(t.start),
-                    t.window,
-                    t.stagger,
-                ));
-            }
-            ScheduleFamily::FlappingLink => {
-                s.merge(scenarios::flapping_link(
-                    &spec.cut(g, 0),
-                    SimTime(t.start),
-                    t.flap.0,
-                    t.flap.1,
-                    SimTime(t.start + t.window),
-                ));
-            }
-            ScheduleFamily::HubCrash => {
-                s.merge(scenarios::hub_crash(
-                    ProcessId(0),
-                    SimTime(t.start),
-                    Some(SimTime(t.start + t.window)),
-                ));
-            }
-            ScheduleFamily::RollingRestart => {
-                s.merge(scenarios::rolling_restart(n, SimTime(t.start), t.restart.0, t.restart.1));
-            }
-        }
+        s.merge(timeline);
         s
     }
 
@@ -1159,19 +1152,41 @@ pub struct ScenarioGrid {
 /// can be diffed byte for byte (no timing noise).
 pub const SCENARIO_METRICS: &[&str] = &["gqs", "qs_plus", "gap", "w_min", "sccs_f0"];
 
-/// Runs one scenario trial: builds the cell's topology and fail-prone
+/// One trial's scenario, drawn the same way by every mode that decides or
+/// simulates: the cell's topology, then its fail-prone system, from the
+/// trial's RNG.
+struct Draw {
+    graph: NetworkGraph,
+    fail_prone: FailProneSystem,
+}
+
+impl Draw {
+    fn new(cell: &ScenarioCell, rng: &mut SplitMix64) -> Self {
+        let graph = cell.family.build(cell.n, cell.density, rng);
+        let fail_prone = cell.patterns.build(&graph, cell.p_chan, rng);
+        Draw { graph, fail_prone }
+    }
+
+    /// The pattern the trial applies: the first, or `None` when the
+    /// fail-prone system is empty.
+    fn pattern(&self) -> Option<&FailurePattern> {
+        (!self.fail_prone.is_empty()).then(|| self.fail_prone.pattern(0))
+    }
+}
+
+/// Runs one scenario trial: draws the cell's topology and fail-prone
 /// system from `rng` and measures [`SCENARIO_METRICS`].
 pub fn scenario_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
-    let witness = find_gqs(&g, &fp);
+    let draw = Draw::new(cell, rng);
+    let (g, fp) = (&draw.graph, &draw.fail_prone);
+    let witness = find_gqs(g, fp);
     let gqs = witness.is_some();
-    let qsp = qs_plus_exists(&g, &fp);
+    let qsp = qs_plus_exists(g, fp);
     let w_min = witness
         .as_ref()
         .and_then(|w| w.per_pattern.iter().map(|(_, w)| w.len()).min())
         .unwrap_or(0);
-    let sccs = if fp.is_empty() { 0 } else { g.residual(fp.pattern(0)).sccs().len() };
+    let sccs = draw.pattern().map_or(0, |f| g.residual(f).sccs().len());
     vec![
         gqs as u64 as f64,
         qsp as u64 as f64,
@@ -1188,9 +1203,9 @@ pub fn scenario_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
 /// One simulated sweep mode, described once: its protocol stack, the
 /// constants of a run, the nodes and operations of a drawn scenario, and
 /// how to read the metric row off the finished run. Everything else — the
-/// scenario draw ([`prepare`]), windowing, fork-and-branch, trace replay,
-/// stall logging, aggregation — is applied to the description by code
-/// that never names a mode.
+/// scenario draw and its fault schedule ([`prepare`]), windowing,
+/// fork-and-branch, trace replay, stall logging, aggregation — is applied
+/// to the description by code that never names a mode.
 trait Simulated: Sized {
     /// The protocol stack every process runs.
     type Proto: Protocol;
@@ -1207,9 +1222,11 @@ trait Simulated: Sized {
         SimConfig::default().delay
     }
 
-    /// The `n` nodes, and the operations to schedule (in scheduling
-    /// order).
-    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>);
+    /// One node per process of the drawn graph, and the operations to
+    /// schedule at `invokers` (in scheduling order). The draw carries the
+    /// graph and the whole fail-prone system, not only the applied
+    /// pattern.
+    fn build(draw: &Draw, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>);
 
     /// Reads [`Simulated::METRICS`] off a finished run.
     fn measure(run: &Prepared<Self>) -> Vec<f64>;
@@ -1230,30 +1247,27 @@ struct Prepared<M: Simulated> {
     sim_seed: u64,
 }
 
-/// The scenario draw every simulated mode shares: topology and fail-prone
-/// system exactly like [`scenario_trial`], then the simulator seed, the
-/// cell's fault schedule around the first pattern, and the mode's nodes
-/// and operations. `None` when the cell draws an empty fail-prone system
-/// or no invokers (the trial reports zeros); the seed is drawn *before*
-/// those returns, so a trial advances its RNG identically either way.
+/// One trial of a simulated mode, up to its first event: the scenario
+/// draw that [`scenario_trial`] makes, then the simulator seed, the cell's
+/// fault schedule around the draw's pattern, and the mode's nodes and
+/// operations. `None` when the draw has no pattern (an empty fail-prone
+/// system) or no invokers (the trial reports zeros); the seed is drawn
+/// *before* those returns, so a trial advances its RNG identically either
+/// way.
 fn prepare<M: Simulated>(cell: &ScenarioCell, rng: &mut SplitMix64) -> Option<Prepared<M>> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
+    let draw = Draw::new(cell, rng);
     let sim_seed = rng.next_u64();
-    if fp.is_empty() {
-        return None;
-    }
-    let pattern = fp.pattern(0);
+    let pattern = draw.pattern()?;
     let invokers = cell.schedule.invokers(cell.n, pattern);
     if invokers.is_empty() {
         return None;
     }
-    let schedule = cell.schedule.script(cell.family, cell.n, &g, pattern, &M::TIMING);
-    let (nodes, ops) = M::build(cell.n, &invokers);
+    let schedule = cell.schedule.script(cell.family, cell.n, &draw.graph, pattern, &M::TIMING);
+    let (nodes, ops) = M::build(&draw, &invokers);
     let cfg = SimConfig {
         seed: sim_seed,
         net: Some(cell.net.net_model(M::delay(), cell.region_spec())),
-        topology: Topology::from(g),
+        topology: Topology::from(draw.graph),
         horizon: SimTime(M::HORIZON),
         loss: cell.loss,
         max_events: sweep_max_events(),
@@ -1341,8 +1355,8 @@ impl Simulated for Latency {
     const HORIZON: u64 = LATENCY_HORIZON;
     const TIMING: ScheduleTiming = LATENCY_TIMING;
 
-    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
-        (flooded_registers(n, None), register_ops(invokers))
+    fn build(draw: &Draw, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
+        (flooded_registers(draw.graph.len(), None), register_ops(invokers))
     }
 
     fn measure(run: &Prepared<Self>) -> Vec<f64> {
@@ -1356,8 +1370,8 @@ impl Simulated for Latency {
     }
 }
 
-/// Runs one protocol-latency trial: builds the cell's topology and
-/// fail-prone system exactly like [`scenario_trial`], then drives an
+/// Runs one protocol-latency trial: draws the cell's topology and
+/// fail-prone system from `rng` as [`scenario_trial`] does, then drives an
 /// ABD majority register wrapped in [`Flood`] over that topology — the
 /// paper's §5 transitivity construction operationalized — under the
 /// cell's fault schedule ([`ScheduleFamily`]; `Static` replays the
@@ -1423,13 +1437,15 @@ impl Simulated for Consensus {
         }
     }
 
-    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
+    fn build(draw: &Draw, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
         let proposals = invokers
             .iter()
             .enumerate()
             .map(|(i, &p)| (SimTime(10 + i as u64), p, p.index() as u64 + 1))
             .collect();
-        (majority_consensus_nodes::<u64>(n, CONSENSUS_C, ProposalMode::Push), proposals)
+        let nodes =
+            majority_consensus_nodes::<u64>(draw.graph.len(), CONSENSUS_C, ProposalMode::Push);
+        (nodes, proposals)
     }
 
     /// Also trips the Agreement assertion.
@@ -1457,8 +1473,8 @@ impl Simulated for Consensus {
     }
 }
 
-/// Runs one single-shot consensus trial: builds the cell's topology and
-/// fail-prone system exactly like [`scenario_trial`], then drives the
+/// Runs one single-shot consensus trial: draws the cell's topology and
+/// fail-prone system from `rng` as [`scenario_trial`] does, then drives the
 /// Figure 6 push-consensus protocol (majority quorums, flooded, view
 /// synchronizer with `C = 50`) under partial synchrony (`GST = 1000`,
 /// `δ = 5`) and the cell's fault schedule, and measures
@@ -1515,8 +1531,8 @@ impl Simulated for Availability {
     const HORIZON: u64 = LATENCY_HORIZON;
     const TIMING: ScheduleTiming = LATENCY_TIMING;
 
-    fn build(n: usize, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
-        (flooded_registers(n, Some(AVAILABILITY_RETRY)), register_ops(invokers))
+    fn build(draw: &Draw, invokers: &[ProcessId]) -> (Vec<Self::Proto>, Vec<Invoke<Self>>) {
+        (flooded_registers(draw.graph.len(), Some(AVAILABILITY_RETRY)), register_ops(invokers))
     }
 
     fn measure(run: &Prepared<Self>) -> Vec<f64> {
@@ -1974,9 +1990,16 @@ impl Mode {
         self.horizon().ok_or_else(|| self.unsimulated(what))
     }
 
-    /// The refusal [`Mode::horizon_for`] documents.
+    /// The refusal [`Mode::horizon_for`] documents, naming every mode
+    /// that has a horizon.
     fn unsimulated(self, what: &str) -> String {
-        format!("{what} needs --mode latency, consensus or availability, not {:?}", self.name())
+        let names: Vec<&str> =
+            Mode::ALL.into_iter().filter(|m| m.simulated().is_some()).map(Mode::name).collect();
+        let list = match names.split_last() {
+            Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+            _ => names.concat(),
+        };
+        format!("{what} needs --mode {list}, not {:?}", self.name())
     }
 
     /// The largest system size a cell may have, and the constant that
@@ -1996,9 +2019,7 @@ impl FromStr for Mode {
 
     fn from_str(s: &str) -> Result<Self, String> {
         Mode::ALL.into_iter().find(|m| m.name() == s).ok_or_else(|| {
-            format!(
-                "unknown mode {s:?} (expected solvability|latency|consensus|availability|scale)"
-            )
+            format!("unknown mode {s:?} (expected {})", Mode::ALL.map(Mode::name).join("|"))
         })
     }
 }
@@ -3185,5 +3206,78 @@ mod tests {
             "plain ABD must lose ops at 30% loss, got {}",
             plain.agg(0, "completed").mean()
         );
+    }
+
+    /// A draw with no pattern to apply, or whose static pattern crashes
+    /// every process and so leaves no invoker, reports zeros under every
+    /// execution strategy, advances the trial's RNG as a full trial does,
+    /// and has nothing for trace replay.
+    #[test]
+    fn empty_draws_report_zeros_under_every_exec() {
+        let cell = |n, patterns, max_crashes| ScenarioCell {
+            family: TopologyFamily::Complete,
+            n,
+            density: 1.0,
+            patterns: PatternFamily::Random { patterns, max_crashes },
+            p_chan: 0.0,
+            loss: 0.0,
+            schedule: ScheduleFamily::Static,
+            net: NetworkFamily::Uniform,
+        };
+        let timeline = Exec::Timeline(25_000);
+        let assert_empty = |grid: &ScenarioGrid, t: usize| {
+            let c = &grid.cells[0];
+            let rng = || trial_rng(grid.seed, t);
+            let mut after = rng();
+            assert_eq!(one_row::<Latency>(c, &mut after, None).0, vec![0.0; 4], "trial {t}");
+            let mut expect = rng();
+            Draw::new(c, &mut expect);
+            expect.next_u64();
+            assert_eq!(after, expect, "trial {t} must draw the simulator seed");
+            assert_eq!(one_row::<Latency>(c, &mut rng(), Some(25_000)).0, vec![0.0; 16]);
+            for mode in [BranchMode::Fork, BranchMode::Straight] {
+                let spec = BranchSpec { at: 500, branches: 3, mode };
+                assert_eq!(branch_rows::<Latency>(c, &mut rng(), &spec), vec![vec![0.0; 4]; 3]);
+            }
+            let err =
+                replay_trial_trace(grid, Mode::Latency, 0, t, TraceFormat::Jsonl).unwrap_err();
+            assert_eq!(err, "trial draws an empty scenario (nothing to trace)");
+        };
+
+        // An empty F: every trial is empty, so whole reports are zeros.
+        let grid = ScenarioGrid { cells: vec![cell(4, 0, 0)], trials: 4, seed: 11 };
+        let branched = Exec::Branched(BranchSpec { at: 500, branches: 3, mode: BranchMode::Fork });
+        for (exec, width, rows) in [(Exec::Straight, 4, 4), (timeline, 16, 4), (branched, 4, 12)] {
+            let report = grid.run_mode(Mode::Latency, &exec, &SweepOptions::default());
+            assert_eq!(report.metrics.len(), width, "{exec:?}");
+            for m in &report.metrics {
+                let agg = report.agg(0, m);
+                assert_eq!((agg.count(), agg.min(), agg.max()), (rows, 0.0, 0.0), "{exec:?} {m}");
+            }
+        }
+        for t in 0..grid.trials {
+            assert_empty(&grid, t);
+        }
+        // Deciding it: the vacuous witness exists and separates nothing.
+        let report = grid.run_mode(Mode::Solvability, &Exec::Straight, &SweepOptions::default());
+        for (m, v) in
+            [("gqs", 1.0), ("qs_plus", 1.0), ("gap", 0.0), ("w_min", 0.0), ("sccs_f0", 0.0)]
+        {
+            assert_eq!(report.agg(0, m).mean(), v, "{m}");
+        }
+
+        // One static pattern that may crash both of two processes: the
+        // trials whose pattern crashes both have no invoker.
+        let grid = ScenarioGrid { cells: vec![cell(2, 1, 2)], trials: 50, seed: 11 };
+        let dead: Vec<usize> = (0..grid.trials)
+            .filter(|&t| {
+                let draw = Draw::new(&grid.cells[0], &mut trial_rng(grid.seed, t));
+                draw.pattern().is_some_and(|f| f.correct().is_empty())
+            })
+            .collect();
+        assert_eq!(dead.len(), 13, "{dead:?}");
+        for t in dead {
+            assert_empty(&grid, t);
+        }
     }
 }
