@@ -58,7 +58,8 @@
 //! into a timeline, or one warmup forked into seeded branches — and is
 //! applied to any description by one generic driver; trace replay
 //! ([`replay_trial_trace`]) is the same draw with a sink attached. So a
-//! new simulated mode is one `impl`, and it gets every strategy.
+//! new simulated mode is one `impl` plus one arm in each [`Mode`] method,
+//! and it gets every strategy; the CLI's mode lists follow `Mode`.
 
 use std::fmt;
 use std::str::FromStr;
@@ -3224,7 +3225,6 @@ mod tests {
             schedule: ScheduleFamily::Static,
             net: NetworkFamily::Uniform,
         };
-        let timeline = Exec::Timeline(25_000);
         let assert_empty = |grid: &ScenarioGrid, t: usize| {
             let c = &grid.cells[0];
             let rng = || trial_rng(grid.seed, t);
@@ -3246,6 +3246,7 @@ mod tests {
 
         // An empty F: every trial is empty, so whole reports are zeros.
         let grid = ScenarioGrid { cells: vec![cell(4, 0, 0)], trials: 4, seed: 11 };
+        let timeline = Exec::Timeline(25_000);
         let branched = Exec::Branched(BranchSpec { at: 500, branches: 3, mode: BranchMode::Fork });
         for (exec, width, rows) in [(Exec::Straight, 4, 4), (timeline, 16, 4), (branched, 4, 12)] {
             let report = grid.run_mode(Mode::Latency, &exec, &SweepOptions::default());
