@@ -1153,9 +1153,9 @@ pub struct ScenarioGrid {
 /// can be diffed byte for byte (no timing noise).
 pub const SCENARIO_METRICS: &[&str] = &["gqs", "qs_plus", "gap", "w_min", "sccs_f0"];
 
-/// One trial's scenario, drawn the same way by every mode that decides or
-/// simulates: the cell's topology, then its fail-prone system, from the
-/// trial's RNG.
+/// One trial's scenario, drawn the same way for solvability and for every
+/// [`Simulated`] mode: the cell's topology, then its fail-prone system,
+/// from the trial's RNG.
 struct Draw {
     graph: NetworkGraph,
     fail_prone: FailProneSystem,
