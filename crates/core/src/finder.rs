@@ -18,7 +18,15 @@
 //! This reduces existence to a finite constraint-satisfaction problem over
 //! one SCC choice per pattern. The same argument with `R_f = W_f = S_f`
 //! settles `QS+` existence, and with `R_f = W_f = correct(f)` the classical
-//! case.
+//! case. A GQS and a `QS+` thus differ only in the *read rule* that turns
+//! an SCC into its maximal read quorum (`reach(S_f)` or `S_f` itself), so
+//! both finders share one candidate builder, one solver and one assembly.
+//!
+//! Every decision procedure first checks that the graph and the
+//! fail-prone system are over the same processes, the check the validated
+//! constructors of [`crate::quorum`] run too. On a mismatched pair each
+//! answers `None` or `false`, and [`explain_unsolvable`] names the
+//! mismatch.
 //!
 //! # How the CSP is solved
 //!
@@ -53,20 +61,30 @@
 //! kept in [`crate::reference`] as an oracle and perf baseline.
 
 use crate::failure::FailProneSystem;
-use crate::graph::NetworkGraph;
+use crate::graph::{NetworkGraph, ResidualGraph};
 use crate::process::ProcessSet;
-use crate::quorum::{GeneralizedQuorumSystem, QsPlus, QuorumFamily};
+use crate::quorum::{
+    same_universe, GeneralizedQuorumSystem, QsPlus, QuorumFamily, QuorumSystemError,
+};
 
 /// One candidate per failure pattern: a strongly connected component used
-/// as write quorum, and the maximal read quorum that reaches it.
+/// as write quorum, and the maximal read quorum the read rule allows.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 struct Candidate {
     /// The SCC, used as the write quorum.
     write: ProcessSet,
-    /// All correct processes that reach every member of the SCC
-    /// (superset of the SCC itself).
+    /// The maximal read quorum for the SCC (a superset of it).
     read: ProcessSet,
 }
+
+/// The read rule: the maximal read quorum for an SCC of a residual graph.
+type ReadRule = fn(&ResidualGraph, ProcessSet) -> ProcessSet;
+
+/// A GQS reads from every correct process that reaches the SCC.
+const GQS_READ: ReadRule = ResidualGraph::reach_to_all;
+
+/// A `QS+` reads within the SCC, so that `R_f ∪ W_f` is strongly connected.
+const QS_PLUS_READ: ReadRule = |_, scc| scc;
 
 /// The result of a successful GQS search: the chosen quorums, pattern by
 /// pattern, and the assembled (validated) quorum system.
@@ -82,11 +100,14 @@ pub struct GqsWitness {
 /// system, returning a witness if so.
 ///
 /// The search is exact (sound and complete — see the module docs), so a
-/// `None` answer certifies, by Theorem 2, that **no** obstruction-free
+/// `None` answer on a graph and a fail-prone system over the same
+/// processes certifies, by Theorem 2, that **no** obstruction-free
 /// implementation of registers, snapshots or lattice agreement exists for
-/// this fail-prone system, anywhere. An empty fail-prone system gets the
-/// vacuous witness: one read and one write quorum of every process, and no
-/// per-pattern choices.
+/// this fail-prone system, anywhere. On a pair over different universes
+/// the question has no meaning and the answer is `None` too;
+/// [`explain_unsolvable`] tells the two apart. An empty fail-prone system
+/// gets the vacuous witness: one read and one write quorum of every
+/// process, and no per-pattern choices.
 ///
 /// # Examples
 ///
@@ -97,45 +118,21 @@ pub struct GqsWitness {
 /// assert!(find_gqs(&fig.graph, &fig.fail_prone).is_some());
 /// ```
 pub fn find_gqs(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> Option<GqsWitness> {
-    if fail_prone.is_empty() {
-        let all = vacuous_family(graph);
-        let system =
-            GeneralizedQuorumSystem::new(graph.clone(), fail_prone.clone(), all.clone(), all);
-        return system.ok().map(|system| GqsWitness { per_pattern: Vec::new(), system });
-    }
-    let candidates = candidates_per_pattern(graph, fail_prone);
-    let choice = solve(&candidates)?;
-    let per_pattern: Vec<(ProcessSet, ProcessSet)> = choice
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (candidates[i][c].read, candidates[i][c].write))
-        .collect();
-    let mut reads: Vec<ProcessSet> = per_pattern.iter().map(|(r, _)| *r).collect();
-    let mut writes: Vec<ProcessSet> = per_pattern.iter().map(|(_, w)| *w).collect();
-    reads.sort_unstable();
-    reads.dedup();
-    writes.sort_unstable();
-    writes.dedup();
-    let system = GeneralizedQuorumSystem::new(
-        graph.clone(),
-        fail_prone.clone(),
-        QuorumFamily::explicit(reads).expect("nonempty by construction"),
-        QuorumFamily::explicit(writes).expect("nonempty by construction"),
-    )
-    .expect("the solver's pairwise checks imply validity");
+    let (per_pattern, system) =
+        assemble(graph, fail_prone, GQS_READ, GeneralizedQuorumSystem::new)?;
     Some(GqsWitness { per_pattern, system })
 }
 
 /// Decides GQS existence without building the witness (slightly cheaper;
-/// used in sweeps).
+/// used in sweeps). Agrees with `find_gqs(graph, fail_prone).is_some()`,
+/// so it is `false` on a pair over different universes.
 pub fn gqs_exists(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
-    let candidates = candidates_per_pattern(graph, fail_prone);
-    solve(&candidates).is_some()
+    candidates_per_pattern(graph, fail_prone, GQS_READ).is_some_and(|c| solve(&c).is_some())
 }
 
 /// Decides whether `(graph, fail_prone)` admits a `QS+` (the §1 strawman:
 /// available read and write quorums strongly connected together), returning
-/// the per-pattern SCC choices if so.
+/// the validated system if so.
 ///
 /// Since any `QS+` witness has `R_f ∪ W_f` inside one SCC `S_f`, and
 /// enlarging both to `S_f` preserves Consistency and Availability, `QS+`
@@ -143,43 +140,54 @@ pub fn gqs_exists(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
 /// intersections. An empty fail-prone system gets the vacuous `QS+`, one
 /// quorum of every process.
 pub fn find_qs_plus(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> Option<QsPlus> {
-    if fail_prone.is_empty() {
-        let all = vacuous_family(graph);
-        return QsPlus::new(graph.clone(), fail_prone.clone(), all.clone(), all).ok();
-    }
-    let candidates: Vec<Vec<Candidate>> = fail_prone
-        .patterns()
-        .map(|f| {
-            graph
-                .residual(f)
-                .sccs()
-                .into_iter()
-                .map(|scc| Candidate { write: scc, read: scc })
-                .collect()
-        })
+    assemble(graph, fail_prone, QS_PLUS_READ, QsPlus::new).map(|(_, system)| system)
+}
+
+/// Decides `QS+` existence without building the witness. Agrees with
+/// `find_qs_plus(graph, fail_prone).is_some()`.
+pub fn qs_plus_exists(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
+    candidates_per_pattern(graph, fail_prone, QS_PLUS_READ).is_some_and(|c| solve(&c).is_some())
+}
+
+/// The one assembly from a solver choice to a validated system, shared by
+/// [`find_gqs`] and [`find_qs_plus`]: the chosen `(R_f, W_f)` per pattern,
+/// and the system `build` validates over their read and write families.
+fn assemble<T>(
+    graph: &NetworkGraph,
+    fail_prone: &FailProneSystem,
+    read: ReadRule,
+    build: fn(
+        NetworkGraph,
+        FailProneSystem,
+        QuorumFamily,
+        QuorumFamily,
+    ) -> Result<T, QuorumSystemError>,
+) -> Option<(Vec<(ProcessSet, ProcessSet)>, T)> {
+    let candidates = candidates_per_pattern(graph, fail_prone, read)?;
+    let per_pattern: Vec<(ProcessSet, ProcessSet)> = solve(&candidates)?
+        .into_iter()
+        .zip(&candidates)
+        .map(|(c, list)| (list[c].read, list[c].write))
         .collect();
-    let choice = solve(&candidates)?;
-    let mut quorums: Vec<ProcessSet> =
-        choice.iter().enumerate().map(|(i, &c)| candidates[i][c].write).collect();
+    let reads = chosen_family(graph.len(), per_pattern.iter().map(|&(r, _)| r));
+    let writes = chosen_family(graph.len(), per_pattern.iter().map(|&(_, w)| w));
+    let system = build(graph.clone(), fail_prone.clone(), reads, writes)
+        .expect("the solver's pairwise checks imply validity");
+    Some((per_pattern, system))
+}
+
+/// The explicit family of the chosen quorums, stored sorted and deduplicated
+/// as [`QuorumFamily::explicit`] stores it; every chosen quorum contains a
+/// nonempty SCC. An empty fail-prone system chooses nothing and constrains
+/// nothing, so its family is one quorum of all `n` processes.
+fn chosen_family(n: usize, quorums: impl Iterator<Item = ProcessSet>) -> QuorumFamily {
+    let mut quorums: Vec<ProcessSet> = quorums.collect();
+    if quorums.is_empty() {
+        quorums.push(ProcessSet::full(n));
+    }
     quorums.sort_unstable();
     quorums.dedup();
-    let family = QuorumFamily::explicit(quorums).expect("nonempty");
-    Some(
-        QsPlus::new(graph.clone(), fail_prone.clone(), family.clone(), family)
-            .expect("solver guarantees validity"),
-    )
-}
-
-/// The read and write family of an empty fail-prone system, which
-/// constrains nothing: one quorum of every process. Validating it against
-/// the empty system fails only on a universe mismatch.
-fn vacuous_family(graph: &NetworkGraph) -> QuorumFamily {
-    QuorumFamily::Explicit(vec![ProcessSet::full(graph.len())])
-}
-
-/// Decides `QS+` existence without building the witness.
-pub fn qs_plus_exists(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
-    find_qs_plus(graph, fail_prone).is_some()
+    QuorumFamily::Explicit(quorums)
 }
 
 /// Decides whether a **crash-only** fail-prone system admits a classical
@@ -192,7 +200,6 @@ pub fn classical_qs_exists(fail_prone: &FailProneSystem) -> Option<bool> {
     if !fail_prone.is_crash_only() {
         return None;
     }
-    let n = fail_prone.universe();
     let correct: Vec<ProcessSet> = fail_prone.patterns().map(|f| f.correct()).collect();
     for r in &correct {
         for w in &correct {
@@ -205,8 +212,7 @@ pub fn classical_qs_exists(fail_prone: &FailProneSystem) -> Option<bool> {
         }
     }
     // An empty fail-prone system imposes no constraints; quorums must still
-    // be nonempty, which full(n) satisfies.
-    let _ = n;
+    // be nonempty, which every process together satisfies.
     Some(true)
 }
 
@@ -224,11 +230,12 @@ pub fn find_threshold_gqs(
     graph: &NetworkGraph,
     fail_prone: &FailProneSystem,
 ) -> Option<GeneralizedQuorumSystem> {
+    same_universe(graph, fail_prone).ok()?;
     let n = graph.len();
     for w in 1..=n {
         for r in (n + 1 - w).max(1)..=n {
-            let reads = QuorumFamily::threshold(n, r).expect("in range");
-            let writes = QuorumFamily::threshold(n, w).expect("in range");
+            let reads = QuorumFamily::Threshold { n, min_size: r };
+            let writes = QuorumFamily::Threshold { n, min_size: w };
             if let Ok(sys) =
                 GeneralizedQuorumSystem::new(graph.clone(), fail_prone.clone(), reads, writes)
             {
@@ -239,9 +246,17 @@ pub fn find_threshold_gqs(
     None
 }
 
-/// Why a fail-prone system admits no generalized quorum system.
+/// Why a graph and a fail-prone system admit no generalized quorum system.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Unsolvability {
+    /// The graph and the fail-prone system are over different numbers of
+    /// processes, so the question has no meaning.
+    UniverseMismatch {
+        /// Processes of the graph.
+        graph: usize,
+        /// Processes of the fail-prone system.
+        fail_prone: usize,
+    },
     /// A pattern leaves no correct process at all: no write quorum can
     /// ever be available under it.
     DeadPattern {
@@ -266,6 +281,9 @@ pub enum Unsolvability {
 impl std::fmt::Display for Unsolvability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Unsolvability::UniverseMismatch { graph, fail_prone } => {
+                write!(f, "graph is over {graph} processes, fail-prone system over {fail_prone}")
+            }
             Unsolvability::DeadPattern { pattern } => {
                 write!(f, "pattern #{pattern} leaves no correct processes")
             }
@@ -279,18 +297,22 @@ impl std::fmt::Display for Unsolvability {
     }
 }
 
-/// Diagnoses why no GQS exists; returns `None` if one does.
+/// Diagnoses why no GQS exists; returns `None` if one does, that is,
+/// exactly when [`find_gqs`] returns a witness.
 ///
-/// The diagnosis is a coarse core: first a pattern with no candidates,
+/// The diagnosis is a coarse core: first a universe mismatch between the
+/// graph and the fail-prone system, then a pattern with no candidates,
 /// then the first locally-inconsistent pair, otherwise a global verdict.
 pub fn explain_unsolvable(
     graph: &NetworkGraph,
     fail_prone: &FailProneSystem,
 ) -> Option<Unsolvability> {
-    let candidates = candidates_per_pattern(graph, fail_prone);
-    if candidates.is_empty() {
-        return None;
-    }
+    let Some(candidates) = candidates_per_pattern(graph, fail_prone, GQS_READ) else {
+        return Some(Unsolvability::UniverseMismatch {
+            graph: graph.len(),
+            fail_prone: fail_prone.universe(),
+        });
+    };
     if let Some(i) = candidates.iter().position(|c| c.is_empty()) {
         return Some(Unsolvability::DeadPattern { pattern: i });
     }
@@ -316,20 +338,26 @@ pub fn explain_unsolvable(
     Some(Unsolvability::Global)
 }
 
+/// The one candidate builder: per pattern, every SCC of the residual graph
+/// with its read quorum under `read`. `None` when the graph and the
+/// fail-prone system are over different universes.
 fn candidates_per_pattern(
     graph: &NetworkGraph,
     fail_prone: &FailProneSystem,
-) -> Vec<Vec<Candidate>> {
-    fail_prone
+    read: ReadRule,
+) -> Option<Vec<Vec<Candidate>>> {
+    same_universe(graph, fail_prone).ok()?;
+    let candidates = fail_prone
         .patterns()
         .map(|f| {
             let res = graph.residual(f);
             res.sccs()
                 .into_iter()
-                .map(|scc| Candidate { write: scc, read: res.reach_to_all(scc) })
+                .map(|scc| Candidate { write: scc, read: read(&res, scc) })
                 .collect()
         })
-        .collect()
+        .collect();
+    Some(candidates)
 }
 
 /// Pairwise compatibility: both chosen candidates' reads must intersect
@@ -564,9 +592,6 @@ impl<'a> Csp<'a> {
 /// the instance (dedup + compatibility bitmatrix), then runs forward
 /// checking over domain masks — see the module docs for the design.
 fn solve(candidates: &[Vec<Candidate>]) -> Option<Vec<usize>> {
-    if candidates.is_empty() {
-        return Some(Vec::new());
-    }
     if candidates.iter().any(|c| c.is_empty()) {
         // A pattern with no correct processes at all: no availability.
         return None;
@@ -578,37 +603,25 @@ fn solve(candidates: &[Vec<Candidate>]) -> Option<Vec<usize>> {
 
 /// Exhaustive oracle for tests: tries **every** combination of SCC choices
 /// (no pruning, no ordering) and reports whether any satisfies the pairwise
-/// condition. Exponential; only for small systems.
+/// condition. Exponential; only for small systems. `false` on a pair over
+/// different universes, like every other finder.
 pub fn gqs_exists_brute_force(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
-    let candidates = candidates_per_pattern(graph, fail_prone);
-    if candidates.iter().any(|c| c.is_empty()) {
-        return false;
-    }
-    let m = candidates.len();
-    let mut idx = vec![0usize; m];
-    loop {
-        let ok = (0..m).all(|i| {
-            (0..m).all(|j| candidates[i][idx[i]].read.intersects(candidates[j][idx[j]].write))
-        });
-        if ok {
-            return true;
-        }
-        // Next combination.
-        let mut carry = true;
-        for i in 0..m {
-            if carry {
-                idx[i] += 1;
-                if idx[i] == candidates[i].len() {
-                    idx[i] = 0;
-                } else {
-                    carry = false;
-                }
-            }
-        }
-        if carry {
-            return false;
-        }
-    }
+    candidates_per_pattern(graph, fail_prone, GQS_READ)
+        .is_some_and(|candidates| any_combination(&candidates, &mut Vec::new()))
+}
+
+/// Extends `chosen` (one candidate for each of the first patterns) by every
+/// candidate of the next pattern in turn, and tests each full combination.
+fn any_combination(candidates: &[Vec<Candidate>], chosen: &mut Vec<Candidate>) -> bool {
+    let Some(list) = candidates.get(chosen.len()) else {
+        return chosen.iter().all(|a| chosen.iter().all(|b| a.read.intersects(b.write)));
+    };
+    list.iter().any(|&c| {
+        chosen.push(c);
+        let found = any_combination(candidates, chosen);
+        chosen.pop();
+        found
+    })
 }
 
 #[cfg(test)]

@@ -201,7 +201,10 @@ impl NetworkGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `f` talks about processes outside this graph.
+    /// Panics if `f` is over a different number of processes than this
+    /// graph. No decision procedure of [`crate::finder`] or
+    /// [`crate::reference`] reaches this: each checks the universe first,
+    /// and answers `None` or `false` on a mismatch.
     pub fn residual(&self, f: &FailurePattern) -> ResidualGraph {
         assert!(
             f.universe() == self.core.n,
@@ -672,11 +675,6 @@ impl ResidualGraph {
         }
     }
 
-    /// Transitive closure: `closure[p]` is the forward reach set of `p`.
-    pub fn transitive_closure(&self) -> Vec<ProcessSet> {
-        (0..self.base.n).map(|p| self.reach_from(ProcessId(p))).collect()
-    }
-
     /// Whether `w` is `f`-available: only correct processes, strongly
     /// connected in this residual graph (§3).
     pub fn f_available(&self, w: ProcessSet) -> bool {
@@ -856,15 +854,6 @@ mod tests {
         assert!(!g.f_available(pset![0, 2]));
         assert!(g.f_reachable(pset![0, 1], pset![0, 2]));
         assert!(!g.f_reachable(pset![0, 2], pset![0, 1]));
-    }
-
-    #[test]
-    fn transitive_closure_matches_reach_from() {
-        let g = line_graph(4).residual_failure_free();
-        let tc = g.transitive_closure();
-        for (p, row) in tc.iter().enumerate() {
-            assert_eq!(*row, g.reach_from(ProcessId(p)));
-        }
     }
 
     #[test]

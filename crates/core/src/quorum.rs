@@ -386,17 +386,8 @@ impl GeneralizedQuorumSystem {
         reads: QuorumFamily,
         writes: QuorumFamily,
     ) -> Result<Self, QuorumSystemError> {
-        if graph.len() != fail_prone.universe() {
-            return Err(QuorumSystemError::UniverseMismatch {
-                graph: graph.len(),
-                fail_prone: fail_prone.universe(),
-            });
-        }
-        check_in_range(&reads, graph.len())?;
-        check_in_range(&writes, graph.len())?;
-        if let Err((read, write)) = reads.consistent_with(&writes) {
-            return Err(QuorumSystemError::Consistency { read, write });
-        }
+        same_universe(&graph, &fail_prone)?;
+        check_families(&reads, &writes, graph.len())?;
         let mut witnesses = Vec::with_capacity(fail_prone.len());
         for (i, f) in fail_prone.patterns().enumerate() {
             let res = graph.residual(f);
@@ -428,16 +419,24 @@ impl GeneralizedQuorumSystem {
         &self.writes
     }
 
-    /// The availability witness for pattern `i`, computed at construction
-    /// (always `Some` for a validated system; the `Option` is kept for API
-    /// stability).
+    /// The availability witness for pattern `i`, computed at construction.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let fig = gqs_core::systems::figure1();
+    /// let w = fig.gqs.availability_witness(0);
+    /// // The write quorum is reachable from the read quorum, and lies in
+    /// // U_f (Proposition 1).
+    /// assert!(w.write.is_subset(w.u_f));
+    /// assert_eq!(w.u_f, fig.gqs.u_f(0));
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `i` is not a valid pattern index.
-    pub fn availability_witness(&self, i: usize) -> Option<AvailabilityWitness> {
-        assert!(i < self.fail_prone.len(), "pattern index {i} out of range");
-        Some(self.witnesses[i])
+    pub fn availability_witness(&self, i: usize) -> AvailabilityWitness {
+        self.witnesses[i]
     }
 
     /// The set `U_f` for pattern `i` (Proposition 1): the strongly
@@ -451,12 +450,6 @@ impl GeneralizedQuorumSystem {
     /// system was validated at construction.
     pub fn u_f(&self, i: usize) -> ProcessSet {
         self.witnesses[i].u_f
-    }
-
-    /// The canonical termination mapping `τ(f) = U_f` of Theorem 1, as a
-    /// vector indexed by pattern.
-    pub fn termination_map(&self) -> Vec<ProcessSet> {
-        (0..self.fail_prone.len()).map(|i| self.u_f(i)).collect()
     }
 }
 
@@ -500,12 +493,7 @@ impl ClassicalQuorumSystem {
         if !fail_prone.is_crash_only() {
             return Err(QuorumSystemError::ChannelFailuresPresent);
         }
-        let n = fail_prone.universe();
-        check_in_range(&reads, n)?;
-        check_in_range(&writes, n)?;
-        if let Err((read, write)) = reads.consistent_with(&writes) {
-            return Err(QuorumSystemError::Consistency { read, write });
-        }
+        check_families(&reads, &writes, fail_prone.universe())?;
         for (i, f) in fail_prone.patterns().enumerate() {
             let correct = f.correct();
             if !reads.is_satisfied(correct) || !writes.is_satisfied(correct) {
@@ -590,24 +578,17 @@ impl QsPlus {
     ///
     /// # Errors
     ///
-    /// Returns the first Consistency or (strong) Availability violation.
+    /// Returns the first violation found: universe mismatches, quorums out
+    /// of range, a Consistency counterexample, or the index of a failure
+    /// pattern for which (strong) Availability fails.
     pub fn new(
         graph: NetworkGraph,
         fail_prone: FailProneSystem,
         reads: QuorumFamily,
         writes: QuorumFamily,
     ) -> Result<Self, QuorumSystemError> {
-        if graph.len() != fail_prone.universe() {
-            return Err(QuorumSystemError::UniverseMismatch {
-                graph: graph.len(),
-                fail_prone: fail_prone.universe(),
-            });
-        }
-        check_in_range(&reads, graph.len())?;
-        check_in_range(&writes, graph.len())?;
-        if let Err((read, write)) = reads.consistent_with(&writes) {
-            return Err(QuorumSystemError::Consistency { read, write });
-        }
+        same_universe(&graph, &fail_prone)?;
+        check_families(&reads, &writes, graph.len())?;
         let sys = QsPlus { graph, fail_prone, reads, writes };
         for i in 0..sys.fail_prone.len() {
             if sys.availability_witness(i).is_none() {
@@ -627,20 +608,9 @@ impl QsPlus {
         let res = self.graph.residual(self.fail_prone.pattern(i));
         // Any witness (R, W) has R ∪ W inside one SCC, so searching per
         // SCC is complete.
-        for scc in res.sccs() {
-            let w = match &self.writes {
-                QuorumFamily::Explicit(qs) => qs.iter().copied().find(|w| w.is_subset(scc)),
-                QuorumFamily::Threshold { min_size, .. } => (scc.len() >= *min_size).then_some(scc),
-            };
-            let r = match &self.reads {
-                QuorumFamily::Explicit(qs) => qs.iter().copied().find(|r| r.is_subset(scc)),
-                QuorumFamily::Threshold { min_size, .. } => (scc.len() >= *min_size).then_some(scc),
-            };
-            if let (Some(r), Some(w)) = (r, w) {
-                return Some((r, w));
-            }
-        }
-        None
+        res.sccs().into_iter().find_map(|scc| {
+            Some((self.reads.satisfying_quorum(scc)?, self.writes.satisfying_quorum(scc)?))
+        })
     }
 }
 
@@ -673,6 +643,38 @@ fn witness_for(
     let (read, write) = first?;
     let u_f = res.scc_containing(u).expect("Proposition 1: validating write quorums share one SCC");
     Some(AvailabilityWitness { read, write, u_f })
+}
+
+/// The one universe check of the crate: `graph` and `fail_prone` must be
+/// over the same processes. Both validated constructors and every decision
+/// procedure of [`crate::finder`] and [`crate::reference`] run it before
+/// building a residual graph.
+pub(crate) fn same_universe(
+    graph: &NetworkGraph,
+    fail_prone: &FailProneSystem,
+) -> Result<(), QuorumSystemError> {
+    if graph.len() == fail_prone.universe() {
+        Ok(())
+    } else {
+        Err(QuorumSystemError::UniverseMismatch {
+            graph: graph.len(),
+            fail_prone: fail_prone.universe(),
+        })
+    }
+}
+
+/// The checks every validated constructor runs on its families before
+/// Availability: both in range of `n` processes, and Consistency.
+fn check_families(
+    reads: &QuorumFamily,
+    writes: &QuorumFamily,
+    n: usize,
+) -> Result<(), QuorumSystemError> {
+    check_in_range(reads, n)?;
+    check_in_range(writes, n)?;
+    reads
+        .consistent_with(writes)
+        .map_err(|(read, write)| QuorumSystemError::Consistency { read, write })
 }
 
 fn check_in_range(family: &QuorumFamily, n: usize) -> Result<(), QuorumSystemError> {
@@ -952,17 +954,6 @@ mod tests {
         let qsp = QsPlus::new(g, fp, fam.clone(), fam).unwrap();
         let (r, w) = qsp.availability_witness(0).unwrap();
         assert!(r.len() >= 2 && w.len() >= 2);
-    }
-
-    #[test]
-    fn termination_map_has_one_entry_per_pattern() {
-        let qs = ClassicalQuorumSystem::threshold_system(3, 1).unwrap();
-        let gqs = qs.to_generalized().unwrap();
-        let tm = gqs.termination_map();
-        assert_eq!(tm.len(), gqs.fail_prone().len());
-        for (i, u) in tm.iter().enumerate() {
-            assert_eq!(*u, gqs.fail_prone().pattern(i).correct());
-        }
     }
 
     #[test]

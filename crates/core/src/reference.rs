@@ -23,6 +23,7 @@
 use crate::failure::{FailProneSystem, FailurePattern};
 use crate::graph::NetworkGraph;
 use crate::process::{ProcessId, ProcessSet};
+use crate::quorum::same_universe;
 
 /// A naive residual graph: owned adjacency rows, no transpose, no caches.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -39,6 +40,8 @@ impl NaiveResidual {
     /// # Panics
     ///
     /// Panics if `f` is over a different universe than `graph`.
+    /// [`gqs_exists_naive`] never reaches this: it checks the universe
+    /// first.
     pub fn build(graph: &NetworkGraph, f: &FailurePattern) -> Self {
         assert_eq!(f.universe(), graph.len(), "universe mismatch");
         let n = graph.len();
@@ -166,8 +169,12 @@ struct NaiveCandidate {
 /// re-evaluates pairwise compatibility inside the search tree.
 ///
 /// Used as the finder's oracle and as the baseline of the benchmark's
-/// `core.naive_over_fast.n32` layer metric.
+/// `core.naive_over_fast.n32` layer metric. `false` on a pair over
+/// different universes, like every finder.
 pub fn gqs_exists_naive(graph: &NetworkGraph, fail_prone: &FailProneSystem) -> bool {
+    if same_universe(graph, fail_prone).is_err() {
+        return false;
+    }
     let candidates: Vec<Vec<NaiveCandidate>> = fail_prone
         .patterns()
         .map(|f| {

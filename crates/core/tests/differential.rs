@@ -13,9 +13,12 @@ use common::{
     bridge_raw, build, grid_raw, random_fail_prone, random_pattern, random_raw, ring_raw, RawGraph,
     SplitMix64,
 };
-use gqs_core::finder::{find_gqs, gqs_exists, gqs_exists_brute_force};
+use gqs_core::finder::{
+    explain_unsolvable, find_gqs, find_qs_plus, find_threshold_gqs, gqs_exists,
+    gqs_exists_brute_force, qs_plus_exists, Unsolvability,
+};
 use gqs_core::reference::{gqs_exists_naive, NaiveResidual};
-use gqs_core::{FailProneSystem, ProcessId, ProcessSet};
+use gqs_core::{FailProneSystem, NetworkGraph, ProcessId, ProcessSet};
 
 /// `reach_from` agrees with the naive engine on random residual graphs,
 /// in any query order (cache-independence).
@@ -124,6 +127,12 @@ fn finder_matches_naive_and_brute_force() {
         let empty = FailProneSystem::new(raw.n, []).expect("legal universe");
         for fp in [random_fail_prone(&raw, 4, 0.25, 0.3, &mut rng), empty] {
             let fast = gqs_exists(&g, &fp);
+            assert_eq!(fast, find_gqs(&g, &fp).is_some(), "gqs_exists vs find_gqs (case {case})");
+            assert_eq!(
+                qs_plus_exists(&g, &fp),
+                find_qs_plus(&g, &fp).is_some(),
+                "qs_plus_exists vs find_qs_plus (case {case})"
+            );
             assert_eq!(fast, gqs_exists_naive(&g, &fp), "optimized vs naive finder (case {case})");
             assert_eq!(
                 fast,
@@ -139,6 +148,34 @@ fn finder_matches_naive_and_brute_force() {
                 None => assert!(!fast, "no witness for a solvable system (case {case})"),
             }
         }
+    }
+}
+
+/// A graph and a fail-prone system over different numbers of processes
+/// admit no quorum system: every entry point says so, without panicking
+/// in a residual graph, whether F is empty or not.
+#[test]
+fn finders_agree_on_mismatched_universes() {
+    let empty_over_4 = FailProneSystem::new(4, []).expect("legal universe");
+    let threshold_4_1 = FailProneSystem::threshold(4, 1).expect("legal threshold");
+    let cases = [
+        (NetworkGraph::complete(3), threshold_4_1.clone()),
+        (NetworkGraph::complete(3), empty_over_4),
+        (NetworkGraph::complete(5), threshold_4_1),
+    ];
+    for (g, fp) in &cases {
+        let sizes = (g.len(), fp.universe());
+        assert!(find_gqs(g, fp).is_none(), "find_gqs on {sizes:?}");
+        assert!(!gqs_exists(g, fp), "gqs_exists on {sizes:?}");
+        assert!(find_qs_plus(g, fp).is_none(), "find_qs_plus on {sizes:?}");
+        assert!(!qs_plus_exists(g, fp), "qs_plus_exists on {sizes:?}");
+        assert!(find_threshold_gqs(g, fp).is_none(), "find_threshold_gqs on {sizes:?}");
+        assert!(!gqs_exists_brute_force(g, fp), "gqs_exists_brute_force on {sizes:?}");
+        assert!(!gqs_exists_naive(g, fp), "gqs_exists_naive on {sizes:?}");
+        assert_eq!(
+            explain_unsolvable(g, fp),
+            Some(Unsolvability::UniverseMismatch { graph: sizes.0, fail_prone: sizes.1 })
+        );
     }
 }
 
