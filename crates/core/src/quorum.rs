@@ -426,8 +426,7 @@ impl GeneralizedQuorumSystem {
     /// ```
     /// let fig = gqs_core::systems::figure1();
     /// let w = fig.gqs.availability_witness(0);
-    /// // The write quorum is reachable from the read quorum, and lies in
-    /// // U_f (Proposition 1).
+    /// // The validating write quorum lies in U_f (Proposition 1).
     /// assert!(w.write.is_subset(w.u_f));
     /// assert_eq!(w.u_f, fig.gqs.u_f(0));
     /// ```
