@@ -6,7 +6,6 @@
 //! between correct processes — this well-formedness rule is enforced at
 //! construction. A *fail-prone system* `F` is a set of failure patterns.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::channel::Channel;
@@ -86,6 +85,10 @@ impl std::error::Error for BuildPatternError {}
 /// A failure pattern `f = (P, C)`: processes that may crash and channels
 /// (between correct processes) that may disconnect in one execution.
 ///
+/// The failing channels are stored sorted and deduplicated, so equal
+/// patterns compare, hash and print alike however their channels were
+/// listed.
+///
 /// # Examples
 ///
 /// Figure 1's pattern `f1`: process `d` may crash, channels `(a,c)`,
@@ -101,7 +104,8 @@ impl std::error::Error for BuildPatternError {}
 pub struct FailurePattern {
     n: usize,
     faulty: ProcessSet,
-    channels: BTreeSet<Channel>,
+    /// Sorted by `(from, to)`, no duplicates.
+    channels: Vec<Channel>,
 }
 
 impl FailurePattern {
@@ -123,7 +127,7 @@ impl FailurePattern {
         if !faulty.is_subset(ProcessSet::full(n)) {
             return Err(BuildPatternError::ProcessOutOfRange { n, faulty });
         }
-        let mut chs = BTreeSet::new();
+        let mut chs = Vec::new();
         for ch in channels {
             if ch.from.index() >= n || ch.to.index() >= n {
                 return Err(BuildPatternError::ChannelOutOfRange { n, channel: ch });
@@ -131,8 +135,10 @@ impl FailurePattern {
             if ch.touches(faulty) {
                 return Err(BuildPatternError::ChannelTouchesFaulty { channel: ch, faulty });
             }
-            chs.insert(ch);
+            chs.push(ch);
         }
+        chs.sort_unstable();
+        chs.dedup();
         Ok(FailurePattern { n, faulty, channels: chs })
     }
 
@@ -193,7 +199,7 @@ impl FailurePattern {
             && other.channels.iter().all(|ch| {
                 // A channel failing in `other` is covered if it fails
                 // explicitly here or touches a process faulty here.
-                self.channels.contains(ch) || ch.touches(self.faulty)
+                self.channels.binary_search(ch).is_ok() || ch.touches(self.faulty)
             })
     }
 

@@ -31,13 +31,17 @@
 //!   instead of the old `O(n²)`-per-round fixpoint that rescanned
 //!   `alive - reach`.
 //! * Every [`ResidualGraph`] memoizes `reach_from(p)` and `reach_to(p)`
-//!   per vertex ([`Cell`]-based, so queries take `&self`). All
-//!   higher-level queries — [`ResidualGraph::reach_to_all`],
-//!   [`ResidualGraph::all_reach_all`],
-//!   [`ResidualGraph::is_strongly_connected`], [`ResidualGraph::sccs`],
-//!   [`ResidualGraph::scc_of`] — route through the same caches, so a
-//!   residual graph computes at most one forward and one backward BFS per
-//!   vertex over its entire lifetime, no matter how many queries are made.
+//!   ([`Cell`]-based, so queries take `&self`), and
+//!   [`ResidualGraph::scc_of`] seeds both for every member of `p`'s
+//!   strongly connected component, since they all share one forward and
+//!   one backward reach set. The higher-level queries work per SCC:
+//!   [`ResidualGraph::is_strongly_connected`] asks whether a set lies in
+//!   one component, [`ResidualGraph::all_reach_all`] whether `from` lies in
+//!   [`ResidualGraph::reach_to_all`] of `to`, and `reach_to_all` fills a
+//!   missing entry through `scc_of`. So these queries, and
+//!   [`ResidualGraph::sccs`], compute at most one forward and one backward
+//!   BFS per SCC over a residual graph's entire lifetime, no matter how
+//!   many queries are made.
 //!
 //! **Caching contract:** a `ResidualGraph` is immutable after
 //! construction; the caches are pure memoization and never observable in
@@ -63,6 +67,16 @@ struct Topology {
     adj: Vec<ProcessSet>,
     /// `radj[p]` = predecessors of `p` (the transpose rows).
     radj: Vec<ProcessSet>,
+}
+
+impl Topology {
+    /// Inserts `ch` into both row directions.
+    fn add(&mut self, ch: Channel) {
+        let n = self.n;
+        assert!(ch.from.index() < n && ch.to.index() < n, "channel endpoint out of range");
+        self.adj[ch.from.index()].insert(ch.to);
+        self.radj[ch.to.index()].insert(ch.from);
+    }
 }
 
 /// The static network topology `G = (P, C)`.
@@ -91,15 +105,7 @@ impl NetworkGraph {
     ///
     /// Panics if `n == 0` or `n > MAX_PROCESSES`.
     pub fn empty(n: usize) -> Self {
-        assert!(n > 0, "a system has at least one process");
-        assert!(n <= MAX_PROCESSES, "at most {MAX_PROCESSES} processes are supported");
-        NetworkGraph {
-            core: Arc::new(Topology {
-                n,
-                adj: vec![ProcessSet::new(); n],
-                radj: vec![ProcessSet::new(); n],
-            }),
-        }
+        Self::with_channels(n, [])
     }
 
     /// The complete directed graph on `n` processes — the paper's standard
@@ -115,20 +121,26 @@ impl NetworkGraph {
         g
     }
 
-    /// Builds a graph from an explicit channel list.
+    /// Builds a graph from an explicit channel list. The rows are filled
+    /// first and shared once, so a long list costs no copy-on-write check
+    /// per channel.
     ///
     /// # Panics
     ///
-    /// Panics if any endpoint is out of range.
+    /// Panics if `n == 0`, `n > MAX_PROCESSES` or any endpoint is out of
+    /// range.
     pub fn with_channels<I>(n: usize, channels: I) -> Self
     where
         I: IntoIterator<Item = Channel>,
     {
-        let mut g = Self::empty(n);
+        assert!(n > 0, "a system has at least one process");
+        assert!(n <= MAX_PROCESSES, "at most {MAX_PROCESSES} processes are supported");
+        let mut core =
+            Topology { n, adj: vec![ProcessSet::new(); n], radj: vec![ProcessSet::new(); n] };
         for ch in channels {
-            g.add_channel(ch);
+            core.add(ch);
         }
-        g
+        NetworkGraph { core: Arc::new(core) }
     }
 
     /// Number of processes.
@@ -152,11 +164,7 @@ impl NetworkGraph {
     ///
     /// Panics if either endpoint is `>= len()`.
     pub fn add_channel(&mut self, ch: Channel) {
-        let n = self.core.n;
-        assert!(ch.from.index() < n && ch.to.index() < n, "channel endpoint out of range");
-        let core = Arc::make_mut(&mut self.core);
-        core.adj[ch.from.index()].insert(ch.to);
-        core.radj[ch.to.index()].insert(ch.from);
+        Arc::make_mut(&mut self.core).add(ch);
     }
 
     /// Removes a channel; returns `true` if it was present.
@@ -513,7 +521,9 @@ impl ResidualGraph {
     /// The set of vertices reachable from `p` (including `p` itself, if
     /// alive; a vertex always reaches itself via the empty path).
     ///
-    /// Memoized: the BFS runs at most once per vertex per residual graph.
+    /// Memoized per SCC: the BFS runs at most once per vertex per residual
+    /// graph, and not at all for a member of a component that
+    /// [`ResidualGraph::scc_of`] has already seeded.
     pub fn reach_from(&self, p: ProcessId) -> ProcessSet {
         if !self.alive.contains(p) {
             return ProcessSet::new();
@@ -557,7 +567,9 @@ impl ResidualGraph {
 
     /// Word-count-monomorphized core of [`ResidualGraph::reach_to_all`]:
     /// intersects the (cached) backward reach rows of every member of
-    /// `set`, reading the cache words directly.
+    /// `set`, reading the cache words directly. A missing row is filled
+    /// through [`ResidualGraph::scc_of`], which seeds the rows of the whole
+    /// component, so a set within one SCC costs at most two BFS.
     fn reach_to_all_fixed<const NW: usize>(&self, set: ProcessSet) -> ProcessSet {
         debug_assert_eq!(self.nw, NW);
         let mut acc = [0u64; NW];
@@ -565,7 +577,7 @@ impl ResidualGraph {
         for p in set {
             let pi = p.index();
             if self.valid[SEG_BWD * NW + pi / 64].get() & (1u64 << (pi % 64)) == 0 {
-                let _ = self.reach_to(p); // fill the SEG_BWD cache entry
+                let _ = self.scc_of(p); // fill the SEG_BWD cache entries
             }
             let crow = &self.cache[(SEG_BWD * self.base.n + pi) * NW..][..NW];
             let mut any = false;
@@ -580,47 +592,24 @@ impl ResidualGraph {
         ProcessSet::from_words(&acc)
     }
 
-    /// Whether the forward reach set of `p` contains all of `set`,
-    /// consulting (and on first touch filling) the `SEG_FWD` cache row
-    /// directly — a word-bounded subset test with no full-width set
-    /// materialization, shared by the quorum-validation hot paths.
-    #[inline]
-    fn cached_fwd_superset(&self, p: ProcessId, set: ProcessSet) -> bool {
-        let nw = self.nw;
-        let pi = p.index();
-        if self.valid[SEG_FWD * nw + pi / 64].get() & (1u64 << (pi % 64)) == 0 {
-            let _ = self.reach_from(p); // fill the SEG_FWD cache entry
-        }
-        let crow = &self.cache[(SEG_FWD * self.base.n + pi) * nw..][..nw];
-        let sw = set.as_words();
-        let mut stray = 0u64;
-        for (i, c) in crow.iter().enumerate() {
-            stray |= sw[i] & !c.get();
-        }
-        stray == 0
-    }
-
     /// Whether every member of `to` is reachable from every member of
-    /// `from` (the core of the paper's `f`-reachability).
+    /// `from` (the core of the paper's `f`-reachability): `from` is
+    /// nonempty and lies within [`ResidualGraph::reach_to_all`]`(to)`, which
+    /// is empty unless `to` is a nonempty set of alive processes.
     pub fn all_reach_all(&self, from: ProcessSet, to: ProcessSet) -> bool {
-        if from.is_empty() || to.is_empty() {
-            return false;
-        }
-        if !from.is_subset(self.alive) || !to.is_subset(self.alive) {
-            return false;
-        }
-        from.iter().all(|p| self.cached_fwd_superset(p, to))
+        !from.is_empty() && from.is_subset(self.reach_to_all(to))
     }
 
     /// Whether `set` is strongly connected in the residual graph: every
     /// pair of members is mutually reachable (paths may pass through
     /// vertices outside `set`). Singletons are strongly connected; the
     /// empty set is not (quorums are nonempty).
+    ///
+    /// Mutual reachability is an equivalence, so this asks whether `set`
+    /// lies within the SCC of its first member (which is empty if that
+    /// member is dead).
     pub fn is_strongly_connected(&self, set: ProcessSet) -> bool {
-        if set.is_empty() || !set.is_subset(self.alive) {
-            return false;
-        }
-        set.iter().all(|p| self.cached_fwd_superset(p, set))
+        set.first().is_some_and(|p| set.is_subset(self.scc_of(p)))
     }
 
     /// The strongly connected components of the alive part of the graph,

@@ -288,12 +288,20 @@ pub enum QuorumSystemError {
     /// The fail-prone system allows channel failures but a classical
     /// quorum system (Definition 1) was requested.
     ChannelFailuresPresent,
-    /// Universe sizes of graph / fail-prone system / families disagree.
+    /// Universe sizes of the graph and the fail-prone system disagree.
     UniverseMismatch {
         /// Universe of the graph.
         graph: usize,
         /// Universe of the fail-prone system.
         fail_prone: usize,
+    },
+    /// A threshold family is over a different number of processes than
+    /// the system it is part of.
+    FamilyUniverseMismatch {
+        /// Universe of the system (its graph and fail-prone system).
+        system: usize,
+        /// Universe of the threshold family.
+        family: usize,
     },
 }
 
@@ -319,6 +327,9 @@ impl fmt::Display for QuorumSystemError {
             }
             QuorumSystemError::UniverseMismatch { graph, fail_prone } => {
                 write!(f, "graph is over {graph} processes, fail-prone system over {fail_prone}")
+            }
+            QuorumSystemError::FamilyUniverseMismatch { system, family } => {
+                write!(f, "system is over {system} processes, threshold family over {family}")
             }
         }
     }
@@ -622,8 +633,9 @@ impl fmt::Display for QsPlus {
 /// Finds an availability witness for one pattern over an already-built
 /// residual graph: the first validating `(R, W)` pair plus `U_f`, the SCC
 /// containing every validating write quorum (Proposition 1). All
-/// reachability goes through `res`'s memoized caches, so validation costs
-/// at most one forward + one backward BFS per vertex per pattern.
+/// reachability goes through `res`'s memoized caches, which answer per
+/// SCC, so validation costs at most one forward + one backward BFS per SCC
+/// per pattern.
 fn witness_for(
     res: &ResidualGraph,
     reads: &QuorumFamily,
@@ -689,7 +701,10 @@ fn check_in_range(family: &QuorumFamily, n: usize) -> Result<(), QuorumSystemErr
         }
         QuorumFamily::Threshold { n: fam_n, min_size } => {
             if *fam_n != n {
-                return Err(QuorumSystemError::UniverseMismatch { graph: n, fail_prone: *fam_n });
+                return Err(QuorumSystemError::FamilyUniverseMismatch {
+                    system: n,
+                    family: *fam_n,
+                });
             }
             if *min_size == 0 || *min_size > n {
                 return Err(QuorumSystemError::BadThreshold { n, min_size: *min_size });
@@ -896,10 +911,28 @@ mod tests {
         let g = NetworkGraph::complete(3);
         let fp = FailProneSystem::threshold(4, 1).unwrap();
         let fam = QuorumFamily::threshold(3, 2).unwrap();
-        assert!(matches!(
+        assert_eq!(
             GeneralizedQuorumSystem::new(g, fp, fam.clone(), fam),
-            Err(QuorumSystemError::UniverseMismatch { .. })
-        ));
+            Err(QuorumSystemError::UniverseMismatch { graph: 3, fail_prone: 4 })
+        );
+    }
+
+    #[test]
+    fn threshold_family_over_the_wrong_universe_is_named_as_the_family() {
+        let g = NetworkGraph::complete(3);
+        let fp = FailProneSystem::threshold(3, 1).unwrap();
+        let reads = QuorumFamily::threshold(4, 2).unwrap();
+        let writes = QuorumFamily::threshold(3, 2).unwrap();
+        let err =
+            GeneralizedQuorumSystem::new(g.clone(), fp.clone(), reads.clone(), writes.clone())
+                .unwrap_err();
+        assert_eq!(err, QuorumSystemError::FamilyUniverseMismatch { system: 3, family: 4 });
+        assert_eq!(err.to_string(), "system is over 3 processes, threshold family over 4");
+        // The write family is checked the same way, and so is QS+.
+        assert_eq!(
+            QsPlus::new(g, fp, writes, reads),
+            Err(QuorumSystemError::FamilyUniverseMismatch { system: 3, family: 4 })
+        );
     }
 
     #[test]

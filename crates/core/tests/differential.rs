@@ -114,6 +114,76 @@ fn sccs_match_reference() {
     }
 }
 
+/// `is_strongly_connected` and `all_reach_all`, which answer per SCC,
+/// agree with their per-pair definitions over the reference's
+/// `reach_from`, at one-, one- and three-word universes. The queries are
+/// SCCs, unions of two SCCs, random sets and subsets of an SCC, an SCC
+/// plus a dead vertex, and the empty set, each asked on a cold residual
+/// and again on one whose caches `sccs()` has warmed.
+#[test]
+fn component_level_reachability_matches_per_pair_definition() {
+    for (n, cases) in [(5usize, 60u64), (40, 16), (130, 6)] {
+        for case in 0..cases {
+            let mut rng = SplitMix64::new(15_000 + 100 * n as u64 + case);
+            // Between half an edge and four edges per vertex on average, so
+            // residuals hold a mix of large, small and singleton SCCs.
+            let p = ((0.5 + rng.range(0, 35) as f64 / 10.0) / n as f64).min(1.0);
+            let mut raw = RawGraph { n, edges: Vec::new() };
+            for a in 0..n {
+                for b in 0..n {
+                    if a != b && rng.chance(p) {
+                        raw.edges.push((a, b));
+                    }
+                }
+            }
+            let g = build(&raw);
+            let f = random_pattern(&raw, 0.1, 0.2, &mut rng);
+            let slow = NaiveResidual::build(&g, &f);
+            let alive = slow.alive();
+            let reach: Vec<ProcessSet> = (0..n).map(|q| slow.reach_from(ProcessId(q))).collect();
+            let connected = |set: ProcessSet| {
+                !set.is_empty()
+                    && set.is_subset(alive)
+                    && set.iter().all(|q| set.is_subset(reach[q.index()]))
+            };
+            let reaches = |from: ProcessSet, to: ProcessSet| {
+                !from.is_empty()
+                    && !to.is_empty()
+                    && from.is_subset(alive)
+                    && to.is_subset(alive)
+                    && from.iter().all(|q| to.is_subset(reach[q.index()]))
+            };
+
+            let sccs = slow.sccs();
+            let mut queries = vec![ProcessSet::new()];
+            queries.extend(sccs.iter().take(6).copied());
+            queries.extend(sccs.windows(2).take(3).map(|w| w[0] | w[1]));
+            let biggest = sccs.iter().copied().max_by_key(|s| s.len()).unwrap_or_default();
+            for _ in 0..3 {
+                queries.push((0..n).map(ProcessId).filter(|_| rng.chance(0.3)).collect());
+                queries.push(biggest.iter().filter(|_| rng.chance(0.5)).collect());
+            }
+            if let Some(dead) = f.faulty().first() {
+                queries.push(biggest.with(dead));
+            }
+
+            let warm = g.residual(&f);
+            let _ = warm.sccs();
+            for &a in &queries {
+                let want = connected(a);
+                assert_eq!(g.residual(&f).is_strongly_connected(a), want, "cold scc({a}), n={n}");
+                assert_eq!(warm.is_strongly_connected(a), want, "warm scc({a}), n={n}");
+                for &b in &queries {
+                    let want = reaches(a, b);
+                    let cold = g.residual(&f).all_reach_all(a, b);
+                    assert_eq!(cold, want, "cold all_reach_all({a}, {b}), n={n} case {case}");
+                    assert_eq!(warm.all_reach_all(a, b), want, "warm all_reach_all, n={n}");
+                }
+            }
+        }
+    }
+}
+
 /// The memoized CSP finder, the naive pipeline, and the exhaustive oracle
 /// agree on GQS existence for small random fail-prone systems.
 #[test]

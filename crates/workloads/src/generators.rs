@@ -10,15 +10,11 @@ use gqs_simnet::SplitMix64;
 /// A directed Erdős–Rényi graph on `n` vertices: each ordered pair gets a
 /// channel independently with probability `p`.
 pub fn random_digraph(n: usize, p: f64, rng: &mut SplitMix64) -> NetworkGraph {
-    let mut g = NetworkGraph::empty(n);
-    for from in 0..n {
-        for to in 0..n {
-            if from != to && rng.chance(p) {
-                g.add_channel(Channel::new(ProcessId(from), ProcessId(to)));
-            }
-        }
-    }
-    g
+    let pairs = (0..n).flat_map(|from| (0..n).map(move |to| (from, to)));
+    let channels = pairs
+        .filter(|&(from, to)| from != to && rng.chance(p))
+        .map(|(from, to)| Channel::new(ProcessId(from), ProcessId(to)));
+    NetworkGraph::with_channels(n, channels)
 }
 
 /// A bidirectional ring (each process connected both ways to its
@@ -137,9 +133,28 @@ pub fn random_pattern(
     while faulty.len() < crash_count {
         faulty.insert(ProcessId(rng.range(0, n as u64 - 1) as usize));
     }
-    let channels: Vec<Channel> =
-        graph.channels().filter(|ch| !ch.touches(faulty) && rng.chance(p_chan)).collect();
-    FailurePattern::new(n, faulty, channels).expect("construction preserves well-formedness")
+    chance_pattern(graph, faulty, p_chan, rng)
+}
+
+/// The pattern that crashes `faulty` and fails each channel of `graph`
+/// between correct processes independently with probability `p_chan`.
+///
+/// Walks the successor rows of the correct processes, so it draws once per
+/// such channel in the order of `graph.channels()`: exactly the draws of
+/// filtering that iterator by `!ch.touches(faulty) && rng.chance(p_chan)`.
+fn chance_pattern(
+    graph: &NetworkGraph,
+    faulty: ProcessSet,
+    p_chan: f64,
+    rng: &mut SplitMix64,
+) -> FailurePattern {
+    let n = graph.len();
+    let channels = faulty
+        .complement(n)
+        .into_iter()
+        .flat_map(|p| (graph.successors(p) - faulty).into_iter().map(move |q| Channel::new(p, q)))
+        .filter(|_| rng.chance(p_chan));
+    FailurePattern::new(n, faulty, channels).expect("well-formed by construction")
 }
 
 /// A "rotating" fail-prone system in the style of Figure 1: one pattern
@@ -157,12 +172,7 @@ pub fn rotating_fail_prone(
 ) -> FailProneSystem {
     let n = graph.len();
     let patterns: Vec<FailurePattern> = (0..n)
-        .map(|i| {
-            let faulty = ProcessSet::singleton(ProcessId(i));
-            let channels: Vec<Channel> =
-                graph.channels().filter(|ch| !ch.touches(faulty) && rng.chance(p_chan)).collect();
-            FailurePattern::new(n, faulty, channels).expect("well-formed by construction")
-        })
+        .map(|i| chance_pattern(graph, ProcessSet::singleton(ProcessId(i)), p_chan, rng))
         .collect();
     FailProneSystem::new(n, patterns).expect("uniform universe")
 }
@@ -320,6 +330,95 @@ mod tests {
         assert_eq!(empty.channels().count(), 0);
         let full = random_digraph(5, 1.0, &mut rng);
         assert_eq!(full.channels().count(), 20);
+    }
+
+    /// The channel-by-channel form of [`random_digraph`], kept as the
+    /// reference its row-wise draw must match.
+    fn random_digraph_by_channel(n: usize, p: f64, rng: &mut SplitMix64) -> NetworkGraph {
+        let mut g = NetworkGraph::empty(n);
+        for from in 0..n {
+            for to in 0..n {
+                if from != to && rng.chance(p) {
+                    g.add_channel(Channel::new(ProcessId(from), ProcessId(to)));
+                }
+            }
+        }
+        g
+    }
+
+    /// The channel-iterator form of [`chance_pattern`], the reference for
+    /// [`random_pattern`] and [`rotating_fail_prone`].
+    fn chance_pattern_by_channel(
+        graph: &NetworkGraph,
+        faulty: ProcessSet,
+        p_chan: f64,
+        rng: &mut SplitMix64,
+    ) -> FailurePattern {
+        let channels: Vec<Channel> =
+            graph.channels().filter(|ch| !ch.touches(faulty) && rng.chance(p_chan)).collect();
+        FailurePattern::new(graph.len(), faulty, channels).expect("well-formed")
+    }
+
+    fn random_pattern_by_channel(
+        graph: &NetworkGraph,
+        max_crashes: usize,
+        p_chan: f64,
+        rng: &mut SplitMix64,
+    ) -> FailurePattern {
+        let n = graph.len();
+        let crash_count = rng.range(0, max_crashes.min(n) as u64) as usize;
+        let mut faulty = ProcessSet::new();
+        while faulty.len() < crash_count {
+            faulty.insert(ProcessId(rng.range(0, n as u64 - 1) as usize));
+        }
+        chance_pattern_by_channel(graph, faulty, p_chan, rng)
+    }
+
+    fn rotating_fail_prone_by_channel(
+        graph: &NetworkGraph,
+        p_chan: f64,
+        rng: &mut SplitMix64,
+    ) -> FailProneSystem {
+        let n = graph.len();
+        let patterns: Vec<FailurePattern> = (0..n)
+            .map(|i| {
+                chance_pattern_by_channel(graph, ProcessSet::singleton(ProcessId(i)), p_chan, rng)
+            })
+            .collect();
+        FailProneSystem::new(n, patterns).expect("uniform universe")
+    }
+
+    /// The row-wise generators return what the channel-by-channel forms
+    /// return and leave the stream where they left it, at one-, two- and
+    /// three-word universes and at both probability extremes.
+    #[test]
+    fn row_wise_draws_match_channel_by_channel_draws() {
+        for n in [1, 2, 9, 63, 64, 65, 130] {
+            for p in [0.0, 0.15, 1.0] {
+                for seed in 0..3 {
+                    let seed = seed * 1_000 + n as u64;
+                    let (mut fast, mut slow) = (SplitMix64::new(seed), SplitMix64::new(seed));
+                    let g = random_digraph(n, p, &mut fast);
+                    assert_eq!(g, random_digraph_by_channel(n, p, &mut slow), "graph n={n} p={p}");
+                    // Patterns over a half-dense graph, so p_chan = p matters.
+                    let dense = random_digraph(n, 0.5, &mut fast);
+                    assert_eq!(dense, random_digraph_by_channel(n, 0.5, &mut slow));
+                    for max_crashes in [0, 2, n] {
+                        assert_eq!(
+                            random_pattern(&dense, max_crashes, p, &mut fast),
+                            random_pattern_by_channel(&dense, max_crashes, p, &mut slow),
+                            "pattern n={n} p={p} max_crashes={max_crashes}"
+                        );
+                    }
+                    assert_eq!(
+                        rotating_fail_prone(&dense, p, &mut fast),
+                        rotating_fail_prone_by_channel(&dense, p, &mut slow),
+                        "rotating n={n} p={p}"
+                    );
+                    assert_eq!(fast.next_u64(), slow.next_u64(), "stream n={n} p={p}");
+                }
+            }
+        }
     }
 
     #[test]
