@@ -116,10 +116,10 @@ fn sccs_match_reference() {
 
 /// `is_strongly_connected` and `all_reach_all`, which answer per SCC,
 /// agree with their per-pair definitions over the reference's
-/// `reach_from`, at one-, one- and three-word universes. The queries are
-/// SCCs, unions of two SCCs, random sets and subsets of an SCC, an SCC
-/// plus a dead vertex, and the empty set, each asked on a cold residual
-/// and again on one whose caches `sccs()` has warmed.
+/// `reach_from`, at n = 5 and 40 (one word) and n = 130 (three words).
+/// The queries are SCCs, unions of two SCCs, random sets and subsets of
+/// an SCC, an SCC plus a dead vertex, and the empty set, each asked on a
+/// cold residual and again on one whose caches `sccs()` has warmed.
 #[test]
 fn component_level_reachability_matches_per_pair_definition() {
     for (n, cases) in [(5usize, 60u64), (40, 16), (130, 6)] {
